@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "backward elimination, e.g. treat:L,L^2")
     ana.add_argument("--alpha", type=float)
     ana.add_argument("--tau2-method", dest="tau2_method", choices=["dl", "reml"])
-    ana.add_argument("--workers", type=int)
     ana.add_argument("--out")
     ana.set_defaults(func=cmd_analyze)
 
@@ -235,7 +234,7 @@ def cmd_analyze(args) -> int:
         "expit_weight": False, "alpha": 0.05, "tau2_method": "dl",
         "out": "casemix-out", "ps_mode": None, "eliminate": None,
         "outcome_formula": None, "ps_formula": None, "method": None,
-        "workers": 1, "input": None,
+        "input": None,
     })
     method, outcome_formula, ps_formula = _formulas_from(cfg)
     ds = load_ipd(cfg["input"])
@@ -263,18 +262,19 @@ def cmd_analyze(args) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        matrix = effect_matrix(ds, method, outcome_formula=outcome_formula,
-                               ps_formula=ps_formula, measure=cfg["measure"],
-                               ps_mode=cfg["ps_mode"], truncation=truncation,
-                               expit_weight=bool(cfg["expit_weight"]),
-                               collect_errors=True,
-                               positivity_threshold=threshold)
+        grid = standardized_grid(ds, method, outcome_formula=outcome_formula,
+                                 ps_formula=ps_formula, ps_mode=cfg["ps_mode"],
+                                 truncation=truncation,
+                                 expit_weight=bool(cfg["expit_weight"]),
+                                 positivity_threshold=threshold)
+        matrix = effect_matrix(ds, method, measure=cfg["measure"],
+                               collect_errors=True, _grid=grid)
         if cfg["variance"] == "sandwich":
             covres = sandwich_cov(ds, method, outcome_formula=outcome_formula,
                                   ps_formula=ps_formula,
                                   measures=(cfg["measure"],),
                                   ps_mode=cfg["ps_mode"], truncation=truncation,
-                                  expit_weight=bool(cfg["expit_weight"]))
+                                  expit_weight=bool(cfg["expit_weight"]), grid=grid)
         else:
             covres = bootstrap_cov(ds, method, outcome_formula=outcome_formula,
                                    ps_formula=ps_formula,
@@ -403,7 +403,7 @@ def cmd_transport(args) -> int:
                                   ps_formula=ps_formula, measures=(),
                                   ps_mode=cfg["ps_mode"],
                                   truncation=cfg["truncate_percentile"],
-                                  expit_weight=bool(cfg["expit_weight"]))
+                                  expit_weight=bool(cfg["expit_weight"]), grid=grid)
             sigma = system.sandwich()
             row = system.prob_rows[(j, k, x)]
             v = sigma[row, row]

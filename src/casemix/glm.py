@@ -49,6 +49,47 @@ def _drop_aliased(X: np.ndarray, names: Sequence[str]):
     return kept, dropped
 
 
+def _separated(converged: bool, eta: np.ndarray, dev: float) -> bool:
+    """A fit that stopped short with numerically 0/1 probabilities, or one that
+    fits the data perfectly. A converged fit with steep tails is not separated."""
+    return bool((not converged and np.max(np.abs(eta)) > SEPARATION_LP)
+                or dev < SEPARATION_DEV)
+
+
+def nonref_probs(eta: np.ndarray) -> np.ndarray:
+    """n x C probabilities of the non-reference categories from their linear
+    predictors (the reference category's predictor is 0)."""
+    m = np.maximum(eta.max(axis=1), 0.0)
+    e = np.exp(eta - m[:, None])
+    return e / (np.exp(-m) + e.sum(axis=1))[:, None]
+
+
+def multinomial_information(X: np.ndarray, P: np.ndarray,
+                            w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Information X' diag(w P_a (1[a=b] - P_b)) X of the multinomial logit,
+    (C p) x (C p) in category-major blocks.
+
+    Assembled as blockdiag_a(X' diag(w P_a) X) - V'V with the n x Cp matrix
+    V = sqrt(w) P_a x: one GEMM in place of C^2 weighted products, and no
+    n x C x C array."""
+    n, p = X.shape
+    C = P.shape[1]
+    WP = P if w is None else P * w[:, None]
+    S = P if w is None else P * np.sqrt(w)[:, None]
+    V = (S[:, :, None] * X[:, None, :]).reshape(n, C * p)
+    H = -(V.T @ V)
+    for a in range(C):
+        H[a * p:(a + 1) * p, a * p:(a + 1) * p] += (X * WP[:, a, None]).T @ X
+    return H
+
+
+def _multinomial_newton(X, Y, B, w):
+    """Score (flattened like B) and information of the multinomial logit at B."""
+    P = nonref_probs(X @ B.T)
+    g = (X.T @ ((Y - P) * w[:, None])).T.ravel()
+    return g, multinomial_information(X, P, w)
+
+
 def _bernoulli_deviance(eta, y, w):
     # -2 loglik; log(1+e^eta) via logaddexp for stability
     return 2.0 * float(np.sum(w * (np.logaddexp(0.0, eta) - y * eta)))
@@ -176,7 +217,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, weights: Optional[np.ndarray] = N
             converged = True
             break
 
-    separated = bool(np.max(np.abs(eta)) > SEPARATION_LP or dev < SEPARATION_DEV)
+    separated = _separated(converged, eta, dev)
     mu = expit(eta)
     wt = w * mu * (1.0 - mu)
     H = (Xk * wt[:, None]).T @ Xk
@@ -236,17 +277,7 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
 
     dev = dev_of(B)
     for it in range(1, max_iter + 1):
-        eta = Xk @ B.T
-        m = np.maximum(eta.max(axis=1), 0.0)
-        denom = np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1)
-        P = np.exp(eta - m[:, None]) / denom[:, None]  # n x C
-        g = np.empty(C * pk)
-        H = np.empty((C * pk, C * pk))
-        for a in range(C):
-            g[a * pk:(a + 1) * pk] = Xk.T @ (w * (Y[:, a] - P[:, a]))
-            for b in range(C):
-                wt = w * P[:, a] * ((1.0 if a == b else 0.0) - P[:, b])
-                H[a * pk:(a + 1) * pk, b * pk:(b + 1) * pk] = (Xk * wt[:, None]).T @ Xk
+        g, H = _multinomial_newton(Xk, Y, B, w)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
@@ -264,16 +295,8 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
             converged = True
             break
 
-    eta = Xk @ B.T
-    separated = bool(np.max(np.abs(eta)) > SEPARATION_LP or dev < SEPARATION_DEV)
-    m = np.maximum(eta.max(axis=1), 0.0)
-    denom = np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1)
-    P = np.exp(eta - m[:, None]) / denom[:, None]
-    H = np.empty((C * pk, C * pk))
-    for a in range(C):
-        for b in range(C):
-            wt = w * P[:, a] * ((1.0 if a == b else 0.0) - P[:, b])
-            H[a * pk:(a + 1) * pk, b * pk:(b + 1) * pk] = (Xk * wt[:, None]).T @ Xk
+    separated = _separated(converged, Xk @ B.T, dev)
+    H = _multinomial_newton(Xk, Y, B, w)[1]
     try:
         cov = np.linalg.inv(H)
     except np.linalg.LinAlgError:

@@ -609,11 +609,7 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                             raw.n_over[r] += est.weights_summary.n_over_threshold
                 matrices = {}
                 for mi, msr in enumerate(measures):
-                    m = effect_matrix(ds, an.method, outcome_formula=an.outcome_formula,
-                                      ps_formula=an.ps_formula, measure=msr,
-                                      ps_mode=an.ps_mode, truncation=an.truncation,
-                                      expit_weight=an.expit_weight,
-                                      overrides=an.overrides, collect_errors=True,
+                    m = effect_matrix(ds, an.method, measure=msr, collect_errors=True,
                                       _grid=grid)
                     matrices[msr] = m
                     raw.eff_log[r, mi] = m.transformed_vector()
@@ -622,7 +618,7 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                                     ps_formula=an.ps_formula, measures=measures,
                                     ps_mode=an.ps_mode, truncation=an.truncation,
                                     expit_weight=an.expit_weight,
-                                    overrides=an.overrides)
+                                    overrides=an.overrides, grid=grid)
                 _record_tests(raw, r, 0, measures, matrices, sres, raw.var_snd)
                 if bootstrap_b > 0:
                     bres = bootstrap_cov(ds, an.method,

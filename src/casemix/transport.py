@@ -71,7 +71,6 @@ class StandardizedEstimate:
     prob: float
     method: str
     weights_summary: Optional[WeightDiagnostics] = None
-    influence: Optional[np.ndarray] = None
     out_of_bounds: bool = False
 
 
@@ -134,17 +133,12 @@ def ocr_standardized_prob(ds: IpdDataset, k, j, x: int,
                           outcome_formula: ModelFormula,
                           _fit: Optional[FittedLogistic] = None) -> StandardizedEstimate:
     """Fit the outcome model on trial k, average predictions over trial j at treat=x."""
-    mj = ds.mask(j)
-    nj = int(mj.sum())
-    if nj == 0:
+    if not ds.mask(j).any():
         raise EmptyTarget(f"study {j!r} has no subjects")
     fit = _fit if _fit is not None else _outcome_fit(ds, k, outcome_formula)
-    preds = fit.predict(_target_design(ds, j, x, outcome_formula))
-    p = float(np.mean(preds))
-    infl = np.zeros(ds.n)
-    infl[mj] = preds - p
+    p = float(np.mean(fit.predict(_target_design(ds, j, x, outcome_formula))))
     return StandardizedEstimate(source_k=str(k), target_j=str(j), arm_x=int(x),
-                                prob=p, method=OCR, influence=infl)
+                                prob=p, method=OCR)
 
 
 def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
@@ -157,38 +151,25 @@ def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
 
     `truncation` is a percentile in (0, 100]; weights above that percentile of
     the weight distribution are reset to it. Percentile 100 is the identity.
+    `_fit` reuses a membership fit: the multinomial fit, or in pairwise mode
+    (label fitted as 1, fit) for the pair {j, k}.
     """
     if ps_formula.requires_treat:
         raise ValueError("membership models cannot reference treat")
     if mode not in ("pairwise", "multinomial"):
         raise ValueError(f"unknown propensity mode {mode!r}")
     mk = ds.mask(k)
-    covs = ds.covariate_columns()
+    Xk = ps_formula.design_matrix({n: c[mk] for n, c in ds.covariate_columns().items()})
     if mode == "pairwise":
-        pool = ds.mask(j) | mk
-        fit = _fit
-        if fit is None:
-            Xp = ps_formula.design_matrix({n: c[pool] for n, c in covs.items()})
-            fit = fit_logistic(Xp, (ds.study_idx[pool] == ds.study_number(j)).astype(float),
-                               column_names=ps_formula.column_names(), formula=ps_formula)
-        Xk = ps_formula.design_matrix({n: c[mk] for n, c in covs.items()})
+        fitted_for, fit = _fit if _fit is not None else (j, _pair_fit(ds, j, k, ps_formula))
         lp = fit.linear_predictor(Xk)
-        w = _pairwise_weight(lp, expit_weight)
+        w = _pairwise_weight(lp if fitted_for == j else -lp, expit_weight)
     else:
-        fit = _fit
-        if fit is None:
-            Xall = ps_formula.design_matrix(covs)
-            fit = fit_multinomial(Xall, ds.study_idx, reference=0,
-                                  column_names=ps_formula.column_names(),
-                                  formula=ps_formula)
-        Xk = ps_formula.design_matrix({n: c[mk] for n, c in covs.items()})
+        fit = _fit if _fit is not None else _multinomial_fit(ds, ps_formula)
         P = fit.predict(Xk)
         cj = fit.category_index(ds.study_number(j))
         ck = fit.category_index(ds.study_number(k))
-        if expit_weight:
-            w = P[:, cj]
-        else:
-            w = P[:, cj] / P[:, ck]
+        w = P[:, cj] if expit_weight else P[:, cj] / P[:, ck]
     truncated_at = None
     if truncation is not None:
         if not (0 < truncation <= 100):
@@ -204,6 +185,21 @@ def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
             f"(max {diag.max:.3g}): possible positivity violation",
             PositivityWarning, stacklevel=2)
     return w, diag
+
+
+def _pair_fit(ds: IpdDataset, j, k, ps_formula: ModelFormula) -> FittedLogistic:
+    """Membership model of trial j (response 1) against trial k, on their rows."""
+    pool = ds.mask(j) | ds.mask(k)
+    Xp = ps_formula.design_matrix({n: c[pool] for n, c in ds.covariate_columns().items()})
+    return fit_logistic(Xp, (ds.study_idx[pool] == ds.study_number(j)).astype(float),
+                        column_names=ps_formula.column_names(), formula=ps_formula)
+
+
+def _multinomial_fit(ds: IpdDataset, ps_formula: ModelFormula) -> FittedMultinomial:
+    """Membership model of all trials, trial 0 the reference, on all rows."""
+    return fit_multinomial(ps_formula.design_matrix(ds.covariate_columns()), ds.study_idx,
+                           reference=0, column_names=ps_formula.column_names(),
+                           formula=ps_formula)
 
 
 def _pairwise_weight(lp: np.ndarray, expit_weight: bool) -> np.ndarray:
@@ -244,14 +240,12 @@ def ipw_standardized_prob(ds: IpdDataset, k, j, x: int, ps_formula: ModelFormula
                                         positivity_threshold=positivity_threshold)
     yk = ds.outcome[mk].astype(float)
     arm = (xk == x).astype(float)
-    infl = np.zeros(ds.n)
     if stabilized:
         den = float(np.sum(arm * w))
         if den == 0.0:
             raise DivisionByZero(
                 f"no weight mass in arm {x} of study {k!r}: positivity failure")
         p = float(np.sum(arm * w * yk) / den)
-        infl[mk] = arm * w * (yk - p)
         oob = False
         method = IPW_STABILIZED
     else:
@@ -261,13 +255,11 @@ def ipw_standardized_prob(ds: IpdDataset, k, j, x: int, ps_formula: ModelFormula
         if same:
             nj = n_t + n_c
         p = float(np.sum(arm * w * yk) / (pi_x * nj))
-        infl[mk] += arm * w * yk / pi_x
-        infl[ds.mask(j)] -= p
         oob = not (0.0 <= p <= 1.0)
         method = IPW
     return StandardizedEstimate(source_k=str(k), target_j=str(j), arm_x=int(x),
                                 prob=p, method=method, weights_summary=diag,
-                                influence=infl, out_of_bounds=oob)
+                                out_of_bounds=oob)
 
 
 def effect(p1: StandardizedEstimate, p0: StandardizedEstimate, measure: str) -> EffectEstimate:
@@ -306,6 +298,45 @@ def _undefined_cell(measure, j, k, p1, p0, msg) -> EffectEstimate:
                           defined=False, note=msg)
 
 
+class FittedGrid(dict):
+    """The standardized probabilities keyed (target_j, source_k, arm_x), with
+    the fitted models they came from and the settings they were built with.
+
+    The sandwich reads its model coefficients from here instead of refitting,
+    so the points and their covariance come from one set of fits.
+    """
+
+    def __init__(self, ds: IpdDataset, method, outcome_formula, ps_formula, ps_mode,
+                 truncation, expit_weight, overrides):
+        super().__init__()
+        self.ds, self.method = ds, method
+        self.outcome_formula, self.ps_formula = outcome_formula, ps_formula
+        self.ps_mode = ps_mode or ("pairwise" if ds.K == 2 else "multinomial")
+        self.truncation, self.expit_weight = truncation, bool(expit_weight)
+        self.overrides = dict(overrides or {})
+        self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
+        self.pair_fits: dict = {}       # frozenset{j, k} -> (label fitted as 1, FittedLogistic)
+        self.multinomial_fit: Optional[FittedMultinomial] = None
+
+    def outcome_formula_for(self, j, k) -> ModelFormula:
+        return self.overrides.get((j, k), self.outcome_formula)
+
+    def _settings(self) -> tuple:
+        if self.method == OCR:
+            return (OCR, self.outcome_formula, self.overrides)
+        return (self.method, self.ps_formula, self.ps_mode, self.truncation,
+                self.expit_weight)
+
+    def require(self, ds: IpdDataset, method, outcome_formula=None, ps_formula=None,
+                ps_mode=None, truncation=None, expit_weight=False, overrides=None) -> None:
+        """Raise ValueError unless this grid was built on `ds` with these settings."""
+        asked = FittedGrid(ds, method, outcome_formula, ps_formula, ps_mode,
+                           truncation, expit_weight, overrides)
+        if ds is not self.ds or asked._settings() != self._settings():
+            raise ValueError(f"grid was built with {self._settings()!r} on its own "
+                             f"dataset; asked for {asked._settings()!r}")
+
+
 def standardized_grid(ds: IpdDataset, method: str,
                       outcome_formula: Optional[ModelFormula] = None,
                       ps_formula: Optional[ModelFormula] = None,
@@ -313,7 +344,7 @@ def standardized_grid(ds: IpdDataset, method: str,
                       truncation: Optional[float] = None,
                       expit_weight: bool = False,
                       overrides: Optional[Mapping] = None,
-                      positivity_threshold: float = POSITIVITY_THRESHOLD) -> dict:
+                      positivity_threshold: float = POSITIVITY_THRESHOLD) -> FittedGrid:
     """All K^2 x 2 standardized probabilities, sharing model fits across cells.
 
     `overrides` maps (target_j, source_k) label pairs to replacement outcome
@@ -324,18 +355,15 @@ def standardized_grid(ds: IpdDataset, method: str,
     if ds.K < 2:
         raise ValueError("transport needs at least two studies")
     labels = ds.studies
-    if ps_mode is None:
-        ps_mode = "pairwise" if ds.K == 2 else "multinomial"
-    out = {}
+    out = FittedGrid(ds, method, outcome_formula, ps_formula, ps_mode, truncation,
+                     expit_weight, overrides)
     if method == OCR:
         if outcome_formula is None:
             raise ValueError("OCR needs an outcome formula")
-        fits: dict = {}
+        fits = out.outcome_fits
         for j in labels:
             for k in labels:
-                form = outcome_formula
-                if overrides and (j, k) in overrides:
-                    form = overrides[(j, k)]
+                form = out.outcome_formula_for(j, k)
                 if (k, form) not in fits:
                     fits[(k, form)] = _outcome_fit(ds, k, form)
                 for x in (0, 1):
@@ -345,59 +373,26 @@ def standardized_grid(ds: IpdDataset, method: str,
         if ps_formula is None:
             raise ValueError("IPW needs a membership formula")
         stabilized = method == IPW_STABILIZED
-        wcache: dict = {}
-        mfit = None
-        if ps_mode == "multinomial":
-            Xall = ps_formula.design_matrix(ds.covariate_columns())
-            mfit = fit_multinomial(Xall, ds.study_idx, reference=0,
-                                   column_names=ps_formula.column_names(),
-                                   formula=ps_formula)
-        pairfits: dict = {}
+        if out.ps_mode == "multinomial":
+            out.multinomial_fit = _multinomial_fit(ds, ps_formula)
         for j in labels:
             for k in labels:
+                weights = None
                 if j != k:
-                    if (j, k) not in wcache:
-                        fit = mfit
-                        if ps_mode == "pairwise":
-                            key = frozenset((j, k))
-                            if key not in pairfits:
-                                pool = ds.mask(j) | ds.mask(k)
-                                covs = {n: c[pool] for n, c in ds.covariate_columns().items()}
-                                Xp = ps_formula.design_matrix(covs)
-                                resp = (ds.study_idx[pool] == ds.study_number(j)).astype(float)
-                                pairfits[key] = (j, fit_logistic(
-                                    Xp, resp, column_names=ps_formula.column_names(),
-                                    formula=ps_formula))
-                            fitted_for, fit = pairfits[key]
-                            covs_k = {n: c[ds.mask(k)] for n, c in ds.covariate_columns().items()}
-                            lp = fit.linear_predictor(ps_formula.design_matrix(covs_k))
-                            if fitted_for != j:
-                                lp = -lp
-                            w = _pairwise_weight(lp, expit_weight)
-                        else:
-                            covs_k = {n: c[ds.mask(k)] for n, c in ds.covariate_columns().items()}
-                            P = fit.predict(ps_formula.design_matrix(covs_k))
-                            cj = fit.category_index(ds.study_number(j))
-                            ck = fit.category_index(ds.study_number(k))
-                            w = P[:, cj] if expit_weight else P[:, cj] / P[:, ck]
-                        truncated_at = None
-                        if truncation is not None:
-                            cap = float(np.percentile(w, truncation))
-                            truncated_at = cap
-                            w = np.minimum(w, cap)
-                        diag = WeightDiagnostics.of(w, threshold=positivity_threshold,
-                                                    truncated_at=truncated_at)
-                        if diag.n_over_threshold > 0:
-                            warnings.warn(
-                                f"{diag.n_over_threshold} transport weight(s) exceed "
-                                f"{positivity_threshold:g}: possible positivity violation",
-                                PositivityWarning, stacklevel=2)
-                        wcache[(j, k)] = (w, diag)
-                weights = wcache.get((j, k))
+                    fit = out.multinomial_fit
+                    if out.ps_mode == "pairwise":
+                        key = frozenset((j, k))
+                        if key not in out.pair_fits:
+                            out.pair_fits[key] = (j, _pair_fit(ds, j, k, ps_formula))
+                        fit = out.pair_fits[key]
+                    weights = density_ratio_weights(
+                        ds, j, k, ps_formula, mode=out.ps_mode, truncation=truncation,
+                        expit_weight=expit_weight,
+                        positivity_threshold=positivity_threshold, _fit=fit)
                 for x in (0, 1):
                     out[(j, k, x)] = ipw_standardized_prob(
                         ds, k, j, x, ps_formula, stabilized=stabilized,
-                        truncation=truncation, ps_mode=ps_mode,
+                        truncation=truncation, ps_mode=out.ps_mode,
                         expit_weight=expit_weight,
                         positivity_threshold=positivity_threshold,
                         _weights=weights)
@@ -414,7 +409,7 @@ def effect_matrix(ds: IpdDataset, method: str,
                   overrides: Optional[Mapping] = None,
                   collect_errors: bool = False,
                   positivity_threshold: float = POSITIVITY_THRESHOLD,
-                  _grid: Optional[dict] = None) -> EffectMatrix:
+                  _grid: Optional[FittedGrid] = None) -> EffectMatrix:
     """The K x K grid of effect estimates (target row j, source column k)."""
     grid = _grid
     if grid is None:

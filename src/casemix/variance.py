@@ -22,13 +22,13 @@ from scipy.special import expit
 
 from .errors import SingularBread, TooManyFailedReplicates
 from .formula import ModelFormula
-from .glm import fit_logistic, fit_multinomial
+from .glm import multinomial_information, nonref_probs
 from .ipd import IpdDataset
 from .transport import (
-    IPW,
     IPW_STABILIZED,
     MEASURES,
     OCR,
+    FittedGrid,
     standardized_grid,
 )
 
@@ -72,10 +72,7 @@ class _MultinomialScore:
         self.sls = sls
 
     def _probs(self, theta):
-        eta = np.column_stack([self.X @ theta[sl] for sl in self.sls])
-        m = np.maximum(eta.max(axis=1), 0.0)
-        denom = np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1)
-        return np.exp(eta - m[:, None]) / denom[:, None]
+        return nonref_probs(np.column_stack([self.X @ theta[sl] for sl in self.sls]))
 
     def add_psi(self, theta, out):
         P = self._probs(theta)
@@ -84,11 +81,8 @@ class _MultinomialScore:
             out[:, sl] = (ind - P[:, a])[:, None] * self.X
 
     def add_bread(self, theta, A, n):
-        P = self._probs(theta)
-        for a, sla in enumerate(self.sls):
-            for b, slb in enumerate(self.sls):
-                wt = P[:, a] * ((1.0 if a == b else 0.0) - P[:, b])
-                A[sla, slb] += (self.X * wt[:, None]).T @ self.X / n
+        sl = slice(self.sls[0].start, self.sls[-1].stop)   # blocks are adjacent
+        A[sl, sl] += multinomial_information(self.X, self._probs(theta)) / n
 
 
 class _ArmProportion:
@@ -186,10 +180,7 @@ class _MultiExpitWeight:
         self.jn, self.cap = jn, cap
 
     def _P(self, theta):
-        eta = np.column_stack([self.Z @ theta[sl] for sl in self.sls])
-        m = np.maximum(eta.max(axis=1), 0.0)
-        denom = np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1)
-        return np.exp(eta - m[:, None]) / denom[:, None]
+        return nonref_probs(np.column_stack([self.Z @ theta[sl] for sl in self.sls]))
 
     def _wj(self, P):
         if self.jn in self.cats:
@@ -376,16 +367,24 @@ def build_system(ds: IpdDataset, method: str,
                  ps_mode: Optional[str] = None,
                  truncation: Optional[float] = None,
                  expit_weight: bool = False,
-                 overrides: Optional[Mapping] = None) -> EstimatingSystem:
-    """Assemble the stacked system at the fitted solution."""
+                 overrides: Optional[Mapping] = None,
+                 grid: Optional[FittedGrid] = None) -> EstimatingSystem:
+    """Assemble the stacked system at the fitted solution.
+
+    `grid` is the standardized grid of the same analysis; its fits are the
+    model blocks of theta. Without one, the grid is computed here.
+    """
     labels = ds.studies
-    K = ds.K
     n = ds.n
-    if ps_mode is None:
-        ps_mode = "pairwise" if K == 2 else "multinomial"
     for msr in measures:
         if msr not in MEASURES:
             raise ValueError(f"unknown measure {msr!r}")
+    if grid is None:
+        grid = standardized_grid(ds, method, outcome_formula, ps_formula, ps_mode,
+                                 truncation, expit_weight, overrides)
+    else:
+        grid.require(ds, method, outcome_formula, ps_formula, ps_mode, truncation,
+                     expit_weight, overrides)
 
     covs = ds.covariate_columns()
     theta_parts: list = []
@@ -405,70 +404,54 @@ def build_system(ds: IpdDataset, method: str,
     masks = {lab: (ds.study_idx == i).astype(float) for i, lab in enumerate(labels)}
     y_all = ds.outcome.astype(float)
     x_all = ds.treat.astype(float)
+    arms = {x: (x_all == x).astype(float) for x in (0, 1)}
+    designs: dict = {}
+
+    def design(form, kept, x=None):
+        """All-row design at treat=x (observed treat if None), retained columns
+        only; one array per distinct key, shared by every component."""
+        key = (form, x, tuple(kept))
+        if key not in designs:
+            treat = x_all if x is None else np.full(n, float(x))
+            designs[key] = form.design_matrix(covs, treat=treat)[:, kept]
+        return designs[key]
 
     prob_rows: dict = {}
     effect_rows: dict = {}
-    grid = standardized_grid(ds, method, outcome_formula, ps_formula, ps_mode,
-                             truncation, expit_weight, overrides)
 
     if method == OCR:
-        fits: dict = {}
         fit_slices: dict = {}
+        for (k, form), fit in grid.outcome_fits.items():
+            fit_slices[(k, form)] = push(fit.coef, f"beta[{k}|{form.text()}]")
+            components.append(_LogisticScore(design(form, fit.kept), y_all,
+                                             masks[k], fit_slices[(k, form)]))
         for j in labels:
             for k in labels:
-                form = outcome_formula
-                if overrides and (j, k) in overrides:
-                    form = overrides[(j, k)]
-                key = (k, form)
-                if key not in fits:
-                    mk = ds.mask(k)
-                    X_rows = form.design_matrix(covs, treat=x_all)
-                    fit = fit_logistic(X_rows[mk], y_all[mk],
-                                       column_names=form.column_names(), formula=form)
-                    fits[key] = (fit, X_rows[:, fit.kept])
-                    fit_slices[key] = push(fit.coef, f"beta[{k}|{form.text()}]")
-                    components.append(_LogisticScore(fits[key][1], y_all,
-                                                     masks[k], fit_slices[key]))
-        for j in labels:
-            for k in labels:
-                form = outcome_formula
-                if overrides and (j, k) in overrides:
-                    form = overrides[(j, k)]
-                fit, _ = fits[(k, form)]
+                form = grid.outcome_formula_for(j, k)
+                kept = grid.outcome_fits[(k, form)].kept
                 for x in (0, 1):
-                    Xx = form.design_matrix(covs, treat=np.full(n, float(x)))[:, fit.kept]
                     sl = push(grid[(j, k, x)].prob, f"p[{j},{k},{x}]")
                     prob_rows[(j, k, x)] = sl.start
-                    components.append(_OcrProb(masks[j], Xx, fit_slices[(k, form)],
-                                               sl.start))
+                    components.append(_OcrProb(masks[j], design(form, kept, x),
+                                               fit_slices[(k, form)], sl.start))
     else:
         stabilized = method == IPW_STABILIZED
-        Z_full = ps_formula.design_matrix(covs)
         pair_info: dict = {}
-        multi_info = None
-        if ps_mode == "pairwise":
-            for a in range(K):
-                for b in range(a + 1, K):
-                    ja, kb = labels[a], labels[b]
-                    pool = (masks[ja] + masks[kb]) > 0
-                    fit = fit_logistic(Z_full[pool], (ds.study_idx[pool] == a).astype(float),
-                                       column_names=ps_formula.column_names(),
-                                       formula=ps_formula)
-                    sl = push(fit.coef, f"gamma[{ja}|{kb}]")
-                    pair_info[frozenset((ja, kb))] = (ja, sl, fit.kept)
-                    components.append(_LogisticScore(Z_full[:, fit.kept],
-                                                     (ds.study_idx == a).astype(float),
-                                                     pool.astype(float), sl))
+        if grid.ps_mode == "pairwise":
+            for key, (fitted_for, fit) in grid.pair_fits.items():
+                (other,) = key - {fitted_for}
+                sl = push(fit.coef, f"gamma[{fitted_for}|{other}]")
+                pair_info[key] = (fitted_for, sl, fit.kept)
+                resp = (ds.study_idx == ds.study_number(fitted_for)).astype(float)
+                components.append(_LogisticScore(design(ps_formula, fit.kept), resp,
+                                                 masks[fitted_for] + masks[other], sl))
         else:
-            mfit = fit_multinomial(Z_full, ds.study_idx, reference=0,
-                                   column_names=ps_formula.column_names(),
-                                   formula=ps_formula)
+            mfit = grid.multinomial_fit
             cats_nonref = [c for c in mfit.categories if c != mfit.reference]
             sls = [push(mfit.coef[r], f"gamma[{labels[c]}]")
                    for r, c in enumerate(cats_nonref)]
-            components.append(_MultinomialScore(Z_full[:, mfit.kept], ds.study_idx,
-                                                cats_nonref, sls))
-            multi_info = (cats_nonref, sls, mfit.kept)
+            Z = design(ps_formula, mfit.kept)
+            components.append(_MultinomialScore(Z, ds.study_idx, cats_nonref, sls))
 
         pi_rows: dict = {}
         if not stabilized:
@@ -482,25 +465,23 @@ def build_system(ds: IpdDataset, method: str,
             for k in labels:
                 if j == k:
                     weight = _UnitWeight(n)
-                elif ps_mode == "pairwise":
-                    rep, sl, kept = pair_info[frozenset((j, k))]
-                    sign = 1.0 if rep == j else -1.0
-                    weight = _PairWeight(Z_full[:, kept], sl, sign,
+                elif grid.ps_mode == "pairwise":
+                    fitted_for, sl, kept = pair_info[frozenset((j, k))]
+                    sign = 1.0 if fitted_for == j else -1.0
+                    weight = _PairWeight(design(ps_formula, kept), sl, sign,
                                          _cap_of(grid, j, k), expit_weight)
                 else:
-                    cats_nonref, sls, kept = multi_info
                     jn, kn = ds.study_number(j), ds.study_number(k)
                     if expit_weight:
-                        weight = _MultiExpitWeight(Z_full[:, kept], sls, cats_nonref,
+                        weight = _MultiExpitWeight(Z, sls, cats_nonref,
                                                    jn, _cap_of(grid, j, k))
                     else:
-                        weight = _MultiRatioWeight(Z_full[:, kept], sls, cats_nonref,
+                        weight = _MultiRatioWeight(Z, sls, cats_nonref,
                                                    jn, kn, _cap_of(grid, j, k))
                 for x in (0, 1):
                     sl = push(grid[(j, k, x)].prob, f"p[{j},{k},{x}]")
                     prob_rows[(j, k, x)] = sl.start
-                    arm = (x_all == x).astype(float)
-                    components.append(_IpwProb(masks[k], masks[j], y_all, arm,
+                    components.append(_IpwProb(masks[k], masks[j], y_all, arms[x],
                                                weight, sl.start, stabilized, x,
                                                pi_row=pi_rows.get(k)))
 
@@ -544,10 +525,13 @@ def sandwich_cov(ds: IpdDataset, method: str,
                  ps_mode: Optional[str] = None,
                  truncation: Optional[float] = None,
                  expit_weight: bool = False,
-                 overrides: Optional[Mapping] = None) -> CovarianceResult:
-    """Sandwich covariance of all K^2 transformed effects, per measure."""
+                 overrides: Optional[Mapping] = None,
+                 grid: Optional[FittedGrid] = None) -> CovarianceResult:
+    """Sandwich covariance of all K^2 transformed effects, per measure.
+
+    Pass the analysis's `grid` to reuse its fits; see `build_system`."""
     system = build_system(ds, method, outcome_formula, ps_formula, measures,
-                          ps_mode, truncation, expit_weight, overrides)
+                          ps_mode, truncation, expit_weight, overrides, grid)
     S = system.sandwich()
     labels = system.labels
     K = len(labels)

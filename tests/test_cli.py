@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from casemix import cli
@@ -10,7 +13,7 @@ OCR_ARGS = ["--method", "ocr", "--outcome-formula", "y ~ 1 + treat + L + treat:L
 IPW_ARGS = ["--method", "ipw", "--ps-formula", "study ~ 1 + L"]
 
 
-from conftest import enum_dataset, oob_dataset
+from conftest import cell, dataset_from_cells, enum_dataset, oob_dataset
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +207,64 @@ def test_simulate_failure_threshold(tmp_path, capsys, monkeypatch):
 def test_bad_choice_exits_via_argparse(enum_csv):
     with pytest.raises(SystemExit):
         cli.main(["analyze", enum_csv, "--method", "matching"])
+
+
+def test_analyze_has_no_workers_option(enum_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", enum_csv, *OCR_ARGS, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,fits", [
+    (["--method", "ocr", "--outcome-formula", "y ~ 1 + treat + L + treat:L"], 5),
+    (["--method", "ipw-stabilized", "--ps-formula", "study ~ 1 + L"], 3),
+])
+def test_analyze_fits_each_model_once(three_trial_ds, tmp_path, monkeypatch, args, fits):
+    # 3 trials: one outcome fit per trial (OCR) or one multinomial membership
+    # fit (IPW), plus the two fits of the common-control check
+    path = str(tmp_path / "three.csv")
+    save_ipd(three_trial_ds, path)
+    calls = []
+
+    def counted(fn):
+        def wrapper(X, y, *a, **kw):
+            h = hashlib.sha256(np.ascontiguousarray(X).tobytes())
+            h.update(np.ascontiguousarray(y).tobytes())
+            calls.append((fn.__name__, h.hexdigest()))
+            return fn(X, y, *a, **kw)
+        return wrapper
+
+    for name in ("fit_logistic", "fit_multinomial"):
+        original = getattr(sys.modules["casemix.glm"], name)
+        wrapped = counted(original)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("casemix") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapped)
+    assert cli.main(["analyze", path, *args, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == fits
+    assert len(set(calls)) == len(calls)
+
+
+def test_analyze_positivity_threshold_governs_every_warning(tmp_path):
+    # trial 2's weights toward trial 1 are 250 at L=1: above the default
+    # threshold of 200, below the one asked for
+    ds = dataset_from_cells([
+        cell("1", 0, 1, 100, 50), cell("1", 0, 0, 100, 40),
+        cell("1", 1, 1, 500, 250), cell("1", 1, 0, 500, 200),
+        cell("2", 0, 1, 100, 30), cell("2", 0, 0, 100, 20),
+        cell("2", 1, 1, 2, 1), cell("2", 1, 0, 2, 1),
+    ])
+    path = str(tmp_path / "steep.csv")
+    save_ipd(ds, path)
+    out = str(tmp_path / "out")
+    rc = cli.main(["analyze", path, *IPW_ARGS, "--truncate-percentile", "100",
+                   "--positivity-threshold", "1000", "--out", out])
+    assert rc == 0
+    diag = json.load(open(os.path.join(out, "diagnostics.json")))
+    assert diag["weights"]["(1,2)"]["max"] == pytest.approx(250.0)
+    assert not diag["positivity_flag"]
+    assert not [w for w in diag["warnings"] if "positivity" in w]
 
 
 def test_no_subcommand_prints_help(capsys):

@@ -1,6 +1,8 @@
 """Logistic and multinomial fitters: exact solutions, score identities,
 aliasing, separation, and backward elimination."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
@@ -77,6 +79,25 @@ def test_separation_is_flagged_not_raised():
     with pytest.warns(SeparationWarning):
         fit = fit_logistic(X, y)
     assert fit.separation_flag
+
+
+def test_converged_steep_fit_is_not_flagged():
+    # correctly specified with steep tails: max |eta| reaches about 36, past
+    # SEPARATION_LP, yet the MLE exists and Newton converges
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-6, 6, 20000)
+    y = (rng.random(20000) < expit(6 * x)).astype(float)
+    X = np.column_stack([np.ones_like(x), x])
+    eta = np.column_stack([np.zeros_like(x), 6 * x, -6 * x])
+    P = np.exp(eta - eta.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    cats = (rng.random(20000)[:, None] > P.cumsum(axis=1)).sum(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SeparationWarning)
+        fits = [fit_logistic(X, y), fit_multinomial(X, cats, reference=0)]
+    for fit in fits:
+        assert fit.converged
+        assert not fit.separation_flag
 
 
 def test_aliased_column_dropped_and_width_kept():

@@ -33,7 +33,6 @@ def test_grid_estimate_metadata(enum_ds):
     est = grid[("1", "2", 1)]
     assert (est.target_j, est.source_k, est.arm_x) == ("1", "2", 1)
     assert est.method == IPW
-    assert est.influence.shape == (enum_ds.n,)
     assert isinstance(est.weights_summary, WeightDiagnostics)
 
 

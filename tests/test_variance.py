@@ -3,7 +3,9 @@ import pytest
 
 from casemix.errors import SingularBread, TooManyFailedReplicates
 from casemix.formula import parse
-from casemix.transport import IPW, IPW_STABILIZED, OCR, effect_matrix
+from casemix.ipd import IpdDataset
+from casemix.transport import (IPW, IPW_STABILIZED, OCR, effect_matrix,
+                               standardized_grid)
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
@@ -158,3 +160,50 @@ def test_bootstrap_reports_hopeless_cells(enum_ds):
 def test_build_system_rejects_unknown_measure(enum_ds):
     with pytest.raises(ValueError, match="unknown measure"):
         build_system(enum_ds, IPW, ps_formula=PS, measures=("hr",))
+
+
+def _three_trial_continuous(seed=2, n=900) -> IpdDataset:
+    """Three trials with continuous L, so truncation caps bind on some rows."""
+    rng = np.random.default_rng(seed)
+    L = rng.normal(0.0, 1.0, size=n)
+    S = np.arange(n) % 3
+    L = L + 0.4 * S
+    treat = (np.arange(n) // 3) % 2
+    p = 1.0 / (1.0 + np.exp(-(-0.2 + 0.4 * treat + 0.5 * L - 0.3 * treat * L)))
+    y = (rng.random(n) < p).astype(int)
+    return IpdDataset.from_arrays(["L"], ["a", "b", "c"], S, treat, y, L[:, None])
+
+
+@pytest.mark.parametrize("method,kw", [
+    (OCR, {"outcome_formula": OUTCOME,
+           "overrides": {("a", "c"): parse("y ~ 1 + treat + L")}}),
+    (IPW, {"ps_formula": PS, "ps_mode": "pairwise"}),
+    (IPW_STABILIZED, {"ps_formula": PS, "ps_mode": "multinomial"}),
+    (IPW_STABILIZED, {"ps_formula": PS, "truncation": 95.0}),
+    (IPW, {"ps_formula": PS, "ps_mode": "pairwise", "truncation": 95.0}),
+])
+def test_sandwich_from_grid_equals_refitted(method, kw):
+    # the grid's fits are the sandwich's model blocks: reusing them moves no bit
+    ds = _three_trial_continuous()
+    grid = standardized_grid(ds, method, **kw)
+    shared = sandwich_cov(ds, method, grid=grid, **kw)
+    alone = sandwich_cov(ds, method, **kw)
+    for msr in ("rr", "or", "rd"):
+        assert np.array_equal(shared.sigma[msr], alone.sigma[msr], equal_nan=True)
+        assert np.all(np.isfinite(np.diag(shared.sigma[msr])))
+    assert np.array_equal(shared.system.theta, alone.system.theta)
+
+
+def test_sandwich_rejects_grid_with_other_settings(enum_ds):
+    grid = standardized_grid(enum_ds, IPW, ps_formula=PS)
+    with pytest.raises(ValueError, match="grid was built"):
+        sandwich_cov(enum_ds, IPW, ps_formula=PS, truncation=95.0, grid=grid)
+    with pytest.raises(ValueError, match="grid was built"):
+        sandwich_cov(enum_ds, IPW_STABILIZED, ps_formula=PS, grid=grid)
+    with pytest.raises(ValueError, match="grid was built"):
+        sandwich_cov(enum_ds.subset(np.arange(enum_ds.n)), IPW, ps_formula=PS,
+                     grid=grid)
+    ocr = standardized_grid(enum_ds, OCR, outcome_formula=OUTCOME)
+    with pytest.raises(ValueError, match="grid was built"):
+        build_system(enum_ds, OCR, outcome_formula=parse("y ~ 1 + treat + L"),
+                     grid=ocr)
