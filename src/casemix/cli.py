@@ -86,24 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)
 
-    ana = sub.add_parser("analyze", help="full pipeline on an IPD CSV")
-    ana.add_argument("input", help="IPD CSV: study,treat,outcome,<covariates>")
-    ana.add_argument("--config", help="JSON file with any option (flags win)")
-    ana.add_argument("--method", choices=sorted(METHODS))
-    ana.add_argument("--outcome-formula", dest="outcome_formula")
-    ana.add_argument("--ps-formula", dest="ps_formula")
+    ana = _add_model_args(sub.add_parser("analyze", help="full pipeline on an IPD CSV"),
+                          "IPD CSV: study,treat,outcome,<covariates>")
     ana.add_argument("--measure", choices=["rr", "or", "rd"])
     ana.add_argument("--variance", choices=["sandwich", "bootstrap"])
     ana.add_argument("--bootstrap-b", type=int, dest="bootstrap_b")
     ana.add_argument("--seed", type=int)
-    ana.add_argument("--ps-mode", dest="ps_mode",
-                     choices=["pairwise", "multinomial"])
-    ana.add_argument("--expit-weight", dest="expit_weight",
-                     action="store_const", const=True)
-    ana.add_argument("--truncate-percentile", type=float,
-                     dest="truncate_percentile")
-    ana.add_argument("--positivity-threshold", type=float,
-                     dest="positivity_threshold")
     ana.add_argument("--eliminate", help="comma list of candidate terms for "
                                          "backward elimination, e.g. treat:L,L^2")
     ana.add_argument("--alpha", type=float)
@@ -111,26 +99,28 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--out")
     ana.set_defaults(func=cmd_analyze)
 
-    tra = sub.add_parser("transport", help="one standardized probability")
-    tra.add_argument("input", help="IPD CSV")
-    tra.add_argument("--config", help="JSON file with any option (flags win)")
+    tra = _add_model_args(sub.add_parser("transport", help="one standardized probability"),
+                          "IPD CSV")
     tra.add_argument("--target", help="target population label j")
     tra.add_argument("--source", help="source trial label k")
     tra.add_argument("--arm", type=int, choices=[0, 1], help="treatment arm x")
-    tra.add_argument("--method", choices=sorted(METHODS))
-    tra.add_argument("--outcome-formula", dest="outcome_formula")
-    tra.add_argument("--ps-formula", dest="ps_formula")
-    tra.add_argument("--ps-mode", dest="ps_mode",
-                     choices=["pairwise", "multinomial"])
-    tra.add_argument("--expit-weight", dest="expit_weight",
-                     action="store_const", const=True)
-    tra.add_argument("--truncate-percentile", type=float,
-                     dest="truncate_percentile")
-    tra.add_argument("--positivity-threshold", type=float,
-                     dest="positivity_threshold")
     tra.add_argument("--out", help="optional JSON report path")
     tra.set_defaults(func=cmd_transport)
     return p
+
+
+def _add_model_args(parser: argparse.ArgumentParser, input_help: str):
+    """The input and model options that `analyze` and `transport` share."""
+    parser.add_argument("input", help=input_help)
+    parser.add_argument("--config", help="JSON file with any option (flags win)")
+    parser.add_argument("--method", choices=sorted(METHODS))
+    parser.add_argument("--outcome-formula", dest="outcome_formula")
+    parser.add_argument("--ps-formula", dest="ps_formula")
+    parser.add_argument("--ps-mode", dest="ps_mode", choices=["pairwise", "multinomial"])
+    parser.add_argument("--expit-weight", dest="expit_weight", action="store_const", const=True)
+    parser.add_argument("--truncate-percentile", type=float, dest="truncate_percentile")
+    parser.add_argument("--positivity-threshold", type=float, dest="positivity_threshold")
+    return parser
 
 
 def _resolve(args, defaults: dict) -> dict:

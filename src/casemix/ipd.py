@@ -4,7 +4,8 @@ The on-disk format is UTF-8 CSV with a header row and columns
 ``study,treat,outcome,<cov1>,<cov2>,...``. ``treat`` and ``outcome`` are
 binary; everything after the three reserved columns is a numeric covariate.
 Study identifiers are arbitrary strings, mapped internally to a dense index
-in first-appearance order; reports always show the original labels.
+in first-appearance order; reports always show the original labels. The
+accepted CSV dialect is described in README.md ("Input CSV").
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import os
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,11 +51,8 @@ class CovariateSchema:
 
     @classmethod
     def infer(cls, names: Sequence[str], columns: np.ndarray) -> "CovariateSchema":
-        kinds = []
-        for idx in range(columns.shape[1]):
-            vals = np.unique(columns[:, idx])
-            kinds.append("binary" if np.all(np.isin(vals, (0.0, 1.0))) else "continuous")
-        return cls(tuple(names), tuple(kinds))
+        binary = np.all((columns == 0) | (columns == 1), axis=0)
+        return cls(tuple(names), tuple("binary" if b else "continuous" for b in binary))
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,8 @@ class IpdDataset:
     """Immutable K-trial dataset backed by numpy arrays.
 
     `study_idx` is the dense 0-based index aligned with `study_labels`;
-    `cov` is the n x d covariate matrix in schema order.
+    `cov` is the n x d covariate matrix in schema order; `study_rows[i]` holds
+    the ascending row indices of study i.
     """
 
     def __init__(self, schema: CovariateSchema, study_labels: Sequence[str],
@@ -87,7 +87,11 @@ class IpdDataset:
         self.outcome = np.asarray(outcome, dtype=np.int8)
         self.cov = np.asarray(cov, dtype=float)
         self._validate()
-        for a in (self.study_idx, self.treat, self.outcome, self.cov):
+        self._number = {label: i for i, label in enumerate(self.study_labels)}
+        self._masks = self.study_idx == np.arange(self.K)[:, None]
+        self.study_rows = tuple(np.flatnonzero(m) for m in self._masks)
+        for a in (self.study_idx, self.treat, self.outcome, self.cov, self._masks,
+                  *self.study_rows):
             a.setflags(write=False)
 
     def _validate(self):
@@ -106,11 +110,12 @@ class IpdDataset:
             raise NonBinaryValue("outcome outside {0,1}")
         if len(set(self.study_labels)) != len(self.study_labels):
             raise ValueError("duplicate study labels")
-        for idx, label in enumerate(self.study_labels):
-            m = self.study_idx == idx
-            if not m.any():
+        K = len(self.study_labels)
+        arms = np.bincount(self.study_idx * 2 + self.treat, minlength=2 * K)
+        for label, (n_control, n_treated) in zip(self.study_labels, arms.reshape(K, 2)):
+            if n_control + n_treated == 0:
                 raise EmptyDataset(f"study {label!r} has no records")
-            if not (self.treat[m] == 1).any() or not (self.treat[m] == 0).any():
+            if n_control == 0 or n_treated == 0:
                 raise SingleArmStudy(f"study {label!r} lacks one of the two arms")
 
     # --- constructors ---
@@ -120,17 +125,13 @@ class IpdDataset:
         records = list(records)
         if not records:
             raise EmptyDataset("no records")
-        labels: list[str] = []
-        idx = []
         for r in records:
-            if r.study not in labels:
-                labels.append(r.study)
-            idx.append(labels.index(r.study))
             if len(r.covariates) != len(schema.names):
                 raise NonNumericCovariate(
                     f"record has {len(r.covariates)} covariates, schema has {len(schema.names)}")
+        labels, idx = _first_appearance_index([r.study for r in records])
         cov = np.array([r.covariates for r in records], dtype=float)
-        return cls(schema, labels, np.array(idx), np.array([r.treat for r in records]),
+        return cls(schema, labels, idx, np.array([r.treat for r in records]),
                    np.array([r.outcome for r in records]), cov)
 
     @classmethod
@@ -154,23 +155,19 @@ class IpdDataset:
     def K(self) -> int:
         return len(self.study_labels)
 
-    @property
-    def records(self) -> list:
-        return [IpdRecord(self.study_labels[self.study_idx[i]], int(self.treat[i]),
-                          int(self.outcome[i]), tuple(self.cov[i]))
-                for i in range(self.n)]
-
     def study_number(self, study: str) -> int:
         try:
-            return self.study_labels.index(str(study))
-        except ValueError:
+            return self._number[str(study)]
+        except KeyError:
             raise UnknownStudy(f"unknown study {study!r}; have {list(self.study_labels)}") from None
 
     def mask(self, study) -> np.ndarray:
-        return self.study_idx == self.study_number(study)
+        """Read-only boolean row mask of one study (cached)."""
+        return self._masks[self.study_number(study)]
 
-    def covariate_columns(self) -> dict:
-        return {name: self.cov[:, i] for i, name in enumerate(self.schema.names)}
+    def covariate_columns(self, rows=slice(None)) -> dict:
+        """Covariate name -> column, restricted to `rows` (a mask or indices)."""
+        return {name: self.cov[:, i][rows] for i, name in enumerate(self.schema.names)}
 
     def subset(self, row_mask: np.ndarray) -> "IpdDataset":
         """Row subset keeping the full study label set (used by resampling)."""
@@ -200,12 +197,15 @@ def load_ipd(source, schema: Optional[CovariateSchema] = None) -> IpdDataset:
     """Read an IPD CSV (path, bytes, or open stream) into a validated dataset."""
     stream, should_close = _open_text(source)
     try:
-        reader = csv.reader(stream)
+        # the body is read twice, so a one-shot stream is buffered first
+        body = stream if stream.seekable() else io.StringIO(stream.read())
         try:
-            header = next(reader)
+            header = next(csv.reader(iter(body.readline, "")))
         except StopIteration:
             raise EmptyDataset("CSV has no header row") from None
         header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise MissingColumn(f"duplicate column names in header {header}")
         for col in RESERVED:
             if col not in header:
                 raise MissingColumn(f"required column {col!r} missing from header")
@@ -217,43 +217,93 @@ def load_ipd(source, schema: Optional[CovariateSchema] = None) -> IpdDataset:
                 f"covariate columns {cov_names} do not match schema {list(schema.names)}")
         pos = {h: i for i, h in enumerate(header)}
 
-        labels: list[str] = []
-        idx, treat, outcome, rows = [], [], [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise MissingColumn(f"line {ln}: expected {len(header)} fields, got {len(row)}")
-            s = row[pos["study"]].strip()
-            if s not in labels:
-                labels.append(s)
-            idx.append(labels.index(s))
-            treat.append(_binary(row[pos["treat"]], "treat", ln))
-            outcome.append(_binary(row[pos["outcome"]], "outcome", ln))
-            try:
-                rows.append([float(row[pos[c]]) for c in cov_names])
-            except ValueError:
-                raise NonNumericCovariate(f"line {ln}: non-numeric covariate value") from None
-        if not rows:
-            raise EmptyDataset("CSV has a header but no data rows")
-        cov = np.array(rows, dtype=float)
+        start = body.tell()
+        try:
+            table, labels = _read_body(body, start, header, pos)
+        except ValueError:
+            skip = _locate(body, start, header, pos, cov_names)
+            table, labels = _read_body(body, start, header, pos, skip)
+        cov = np.ascontiguousarray(table[:, [pos[c] for c in cov_names]])
         if schema is None:
             schema = CovariateSchema.infer(cov_names, cov)
-        return IpdDataset(schema, labels, np.array(idx), np.array(treat),
-                          np.array(outcome), cov)
+        study_labels, study_idx = _first_appearance_index(np.char.strip(labels[:, 0].astype(str)))
+        return IpdDataset(schema, study_labels, study_idx, table[:, pos["treat"]],
+                          table[:, pos["outcome"]], cov)
     finally:
         if should_close:
             stream.close()
 
 
-def _binary(raw: str, what: str, ln: int) -> int:
+# np.loadtxt settings for the csv module's default dialect; `#` is data
+_DIALECT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _read_body(body, start: int, header: list, pos: dict,
+               skip: Optional[set] = None) -> tuple:
+    """Parse the body at offset `start` column-wise into an n x len(header)
+    float table and n x 1 study labels, leaving out the 1-based body lines in
+    `skip`. The study column reads as its labels' lengths, so that one pass sees
+    every field and checks each row's field count. ValueError on a bad row."""
+    def lines():
+        body.seek(start)
+        return body if skip is None else (
+            line for i, line in enumerate(body, start=1) if i not in skip)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # empty lines, empty body
+        table = np.loadtxt(lines(), converters={pos["study"]: len}, **_DIALECT)
+        labels = np.loadtxt(lines(), usecols=pos["study"], dtype=object, **_DIALECT)
+    if table.size == 0:
+        raise EmptyDataset("CSV has a header but no data rows")
+    if table.shape[1] != len(header):
+        raise ValueError("ragged row")
+    arms = table[:, [pos["treat"], pos["outcome"]]]
+    if not np.all((arms == 0) | (arms == 1)):
+        raise ValueError("non-binary treat or outcome")
+    return table, labels
+
+
+def _locate(body, start: int, header: list, pos: dict, cov_names: list) -> set:
+    """Failure path of `_read_body`: re-read the body row by row, raise the
+    first offending line's error, and return the body lines of rows of only
+    blanks and commas (skipped, but unreadable to `np.loadtxt`)."""
+    body.seek(start)
+    reader = csv.reader(body)
+    skip, last = set(), 0
+    for ln, row in enumerate(reader, start=2):
+        if all(not c.strip() for c in row):
+            skip.update(range(last + 1, reader.line_num + 1))
+        elif len(row) != len(header):
+            raise MissingColumn(f"line {ln}: expected {len(header)} fields, got {len(row)}")
+        else:
+            for what in ("treat", "outcome"):
+                raw = row[pos[what]]
+                if not _is_number(raw):
+                    raise NonBinaryValue(f"line {ln}: {what} value {raw!r} is not numeric")
+                if float(raw) not in (0.0, 1.0):
+                    raise NonBinaryValue(f"line {ln}: {what} must be 0 or 1, got {raw!r}")
+            if not all(_is_number(row[pos[c]]) for c in cov_names):
+                raise NonNumericCovariate(f"line {ln}: non-numeric covariate value")
+        last = reader.line_num
+    return skip
+
+
+def _is_number(raw: str) -> bool:
+    """Whether `np.loadtxt` reads `raw` as a float: `float` does, and it is
+    ASCII without `_` digit groups."""
     try:
-        v = float(raw)
+        float(raw)
     except ValueError:
-        raise NonBinaryValue(f"line {ln}: {what} value {raw!r} is not numeric") from None
-    if v not in (0.0, 1.0):
-        raise NonBinaryValue(f"line {ln}: {what} must be 0 or 1, got {raw!r}")
-    return int(v)
+        return False
+    return "_" not in raw and raw.strip().isascii()
+
+
+def _first_appearance_index(labels) -> tuple:
+    """(distinct labels in first-appearance order, each label's index into them)."""
+    uniq, first, inverse = np.unique(np.asarray(labels, dtype=str), return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    return uniq[order].tolist(), np.argsort(order)[inverse.ravel()]
 
 
 def save_ipd(ds: IpdDataset, target) -> None:

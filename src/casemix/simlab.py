@@ -19,7 +19,7 @@ import csv
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import CasemixError
 from .formula import ModelFormula, parse
 from .ipd import IpdDataset
 from .transport import IPW, IPW_STABILIZED, OCR, effect_matrix, standardized_grid
-from .variance import attach_covariance, bootstrap_cov, sandwich_cov
+from .variance import _entropy, attach_covariance, bootstrap_cov, sandwich_cov
 
 GENERIC = "generic"
 
@@ -156,12 +156,6 @@ def _generic_lp(cfg: SettingConfig, x, L: np.ndarray):
     return lp
 
 
-def _ent(seed) -> list:
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
-
-
 def _draw_covariates_and_trials(cfg: SettingConfig, rng) -> tuple:
     """(L, S): covariate matrix (n x m) and trial labels, sorted by trial."""
     n = cfg.n_total
@@ -211,7 +205,7 @@ def _covariate_names(cfg: SettingConfig) -> list:
 def generate_setting(cfg: SettingConfig, seed) -> IpdDataset:
     """One dataset from the setting's law. Draw order is fixed (covariates,
     membership, allocation, outcome), so a seed pins the dataset bytes."""
-    rng = np.random.default_rng(np.random.SeedSequence(_ent(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed)))
     L, S = _draw_covariates_and_trials(cfg, rng)
     n = cfg.n_total
     X = (rng.random(n) < cfg.allocation).astype(int)
@@ -254,11 +248,11 @@ def true_values_oracle(cfg: SettingConfig, runs: int = 5000,
     if runs < 1:
         raise ValueError("need at least one oracle run")
     if n is not None and n != cfg.n_total:
-        cfg = SettingConfig(**{**_cfg_kwargs(cfg), "n_total": n})
+        cfg = replace(cfg, n_total=n)
     labels = cfg.labels
     sums = {(j, k, x): 0.0 for j in labels for k in labels for x in (0, 1)}
     for r in range(runs):
-        rng = np.random.default_rng(np.random.SeedSequence(_ent(seed) + [0, r]))
+        rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed) + [0, r]))
         L, S = _draw_covariates_and_trials(cfg, rng)
         for j in labels:
             m = S == int(j)
@@ -279,13 +273,6 @@ def true_values_oracle(cfg: SettingConfig, runs: int = 5000,
             orr[(j, k)] = (p1 / (1 - p1)) / (p0 / (1 - p0))
             rd[(j, k)] = p1 - p0
     return OracleTruth(probs=probs, rr=rr, or_=orr, rd=rd, runs=runs, labels=labels)
-
-
-def _cfg_kwargs(cfg: SettingConfig) -> dict:
-    return {"preset": cfg.preset, "n_total": cfg.n_total,
-            "allocation": cfg.allocation, "s2_shift": cfg.s2_shift,
-            "trials": cfg.trials, "covariates": cfg.covariates,
-            "membership": cfg.membership, "outcome": cfg.outcome}
 
 
 @dataclass
@@ -590,7 +577,7 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
     failures = {a.name: [] for a in analyses}
 
     def one_rep(r: int) -> None:
-        ds = generate_setting(cfg, _ent(seed) + [1, r])
+        ds = generate_setting(cfg, _entropy(seed) + [1, r])
         order = [(j, k) for j in labels for k in labels]
         for an in analyses:
             raw = raws[an.name]
@@ -624,7 +611,7 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                     bres = bootstrap_cov(ds, an.method,
                                          outcome_formula=an.outcome_formula,
                                          ps_formula=an.ps_formula, measures=measures,
-                                         B=bootstrap_b, seed=_ent(seed) + [2, r],
+                                         B=bootstrap_b, seed=_entropy(seed) + [2, r],
                                          ps_mode=an.ps_mode, truncation=an.truncation,
                                          expit_weight=an.expit_weight,
                                          overrides=an.overrides)

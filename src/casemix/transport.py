@@ -117,16 +117,14 @@ class EffectMatrix:
 
 def _outcome_fit(ds: IpdDataset, k, formula: ModelFormula) -> FittedLogistic:
     m = ds.mask(k)
-    covs = {name: col[m] for name, col in ds.covariate_columns().items()}
-    X = formula.design_matrix(covs, treat=ds.treat[m])
+    X = formula.design_matrix(ds.covariate_columns(m), treat=ds.treat[m])
     return fit_logistic(X, ds.outcome[m].astype(float),
                         column_names=formula.column_names(), formula=formula)
 
 
 def _target_design(ds: IpdDataset, j, x: int, formula: ModelFormula) -> np.ndarray:
     m = ds.mask(j)
-    covs = {name: col[m] for name, col in ds.covariate_columns().items()}
-    return formula.design_matrix(covs, treat=np.full(int(m.sum()), float(x)))
+    return formula.design_matrix(ds.covariate_columns(m), treat=np.full(int(m.sum()), float(x)))
 
 
 def ocr_standardized_prob(ds: IpdDataset, k, j, x: int,
@@ -159,7 +157,7 @@ def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
     if mode not in ("pairwise", "multinomial"):
         raise ValueError(f"unknown propensity mode {mode!r}")
     mk = ds.mask(k)
-    Xk = ps_formula.design_matrix({n: c[mk] for n, c in ds.covariate_columns().items()})
+    Xk = ps_formula.design_matrix(ds.covariate_columns(mk))
     if mode == "pairwise":
         fitted_for, fit = _fit if _fit is not None else (j, _pair_fit(ds, j, k, ps_formula))
         lp = fit.linear_predictor(Xk)
@@ -190,7 +188,7 @@ def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
 def _pair_fit(ds: IpdDataset, j, k, ps_formula: ModelFormula) -> FittedLogistic:
     """Membership model of trial j (response 1) against trial k, on their rows."""
     pool = ds.mask(j) | ds.mask(k)
-    Xp = ps_formula.design_matrix({n: c[pool] for n, c in ds.covariate_columns().items()})
+    Xp = ps_formula.design_matrix(ds.covariate_columns(pool))
     return fit_logistic(Xp, (ds.study_idx[pool] == ds.study_number(j)).astype(float),
                         column_names=ps_formula.column_names(), formula=ps_formula)
 
@@ -251,10 +249,7 @@ def ipw_standardized_prob(ds: IpdDataset, k, j, x: int, ps_formula: ModelFormula
     else:
         n_t, n_c = arm_counts(ds, k)
         pi_x = (n_t if x == 1 else n_c) / (n_t + n_c)
-        nj = int(ds.mask(j).sum())
-        if same:
-            nj = n_t + n_c
-        p = float(np.sum(arm * w * yk) / (pi_x * nj))
+        p = float(np.sum(arm * w * yk) / (pi_x * int(ds.mask(j).sum())))
         oob = not (0.0 <= p <= 1.0)
         method = IPW
     return StandardizedEstimate(source_k=str(k), target_j=str(j), arm_x=int(x),
@@ -453,7 +448,7 @@ def common_control_check(ds: IpdDataset, control_formula: ModelFormula,
     if control_formula.requires_treat:
         raise ValueError("the control-arm model cannot reference treat")
     m = ds.treat == 0
-    covs = {n: c[m] for n, c in ds.covariate_columns().items()}
+    covs = ds.covariate_columns(m)
     y = ds.outcome[m].astype(float)
     X_a = control_formula.design_matrix(covs)
     names_a = control_formula.column_names()

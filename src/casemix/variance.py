@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import SingularBread, TooManyFailedReplicates
+from .errors import CasemixError, SingularBread, TooManyFailedReplicates
 from .formula import ModelFormula
 from .glm import multinomial_information, nonref_probs
 from .ipd import IpdDataset
@@ -442,8 +442,7 @@ def build_system(ds: IpdDataset, method: str,
                 (other,) = key - {fitted_for}
                 sl = push(fit.coef, f"gamma[{fitted_for}|{other}]")
                 pair_info[key] = (fitted_for, sl, fit.kept)
-                resp = (ds.study_idx == ds.study_number(fitted_for)).astype(float)
-                components.append(_LogisticScore(design(ps_formula, fit.kept), resp,
+                components.append(_LogisticScore(design(ps_formula, fit.kept), masks[fitted_for],
                                                  masks[fitted_for] + masks[other], sl))
         else:
             mfit = grid.multinomial_fit
@@ -569,21 +568,20 @@ def bootstrap_cov(ds: IpdDataset, method: str,
     labels = ds.studies
     K = len(labels)
     order = [(j, k) for j in labels for k in labels]
-    study_rows = [np.flatnonzero(ds.study_idx == i) for i in range(K)]
 
     draws = {msr: np.full((B, K * K), np.nan) for msr in measures}
     for b in range(B):
         rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed) + [b]))
         if _indices is not None:
-            idx = _indices(b, rng, study_rows)
+            idx = _indices(b, rng, ds.study_rows)
         else:
             idx = np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
-                                  for rows in study_rows])
+                                  for rows in ds.study_rows])
         try:
             ds_b = ds.subset(np.asarray(idx))
             grid = standardized_grid(ds_b, method, outcome_formula, ps_formula,
                                      ps_mode, truncation, expit_weight, overrides)
-        except Exception:
+        except (CasemixError, np.linalg.LinAlgError):
             continue                    # whole-replicate failure: excluded everywhere
         for c, (j, k) in enumerate(order):
             p1, p0 = grid[(j, k, 1)].prob, grid[(j, k, 0)].prob

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from casemix import variance
 from casemix.errors import SingularBread, TooManyFailedReplicates
 from casemix.formula import parse
 from casemix.ipd import IpdDataset
@@ -155,6 +156,29 @@ def test_bootstrap_reports_hopeless_cells(enum_ds):
     with pytest.raises(TooManyFailedReplicates, match="bootstrap"):
         bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=8,
                       seed=0, _indices=rig)
+
+
+def test_bootstrap_excludes_replicate_that_raises_casemix_error(enum_ds):
+    # replicate 0 keeps only trial 2's treated rows: SingleArmStudy excludes it
+    def rig(b, rng, study_rows):
+        if b == 0:
+            return np.concatenate([study_rows[0],
+                                   study_rows[1][enum_ds.treat[study_rows[1]] == 1]])
+        return np.concatenate([rows[rng.integers(0, len(rows), len(rows))]
+                               for rows in study_rows])
+
+    res = bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=6,
+                        seed=0, _indices=rig)
+    assert np.all(res.excluded["rr"] == 1)
+
+
+def test_bootstrap_surfaces_programming_errors(enum_ds, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(variance, "standardized_grid", broken)
+    with pytest.raises(TypeError, match="programming error"):
+        bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=4, seed=0)
 
 
 def test_build_system_rejects_unknown_measure(enum_ds):
