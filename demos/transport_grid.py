@@ -45,7 +45,7 @@ for j in ds.studies:
 
 # the diagonal (j == k) is just each trial analyzed on its own people;
 # the off-diagonal cells are the transported versions
-rr = effect_matrix(ds, "ocr", outcome_formula=outcome, measure="rr")
+rr = effect_matrix(grid, "rr")
 print("\nrisk ratio grid (rows = target population, cols = source trial)")
 hdr = "        " + "".join(f"  k={k}   " for k in ds.studies)
 print(hdr)

@@ -14,19 +14,21 @@ import numpy as np
 from casemix.formula import parse
 from casemix.meta import pool_matrix, forest_rows
 from casemix.simlab import preset_config, generate_setting
-from casemix.transport import effect_matrix
+from casemix.transport import effect_matrix, standardized_grid
 from casemix.variance import sandwich_cov, bootstrap_cov, attach_covariance
 
 ds = generate_setting(preset_config(1, n_total=3000), seed=7)
 outcome = parse("y ~ 1 + treat + L + treat:L")
 
-rr = effect_matrix(ds, "ocr", outcome_formula=outcome, measure="rr")
+grid = standardized_grid(ds, "ocr", outcome_formula=outcome)
+rr = effect_matrix(grid, "rr")
 
 # ---------------------------------------------------------------
 # Route 1: one stacked system containing every model score and every
-# standardization, differentiated at the solution.  No resampling.
+# standardization, differentiated at the solution, then carried to the
+# log-RR scale by the delta method.  No resampling.
 
-sand = sandwich_cov(ds, "ocr", outcome_formula=outcome)
+sand = sandwich_cov(grid)
 attach_covariance(rr, sand)
 
 print("log-RR grid with sandwich standard errors")
@@ -43,10 +45,11 @@ c01 = sig[0, 1] / np.sqrt(sig[0, 0] * sig[1, 1])
 print(f"\ncorrelation between the two target-1 cells: {c01:+.3f}")
 
 # ---------------------------------------------------------------
-# Route 2: resample subjects within trial, redo everything, take the
-# empirical covariance of the replicates.  Slower, fewer assumptions.
+# Route 2: resample subjects within trial, rebuild the grid with the
+# same settings, take the empirical covariance of the replicates.
+# Slower, fewer assumptions.
 
-boot = bootstrap_cov(ds, "ocr", outcome_formula=outcome, B=200, seed=11)
+boot = bootstrap_cov(grid, B=200, seed=11)
 se_sand = sand.se["rr"]
 se_boot = boot.se["rr"]
 print("\nsandwich vs bootstrap SEs (log RR scale)")

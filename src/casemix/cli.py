@@ -257,22 +257,12 @@ def cmd_analyze(args) -> int:
                                  truncation=truncation,
                                  expit_weight=bool(cfg["expit_weight"]),
                                  positivity_threshold=threshold)
-        matrix = effect_matrix(ds, method, measure=cfg["measure"],
-                               collect_errors=True, _grid=grid)
+        matrix = effect_matrix(grid, cfg["measure"], collect_errors=True)
         if cfg["variance"] == "sandwich":
-            covres = sandwich_cov(ds, method, outcome_formula=outcome_formula,
-                                  ps_formula=ps_formula,
-                                  measures=(cfg["measure"],),
-                                  ps_mode=cfg["ps_mode"], truncation=truncation,
-                                  expit_weight=bool(cfg["expit_weight"]), grid=grid)
+            covres = sandwich_cov(grid, measures=(cfg["measure"],))
         else:
-            covres = bootstrap_cov(ds, method, outcome_formula=outcome_formula,
-                                   ps_formula=ps_formula,
-                                   measures=(cfg["measure"],),
-                                   B=int(cfg["bootstrap_b"]),
-                                   seed=int(cfg["seed"]),
-                                   ps_mode=cfg["ps_mode"], truncation=truncation,
-                                   expit_weight=bool(cfg["expit_weight"]))
+            covres = bootstrap_cov(grid, measures=(cfg["measure"],),
+                                   B=int(cfg["bootstrap_b"]), seed=int(cfg["seed"]))
     attach_covariance(matrix, covres)
     warned = sorted({str(w.message) for w in caught})
 
@@ -389,11 +379,7 @@ def cmd_transport(args) -> int:
         se = float("nan")
         se_note = ""
         try:
-            system = build_system(ds, method, outcome_formula=outcome_formula,
-                                  ps_formula=ps_formula, measures=(),
-                                  ps_mode=cfg["ps_mode"],
-                                  truncation=cfg["truncate_percentile"],
-                                  expit_weight=bool(cfg["expit_weight"]), grid=grid)
+            system = build_system(grid)
             sigma = system.sandwich()
             row = system.prob_rows[(j, k, x)]
             v = sigma[row, row]

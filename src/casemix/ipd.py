@@ -82,10 +82,11 @@ class IpdDataset:
                  cov: np.ndarray):
         self.schema = schema
         self.study_labels = tuple(str(s) for s in study_labels)
-        self.study_idx = np.asarray(study_idx, dtype=np.intp)
-        self.treat = np.asarray(treat, dtype=np.int8)
-        self.outcome = np.asarray(outcome, dtype=np.int8)
-        self.cov = np.asarray(cov, dtype=float)
+        # copies: the arrays are frozen below, and the caller's must stay writeable
+        self.study_idx = np.array(study_idx, dtype=np.intp)
+        self.treat = np.array(treat, dtype=np.int8)
+        self.outcome = np.array(outcome, dtype=np.int8)
+        self.cov = np.array(cov, dtype=float)
         self._validate()
         self._number = {label: i for i, label in enumerate(self.study_labels)}
         self._masks = self.study_idx == np.arange(self.K)[:, None]

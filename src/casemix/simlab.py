@@ -596,25 +596,15 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                             raw.n_over[r] += est.weights_summary.n_over_threshold
                 matrices = {}
                 for mi, msr in enumerate(measures):
-                    m = effect_matrix(ds, an.method, measure=msr, collect_errors=True,
-                                      _grid=grid)
+                    m = effect_matrix(grid, msr, collect_errors=True)
                     matrices[msr] = m
                     raw.eff_log[r, mi] = m.transformed_vector()
                     raw.eff_nat[r, mi] = m.point_vector()
-                sres = sandwich_cov(ds, an.method, outcome_formula=an.outcome_formula,
-                                    ps_formula=an.ps_formula, measures=measures,
-                                    ps_mode=an.ps_mode, truncation=an.truncation,
-                                    expit_weight=an.expit_weight,
-                                    overrides=an.overrides, grid=grid)
+                sres = sandwich_cov(grid, measures)
                 _record_tests(raw, r, 0, measures, matrices, sres, raw.var_snd)
                 if bootstrap_b > 0:
-                    bres = bootstrap_cov(ds, an.method,
-                                         outcome_formula=an.outcome_formula,
-                                         ps_formula=an.ps_formula, measures=measures,
-                                         B=bootstrap_b, seed=_entropy(seed) + [2, r],
-                                         ps_mode=an.ps_mode, truncation=an.truncation,
-                                         expit_weight=an.expit_weight,
-                                         overrides=an.overrides)
+                    bres = bootstrap_cov(grid, measures, B=bootstrap_b,
+                                         seed=_entropy(seed) + [2, r])
                     raw.boot_excluded[r] = max(int(v.max()) for v in bres.excluded.values())
                     _record_tests(raw, r, 1, measures, matrices, bres, raw.var_boot)
             except Exception as e:             # one bad replication must not kill the study

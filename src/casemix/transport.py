@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.stats import chi2
@@ -257,34 +257,50 @@ def ipw_standardized_prob(ds: IpdDataset, k, j, x: int, ps_formula: ModelFormula
                                 out_of_bounds=oob)
 
 
-def effect(p1: StandardizedEstimate, p0: StandardizedEstimate, measure: str) -> EffectEstimate:
-    """Combine the two arm probabilities of one (j,k) cell into an effect measure."""
+def effect_transform(measure: str, p1, p0) -> tuple:
+    """Transformed effect t(p1, p0) of one measure and its partial derivatives
+    (dt/dp1, dt/dp0), elementwise over arrays; all three are NaN where the
+    measure is undefined. RD is p1 - p0, RR is log(p1/p0) and OR is the log
+    odds ratio: the scale of every point, covariance and test.
+    """
     measure = measure.lower()
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
+    p1, p0 = np.asarray(p1, dtype=float), np.asarray(p0, dtype=float)
+    if measure == "rd":
+        return p1 - p0, np.ones_like(p1), -np.ones_like(p0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if measure == "rr":
+            ok = (p1 > 0) & (p0 > 0)
+            t, d1, d0 = np.log(p1 / p0), 1.0 / p1, -1.0 / p0
+        else:
+            ok = (0 < p1) & (p1 < 1) & (0 < p0) & (p0 < 1)
+            t = np.log((p1 / (1 - p1)) / (p0 / (1 - p0)))
+            d1, d0 = 1.0 / (p1 * (1 - p1)), -1.0 / (p0 * (1 - p0))
+    return tuple(np.where(ok, v, np.nan) for v in (t, d1, d0))
+
+
+def effect(p1: StandardizedEstimate, p0: StandardizedEstimate, measure: str) -> EffectEstimate:
+    """Combine the two arm probabilities of one (j,k) cell into an effect measure."""
+    a, b = p1.prob, p0.prob
+    t = float(effect_transform(measure, a, b)[0])
+    measure = measure.lower()
     if (p1.source_k, p1.target_j, p1.method) != (p0.source_k, p0.target_j, p0.method):
         raise ValueError("arm estimates come from different cells")
     if p1.arm_x != 1 or p0.arm_x != 0:
         raise ValueError("expected the treat=1 estimate first and treat=0 second")
-    a, b = p1.prob, p0.prob
     j, k = p1.target_j, p1.source_k
+    if np.isnan(t):
+        raise UndefinedMeasure(f"{measure.upper()}({j},{k}) undefined: "
+                               f"probabilities ({a:.4g}, {b:.4g})")
     if measure == "rd":
-        point = a - b
-        t = point
+        point = t
     elif measure == "rr":
-        if b <= 0 or a < 0:
-            raise UndefinedMeasure(f"RR({j},{k}) undefined: probabilities ({a:.4g}, {b:.4g})")
         point = a / b
-        t = float(np.log(point)) if point > 0 else float("-inf")
-        if point <= 0:
-            raise UndefinedMeasure(f"RR({j},{k}) undefined: zero ratio")
     else:
-        if not (0 < a < 1 and 0 < b < 1):
-            raise UndefinedMeasure(f"OR({j},{k}) undefined: probabilities ({a:.4g}, {b:.4g})")
         point = (a / (1 - a)) / (b / (1 - b))
-        t = float(np.log(point))
     return EffectEstimate(measure=measure, j=j, k=k, point=float(point),
-                          transformed_point=float(t), prob1=a, prob0=b)
+                          transformed_point=t, prob1=a, prob0=b)
 
 
 def _undefined_cell(measure, j, k, p1, p0, msg) -> EffectEstimate:
@@ -295,41 +311,29 @@ def _undefined_cell(measure, j, k, p1, p0, msg) -> EffectEstimate:
 
 class FittedGrid(dict):
     """The standardized probabilities keyed (target_j, source_k, arm_x), with
-    the fitted models they came from and the settings they were built with.
+    the dataset, the fitted models they came from and the settings they were
+    built with.
 
-    The sandwich reads its model coefficients from here instead of refitting,
-    so the points and their covariance come from one set of fits.
+    Everything downstream (effect matrices, sandwich, bootstrap) reads the
+    grid, so the points and their covariance come from one set of fits, and
+    bootstrap replicates are rebuilt with exactly these settings.
     """
 
     def __init__(self, ds: IpdDataset, method, outcome_formula, ps_formula, ps_mode,
-                 truncation, expit_weight, overrides):
+                 truncation, expit_weight, overrides, positivity_threshold):
         super().__init__()
         self.ds, self.method = ds, method
         self.outcome_formula, self.ps_formula = outcome_formula, ps_formula
         self.ps_mode = ps_mode or ("pairwise" if ds.K == 2 else "multinomial")
         self.truncation, self.expit_weight = truncation, bool(expit_weight)
         self.overrides = dict(overrides or {})
+        self.positivity_threshold = positivity_threshold
         self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
         self.pair_fits: dict = {}       # frozenset{j, k} -> (label fitted as 1, FittedLogistic)
         self.multinomial_fit: Optional[FittedMultinomial] = None
 
     def outcome_formula_for(self, j, k) -> ModelFormula:
         return self.overrides.get((j, k), self.outcome_formula)
-
-    def _settings(self) -> tuple:
-        if self.method == OCR:
-            return (OCR, self.outcome_formula, self.overrides)
-        return (self.method, self.ps_formula, self.ps_mode, self.truncation,
-                self.expit_weight)
-
-    def require(self, ds: IpdDataset, method, outcome_formula=None, ps_formula=None,
-                ps_mode=None, truncation=None, expit_weight=False, overrides=None) -> None:
-        """Raise ValueError unless this grid was built on `ds` with these settings."""
-        asked = FittedGrid(ds, method, outcome_formula, ps_formula, ps_mode,
-                           truncation, expit_weight, overrides)
-        if ds is not self.ds or asked._settings() != self._settings():
-            raise ValueError(f"grid was built with {self._settings()!r} on its own "
-                             f"dataset; asked for {asked._settings()!r}")
 
 
 def standardized_grid(ds: IpdDataset, method: str,
@@ -351,7 +355,7 @@ def standardized_grid(ds: IpdDataset, method: str,
         raise ValueError("transport needs at least two studies")
     labels = ds.studies
     out = FittedGrid(ds, method, outcome_formula, ps_formula, ps_mode, truncation,
-                     expit_weight, overrides)
+                     expit_weight, overrides, positivity_threshold)
     if method == OCR:
         if outcome_formula is None:
             raise ValueError("OCR needs an outcome formula")
@@ -394,24 +398,10 @@ def standardized_grid(ds: IpdDataset, method: str,
     return out
 
 
-def effect_matrix(ds: IpdDataset, method: str,
-                  outcome_formula: Optional[ModelFormula] = None,
-                  ps_formula: Optional[ModelFormula] = None,
-                  measure: str = "rr",
-                  ps_mode: Optional[str] = None,
-                  truncation: Optional[float] = None,
-                  expit_weight: bool = False,
-                  overrides: Optional[Mapping] = None,
-                  collect_errors: bool = False,
-                  positivity_threshold: float = POSITIVITY_THRESHOLD,
-                  _grid: Optional[FittedGrid] = None) -> EffectMatrix:
+def effect_matrix(grid: FittedGrid, measure: str = "rr",
+                  collect_errors: bool = False) -> EffectMatrix:
     """The K x K grid of effect estimates (target row j, source column k)."""
-    grid = _grid
-    if grid is None:
-        grid = standardized_grid(ds, method, outcome_formula, ps_formula, ps_mode,
-                                 truncation, expit_weight, overrides,
-                                 positivity_threshold)
-    labels = ds.studies
+    labels = grid.ds.studies
     cells = {}
     diagnostics = {}
     for j in labels:
@@ -426,7 +416,7 @@ def effect_matrix(ds: IpdDataset, method: str,
                     raise
                 cells[(j, k)] = _undefined_cell(measure, j, k, p1.prob, p0.prob, str(e))
     return EffectMatrix(measure=measure.lower(), labels=labels, cells=cells,
-                        method=method, diagnostics=diagnostics)
+                        method=grid.method, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Joint covariance of all transformed effects: stacked sandwich and bootstrap.
 
-The sandwich treats every quantity as one M-estimator: outcome-model scores,
-membership-model scores, arm proportions (unstabilized IPW divides by them),
-one moment equation per standardized probability, and one deterministic delta
-row per transformed effect. Sigma = A^-1 B A^-T / n with A the bread (Jacobian
-of the averaged estimating function, assembled analytically) and B the meat.
-Cells whose effect measure is undefined (e.g. an out-of-bounds unstabilized
-probability feeding an odds ratio) get NaN rows rather than silent drops.
+Both start from the analysis's `FittedGrid`. The sandwich treats the grid as
+one M-estimator: outcome-model scores, membership-model scores, arm
+proportions (unstabilized IPW divides by them) and one moment equation per
+standardized probability. Sigma_p = A^-1 B A^-T / n with A the bread
+(Jacobian of the averaged estimating function, assembled analytically) and B
+the meat. Each measure's covariance is then D Sigma_p D^T by the delta
+method, with D from `transport.effect_transform`. Cells whose effect measure
+is undefined (e.g. an out-of-bounds unstabilized probability feeding an odds
+ratio) get NaN rows rather than silent drops.
 
 Weight truncation caps are held fixed at their estimated values inside the
 sandwich; capped subjects contribute no weight derivative.
@@ -14,38 +16,24 @@ sandwich; capped subjects contribute no weight derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import CasemixError, SingularBread, TooManyFailedReplicates
-from .formula import ModelFormula
 from .glm import multinomial_information, nonref_probs
-from .ipd import IpdDataset
 from .transport import (
     IPW_STABILIZED,
     MEASURES,
     OCR,
     FittedGrid,
+    effect_transform,
     standardized_grid,
 )
 
 COND_LIMIT = 1e12
-
-
-def _measure_transform(measure, p1, p0):
-    """Transformed effect and validity for one cell."""
-    if measure == "rd":
-        return p1 - p0, True
-    if measure == "rr":
-        if p1 > 0 and p0 > 0:
-            return float(np.log(p1 / p0)), True
-        return float("nan"), False
-    if 0 < p1 < 1 and 0 < p0 < 1:
-        return float(np.log(p1 / (1 - p1)) - np.log(p0 / (1 - p0))), True
-    return float("nan"), False
 
 
 class _LogisticScore:
@@ -253,37 +241,6 @@ class _IpwProb:
             A[self.row, self.row] += self.mask_j.sum() / n
 
 
-class _EffectRow:
-    def __init__(self, measure, row, p1_row, p0_row):
-        self.measure, self.row = measure, row
-        self.p1_row, self.p0_row = p1_row, p0_row
-
-    def _g(self, theta):
-        t = theta[self.row]
-        p1, p0 = theta[self.p1_row], theta[self.p0_row]
-        if self.measure == "rd":
-            return t - (p1 - p0)
-        if self.measure == "rr":
-            return t - (np.log(p1) - np.log(p0))
-        return t - (np.log(p1 / (1 - p1)) - np.log(p0 / (1 - p0)))
-
-    def add_psi(self, theta, out):
-        out[:, self.row] = self._g(theta)
-
-    def add_bread(self, theta, A, n):
-        p1, p0 = theta[self.p1_row], theta[self.p0_row]
-        A[self.row, self.row] += -1.0
-        if self.measure == "rd":
-            A[self.row, self.p1_row] += 1.0
-            A[self.row, self.p0_row] += -1.0
-        elif self.measure == "rr":
-            A[self.row, self.p1_row] += 1.0 / p1
-            A[self.row, self.p0_row] += -1.0 / p0
-        else:
-            A[self.row, self.p1_row] += 1.0 / (p1 * (1 - p1))
-            A[self.row, self.p0_row] += -1.0 / (p0 * (1 - p0))
-
-
 @dataclass
 class EstimatingSystem:
     """Stacked estimating equations evaluated around their joint solution."""
@@ -292,9 +249,6 @@ class EstimatingSystem:
     components: list
     n: int
     prob_rows: dict                     # (j,k,x) -> theta index
-    effect_rows: dict                   # (measure,(j,k)) -> theta index or None
-    labels: tuple
-    block_names: list = field(default_factory=list)
 
     @property
     def m(self) -> int:
@@ -346,6 +300,10 @@ class EstimatingSystem:
         return (S + S.T) / 2.0
 
 
+def _cell_order(labels) -> list:
+    return [(j, k) for j in labels for k in labels]
+
+
 @dataclass
 class CovarianceResult:
     sigma: dict                         # measure -> K^2 x K^2, NaN rows for undefined cells
@@ -354,50 +312,27 @@ class CovarianceResult:
     labels: tuple
     excluded: Optional[dict] = None     # bootstrap: measure -> per-cell exclusion counts
     replicates: Optional[int] = None
-    system: Optional[EstimatingSystem] = None
 
     def cell_order(self):
-        return [(j, k) for j in self.labels for k in self.labels]
+        return _cell_order(self.labels)
 
 
-def build_system(ds: IpdDataset, method: str,
-                 outcome_formula: Optional[ModelFormula] = None,
-                 ps_formula: Optional[ModelFormula] = None,
-                 measures: Sequence[str] = MEASURES,
-                 ps_mode: Optional[str] = None,
-                 truncation: Optional[float] = None,
-                 expit_weight: bool = False,
-                 overrides: Optional[Mapping] = None,
-                 grid: Optional[FittedGrid] = None) -> EstimatingSystem:
-    """Assemble the stacked system at the fitted solution.
-
-    `grid` is the standardized grid of the same analysis; its fits are the
-    model blocks of theta. Without one, the grid is computed here.
-    """
+def build_system(grid: FittedGrid) -> EstimatingSystem:
+    """Assemble the stacked system of `grid` at its fitted solution: the
+    grid's fits are the model blocks of theta, its probabilities the rest."""
+    ds, method, ps_formula = grid.ds, grid.method, grid.ps_formula
     labels = ds.studies
     n = ds.n
-    for msr in measures:
-        if msr not in MEASURES:
-            raise ValueError(f"unknown measure {msr!r}")
-    if grid is None:
-        grid = standardized_grid(ds, method, outcome_formula, ps_formula, ps_mode,
-                                 truncation, expit_weight, overrides)
-    else:
-        grid.require(ds, method, outcome_formula, ps_formula, ps_mode, truncation,
-                     expit_weight, overrides)
-
     covs = ds.covariate_columns()
     theta_parts: list = []
     components: list = []
-    block_names: list = []
     cursor = 0
 
-    def push(vec, name):
+    def push(vec):
         nonlocal cursor
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
         sl = slice(cursor, cursor + len(vec))
         theta_parts.append(vec)
-        block_names.append(name)
         cursor += len(vec)
         return sl
 
@@ -417,12 +352,11 @@ def build_system(ds: IpdDataset, method: str,
         return designs[key]
 
     prob_rows: dict = {}
-    effect_rows: dict = {}
 
     if method == OCR:
         fit_slices: dict = {}
         for (k, form), fit in grid.outcome_fits.items():
-            fit_slices[(k, form)] = push(fit.coef, f"beta[{k}|{form.text()}]")
+            fit_slices[(k, form)] = push(fit.coef)
             components.append(_LogisticScore(design(form, fit.kept), y_all,
                                              masks[k], fit_slices[(k, form)]))
         for j in labels:
@@ -430,7 +364,7 @@ def build_system(ds: IpdDataset, method: str,
                 form = grid.outcome_formula_for(j, k)
                 kept = grid.outcome_fits[(k, form)].kept
                 for x in (0, 1):
-                    sl = push(grid[(j, k, x)].prob, f"p[{j},{k},{x}]")
+                    sl = push(grid[(j, k, x)].prob)
                     prob_rows[(j, k, x)] = sl.start
                     components.append(_OcrProb(masks[j], design(form, kept, x),
                                                fit_slices[(k, form)], sl.start))
@@ -440,15 +374,14 @@ def build_system(ds: IpdDataset, method: str,
         if grid.ps_mode == "pairwise":
             for key, (fitted_for, fit) in grid.pair_fits.items():
                 (other,) = key - {fitted_for}
-                sl = push(fit.coef, f"gamma[{fitted_for}|{other}]")
+                sl = push(fit.coef)
                 pair_info[key] = (fitted_for, sl, fit.kept)
                 components.append(_LogisticScore(design(ps_formula, fit.kept), masks[fitted_for],
                                                  masks[fitted_for] + masks[other], sl))
         else:
             mfit = grid.multinomial_fit
             cats_nonref = [c for c in mfit.categories if c != mfit.reference]
-            sls = [push(mfit.coef[r], f"gamma[{labels[c]}]")
-                   for r, c in enumerate(cats_nonref)]
+            sls = [push(mfit.coef[r]) for r in range(len(cats_nonref))]
             Z = design(ps_formula, mfit.kept)
             components.append(_MultinomialScore(Z, ds.study_idx, cats_nonref, sls))
 
@@ -456,7 +389,7 @@ def build_system(ds: IpdDataset, method: str,
         if not stabilized:
             for k in labels:
                 mk = ds.mask(k)
-                sl = push(float(np.mean(x_all[mk])), f"pi[{k}]")
+                sl = push(float(np.mean(x_all[mk])))
                 pi_rows[k] = sl.start
                 components.append(_ArmProportion(masks[k], x_all, sl.start))
 
@@ -468,40 +401,25 @@ def build_system(ds: IpdDataset, method: str,
                     fitted_for, sl, kept = pair_info[frozenset((j, k))]
                     sign = 1.0 if fitted_for == j else -1.0
                     weight = _PairWeight(design(ps_formula, kept), sl, sign,
-                                         _cap_of(grid, j, k), expit_weight)
+                                         _cap_of(grid, j, k), grid.expit_weight)
                 else:
                     jn, kn = ds.study_number(j), ds.study_number(k)
-                    if expit_weight:
+                    if grid.expit_weight:
                         weight = _MultiExpitWeight(Z, sls, cats_nonref,
                                                    jn, _cap_of(grid, j, k))
                     else:
                         weight = _MultiRatioWeight(Z, sls, cats_nonref,
                                                    jn, kn, _cap_of(grid, j, k))
                 for x in (0, 1):
-                    sl = push(grid[(j, k, x)].prob, f"p[{j},{k},{x}]")
+                    sl = push(grid[(j, k, x)].prob)
                     prob_rows[(j, k, x)] = sl.start
                     components.append(_IpwProb(masks[k], masks[j], y_all, arms[x],
                                                weight, sl.start, stabilized, x,
                                                pi_row=pi_rows.get(k)))
 
-    for msr in measures:
-        for j in labels:
-            for k in labels:
-                p1 = grid[(j, k, 1)].prob
-                p0 = grid[(j, k, 0)].prob
-                t, ok = _measure_transform(msr, p1, p0)
-                if not ok:
-                    effect_rows[(msr, (j, k))] = None
-                    continue
-                sl = push(t, f"t[{msr},{j},{k}]")
-                effect_rows[(msr, (j, k))] = sl.start
-                components.append(_EffectRow(msr, sl.start, prob_rows[(j, k, 1)],
-                                             prob_rows[(j, k, 0)]))
-
     theta = np.concatenate(theta_parts)
     return EstimatingSystem(theta=theta, components=components, n=n,
-                            prob_rows=prob_rows, effect_rows=effect_rows,
-                            labels=labels, block_names=block_names)
+                            prob_rows=prob_rows)
 
 
 def _cap_of(grid, j, k) -> Optional[float]:
@@ -517,59 +435,46 @@ def _se_from_sigma(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def sandwich_cov(ds: IpdDataset, method: str,
-                 outcome_formula: Optional[ModelFormula] = None,
-                 ps_formula: Optional[ModelFormula] = None,
-                 measures: Sequence[str] = MEASURES,
-                 ps_mode: Optional[str] = None,
-                 truncation: Optional[float] = None,
-                 expit_weight: bool = False,
-                 overrides: Optional[Mapping] = None,
-                 grid: Optional[FittedGrid] = None) -> CovarianceResult:
-    """Sandwich covariance of all K^2 transformed effects, per measure.
-
-    Pass the analysis's `grid` to reuse its fits; see `build_system`."""
-    system = build_system(ds, method, outcome_formula, ps_formula, measures,
-                          ps_mode, truncation, expit_weight, overrides, grid)
-    S = system.sandwich()
-    labels = system.labels
-    K = len(labels)
-    order = [(j, k) for j in labels for k in labels]
+def sandwich_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES) -> CovarianceResult:
+    """Sandwich covariance of all K^2 transformed effects, per measure: the
+    stacked system's covariance of the 2K^2 probabilities, mapped to each
+    measure by the delta method."""
+    labels = grid.ds.studies
+    order = _cell_order(labels)
+    p1, p0 = (np.array([grid[(j, k, x)].prob for j, k in order]) for x in (1, 0))
+    jacobians = {msr.lower(): effect_transform(msr, p1, p0)[1:] for msr in measures}
+    system = build_system(grid)
+    rows = [system.prob_rows[(j, k, x)] for x in (1, 0) for j, k in order]
+    S_p = system.sandwich()[np.ix_(rows, rows)]
     sigma, se = {}, {}
-    for msr in measures:
-        rows = [system.effect_rows[(msr, jk)] for jk in order]
-        M = np.full((K * K, K * K), np.nan)
-        have = [i for i, r in enumerate(rows) if r is not None]
-        idx = [rows[i] for i in have]
-        M[np.ix_(have, have)] = S[np.ix_(idx, idx)]
+    for msr, (d1, d0) in jacobians.items():
+        ok = np.isfinite(d1)
+        D = np.hstack([np.diag(np.where(ok, d1, 0.0)), np.diag(np.where(ok, d0, 0.0))])
+        M = D @ S_p @ D.T
+        M = (M + M.T) / 2.0
+        M[~ok, :] = np.nan
+        M[:, ~ok] = np.nan
         sigma[msr] = M
         se[msr] = _se_from_sigma(M)
-    return CovarianceResult(sigma=sigma, se=se, method="sandwich", labels=labels,
-                            system=system)
+    return CovarianceResult(sigma=sigma, se=se, method="sandwich", labels=labels)
 
 
-def bootstrap_cov(ds: IpdDataset, method: str,
-                  outcome_formula: Optional[ModelFormula] = None,
-                  ps_formula: Optional[ModelFormula] = None,
-                  measures: Sequence[str] = MEASURES,
-                  B: int = 200,
-                  seed=0,
-                  ps_mode: Optional[str] = None,
-                  truncation: Optional[float] = None,
-                  expit_weight: bool = False,
-                  overrides: Optional[Mapping] = None,
-                  _indices=None) -> CovarianceResult:
+def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int = 200,
+                  seed=0, _indices=None) -> CovarianceResult:
     """Stratified bootstrap: each trial resampled to its own size, the whole
-    grid recomputed per replicate, covariance taken across replicates.
-    Replicates where a cell is undefined are excluded for that cell
-    (pairwise-complete covariance) and counted."""
+    grid rebuilt per replicate with the settings of `grid`, covariance taken
+    across replicates. Replicates where a cell is undefined are excluded for
+    that cell (pairwise-complete covariance) and counted."""
     if B < 2:
         raise ValueError("need at least two bootstrap replicates")
+    for msr in measures:                # unknown measures fail before any replicate
+        effect_transform(msr, 0.5, 0.5)
+    ds = grid.ds
     labels = ds.studies
     K = len(labels)
-    order = [(j, k) for j in labels for k in labels]
+    order = _cell_order(labels)
 
-    draws = {msr: np.full((B, K * K), np.nan) for msr in measures}
+    probs = np.full((B, K * K, 2), np.nan)  # [replicate, cell, arm]
     for b in range(B):
         rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed) + [b]))
         if _indices is not None:
@@ -578,21 +483,18 @@ def bootstrap_cov(ds: IpdDataset, method: str,
             idx = np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
                                   for rows in ds.study_rows])
         try:
-            ds_b = ds.subset(np.asarray(idx))
-            grid = standardized_grid(ds_b, method, outcome_formula, ps_formula,
-                                     ps_mode, truncation, expit_weight, overrides)
+            rep = standardized_grid(ds.subset(np.asarray(idx)), grid.method,
+                                    grid.outcome_formula, grid.ps_formula, grid.ps_mode,
+                                    grid.truncation, grid.expit_weight, grid.overrides,
+                                    grid.positivity_threshold)
         except (CasemixError, np.linalg.LinAlgError):
             continue                    # whole-replicate failure: excluded everywhere
-        for c, (j, k) in enumerate(order):
-            p1, p0 = grid[(j, k, 1)].prob, grid[(j, k, 0)].prob
-            for msr in measures:
-                t, ok = _measure_transform(msr, p1, p0)
-                if ok:
-                    draws[msr][b, c] = t
+        probs[b] = [[rep[(j, k, x)].prob for x in (0, 1)] for j, k in order]
 
     sigma, se, excluded = {}, {}, {}
     for msr in measures:
-        D = draws[msr]
+        msr = msr.lower()
+        D = effect_transform(msr, probs[..., 1], probs[..., 0])[0]
         valid = np.isfinite(D)
         n_valid = valid.sum(axis=0)
         excluded[msr] = (B - n_valid).astype(int)

@@ -109,6 +109,17 @@ def aligned_ds() -> IpdDataset:
     ])
 
 
+def separated_dataset() -> IpdDataset:
+    """Trial 2's outcome equals L in both arms: any outcome model with an L
+    term is perfectly separated there."""
+    return dataset_from_cells([
+        cell("1", 0, 1, 100, 40), cell("1", 0, 0, 100, 30),
+        cell("1", 1, 1, 100, 60), cell("1", 1, 0, 100, 50),
+        cell("2", 0, 1, 100, 0), cell("2", 0, 0, 100, 0),
+        cell("2", 1, 1, 100, 100), cell("2", 1, 0, 100, 100),
+    ])
+
+
 def continuous_ds(seed=0, n=400) -> IpdDataset:
     """Smooth two-trial fixture with continuous L for derivative checks.
 

@@ -390,7 +390,7 @@ def test_criterion_8_property_suites(tmp_path):
     score = X.T @ (ds.outcome - fit.predict(X)) / ds.n
     if np.max(np.abs(score)) > 1e-6:
         bad.append(f"score not zero ({np.max(np.abs(score)):.2e})")
-    system = build_system(ds, OCR, outcome_formula=form)
+    system = build_system(standardized_grid(ds, OCR, outcome_formula=form))
     gap = np.max(np.abs(system.bread_fd() - system.bread()))
     if gap / (1 + np.max(np.abs(system.bread()))) > 1e-4:
         bad.append(f"bread vs finite differences off by {gap:.2e}")

@@ -13,7 +13,7 @@ OCR_ARGS = ["--method", "ocr", "--outcome-formula", "y ~ 1 + treat + L + treat:L
 IPW_ARGS = ["--method", "ipw", "--ps-formula", "study ~ 1 + L"]
 
 
-from conftest import cell, dataset_from_cells, enum_dataset, oob_dataset
+from conftest import cell, dataset_from_cells, enum_dataset, oob_dataset, separated_dataset
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +248,8 @@ def test_analyze_fits_each_model_once(three_trial_ds, tmp_path, monkeypatch, arg
 
 def test_analyze_positivity_threshold_governs_every_warning(tmp_path):
     # trial 2's weights toward trial 1 are 250 at L=1: above the default
-    # threshold of 200, below the one asked for
+    # threshold of 200, below the one asked for, which bootstrap replicates
+    # must honour too
     ds = dataset_from_cells([
         cell("1", 0, 1, 100, 50), cell("1", 0, 0, 100, 40),
         cell("1", 1, 1, 500, 250), cell("1", 1, 0, 500, 200),
@@ -257,14 +258,31 @@ def test_analyze_positivity_threshold_governs_every_warning(tmp_path):
     ])
     path = str(tmp_path / "steep.csv")
     save_ipd(ds, path)
-    out = str(tmp_path / "out")
-    rc = cli.main(["analyze", path, *IPW_ARGS, "--truncate-percentile", "100",
-                   "--positivity-threshold", "1000", "--out", out])
+    for variance in ("sandwich", "bootstrap"):
+        out = str(tmp_path / variance)
+        rc = cli.main(["analyze", path, *IPW_ARGS, "--truncate-percentile", "100",
+                       "--positivity-threshold", "1000", "--variance", variance,
+                       "--bootstrap-b", "50", "--out", out])
+        assert rc == 0
+        diag = json.load(open(os.path.join(out, "diagnostics.json")))
+        assert diag["weights"]["(1,2)"]["max"] == pytest.approx(250.0)
+        assert not diag["positivity_flag"]
+        warned = [w for w in diag["warnings"] if "positivity" in w]
+        if variance == "sandwich":
+            assert not warned
+        else:       # a replicate may draw weights past 1000, but none warns at 200
+            assert all("exceed 1000 " in w for w in warned), warned
+
+
+def test_transport_without_sandwich_se_on_separated_outcome(tmp_path, capsys):
+    path = str(tmp_path / "separated.csv")
+    save_ipd(separated_dataset(), path)
+    rc = cli.main(["transport", path, *OCR_ARGS, "--target", "1", "--source", "2",
+                   "--arm", "1"])
+    captured = capsys.readouterr()
     assert rc == 0
-    diag = json.load(open(os.path.join(out, "diagnostics.json")))
-    assert diag["weights"]["(1,2)"]["max"] == pytest.approx(250.0)
-    assert not diag["positivity_flag"]
-    assert not [w for w in diag["warnings"] if "positivity" in w]
+    assert "P(Y(1_2)=1 | S=1) = 0.500000  se=nan (no sandwich SE: bread matrix " \
+           "condition number" in captured.out
 
 
 def test_no_subcommand_prints_help(capsys):

@@ -98,6 +98,16 @@ def test_arrays_are_frozen():
         ds.treat[0] = 0
 
 
+def test_caller_arrays_stay_writeable():
+    # arrays that already have the stored dtype must be copied, not frozen
+    idx = np.array([0, 0, 1, 1], dtype=np.intp)
+    cov = np.array([[0.0], [1.0], [0.0], [1.0]])
+    ds = IpdDataset.from_arrays(["L"], ["a", "b"], idx, [0, 1, 0, 1], [1, 0, 0, 1], cov)
+    assert idx.flags.writeable and cov.flags.writeable
+    idx[0], cov[0, 0] = 1, 5.0
+    assert ds.study_idx[0] == 0 and ds.cov[0, 0] == 0.0
+
+
 def test_subset_requires_every_study_present():
     # subset keeps the full label table, so dropping a whole study fails
     # validation rather than silently shrinking K

@@ -7,7 +7,7 @@ from casemix.errors import NoEstimableInputs
 from casemix.formula import parse
 from casemix.meta import MetaSummary, forest_rows, pool_matrix, pool_row
 from casemix.transport import (EffectEstimate, EffectMatrix, IPW, OCR,
-                               effect_matrix)
+                               effect_matrix, standardized_grid)
 from casemix.variance import attach_covariance, sandwich_cov
 
 PS = parse("study ~ 1 + L")
@@ -91,8 +91,9 @@ def test_natural_scale_helpers():
 
 
 def test_pool_matrix_rows(enum_ds):
-    mat = effect_matrix(enum_ds, IPW, ps_formula=PS, measure="rr")
-    attach_covariance(mat, sandwich_cov(enum_ds, IPW, ps_formula=PS))
+    grid = standardized_grid(enum_ds, IPW, ps_formula=PS)
+    mat = effect_matrix(grid, "rr")
+    attach_covariance(mat, sandwich_cov(grid))
     pooled = pool_matrix(mat)
     assert set(pooled) == {"1", "2"}
     s1 = pooled["1"]

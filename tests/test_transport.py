@@ -6,7 +6,7 @@ from casemix.formula import parse
 from casemix.transport import (
     IPW, IPW_STABILIZED, OCR, StandardizedEstimate, WeightDiagnostics,
     common_control_check, density_ratio_weights, effect, effect_matrix,
-    ipw_standardized_prob, ocr_standardized_prob, standardized_grid)
+    effect_transform, ipw_standardized_prob, ocr_standardized_prob, standardized_grid)
 
 from conftest import ENUM_GRID, ENUM_OR, ENUM_RD, ENUM_RR, cell, dataset_from_cells
 
@@ -46,7 +46,7 @@ def test_diagonal_uses_unit_weights(enum_ds):
 @pytest.mark.parametrize("measure,table", [
     ("rr", ENUM_RR), ("or", ENUM_OR), ("rd", ENUM_RD)])
 def test_effect_matrix_frozen_values(enum_ds, measure, table):
-    mat = effect_matrix(enum_ds, OCR, outcome_formula=OUTCOME, measure=measure)
+    mat = effect_matrix(standardized_grid(enum_ds, OCR, outcome_formula=OUTCOME), measure)
     assert mat.labels == ("1", "2")
     for jk, truth in table.items():
         c = mat.cells[jk]
@@ -57,7 +57,7 @@ def test_effect_matrix_frozen_values(enum_ds, measure, table):
 
 
 def test_effect_matrix_vector_order(enum_ds):
-    mat = effect_matrix(enum_ds, OCR, outcome_formula=OUTCOME, measure="rd")
+    mat = effect_matrix(standardized_grid(enum_ds, OCR, outcome_formula=OUTCOME), "rd")
     assert mat.cell_order() == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
     assert mat.cell_index("2", "1") == 2
     vec = mat.transformed_vector()
@@ -134,10 +134,10 @@ def test_stabilized_always_in_bounds(oob_ds):
 
 
 def test_effect_matrix_collect_errors(oob_ds):
+    grid = standardized_grid(oob_ds, IPW, ps_formula=PS)
     with pytest.raises(UndefinedMeasure):
-        effect_matrix(oob_ds, IPW, ps_formula=PS, measure="or")
-    mat = effect_matrix(oob_ds, IPW, ps_formula=PS, measure="or",
-                        collect_errors=True)
+        effect_matrix(grid, "or")
+    mat = effect_matrix(grid, "or", collect_errors=True)
     bad = mat.cells[("1", "2")]
     assert not bad.defined
     assert np.isnan(bad.point) and np.isnan(bad.transformed_point)
@@ -196,6 +196,32 @@ def test_effect_undefined_edges():
         effect(_arm("1", "2", 1, 1.0), _arm("1", "2", 0, 0.3), "or")
     rd = effect(_arm("1", "2", 1, 1.0), _arm("1", "2", 0, 0.0), "rd")
     assert rd.point == 1.0
+
+
+@pytest.mark.parametrize("measure", ["rr", "or", "rd"])
+def test_effect_transform_derivatives_match_central_differences(measure):
+    # the sandwich's delta method rests on these two partials
+    p1 = np.array([0.05, 0.3, 0.5, 0.8, 0.97])
+    p0 = np.array([0.6, 0.2, 0.5, 0.1, 0.9])
+    t, d1, d0 = effect_transform(measure, p1, p0)
+    h = 1e-6
+    fd1 = (effect_transform(measure, p1 + h, p0)[0]
+           - effect_transform(measure, p1 - h, p0)[0]) / (2 * h)
+    fd0 = (effect_transform(measure, p1, p0 + h)[0]
+           - effect_transform(measure, p1, p0 - h)[0]) / (2 * h)
+    assert d1 == pytest.approx(fd1, rel=1e-7)
+    assert d0 == pytest.approx(fd0, rel=1e-7)
+
+
+def test_effect_transform_undefined_cells_are_nan():
+    p1, p0 = np.array([0.0, 1.0, 1.35, 0.4]), np.array([0.3, 0.3, 0.5, 0.0])
+    rr = np.array(effect_transform("rr", p1, p0))
+    assert np.array_equal(np.isnan(rr[:, [0, 3]]), np.ones((3, 2), bool))
+    assert np.all(np.isfinite(rr[:, [1, 2]]))
+    assert np.all(np.isnan(effect_transform("or", p1, p0)))
+    assert np.all(np.isfinite(effect_transform("rd", p1, p0)))
+    with pytest.raises(ValueError, match="unknown measure"):
+        effect_transform("hr", p1, p0)
 
 
 def test_grid_input_validation(enum_ds):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from casemix import variance
-from casemix.errors import SingularBread, TooManyFailedReplicates
+from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplicates
 from casemix.formula import parse
 from casemix.ipd import IpdDataset
 from casemix.transport import (IPW, IPW_STABILIZED, OCR, effect_matrix,
@@ -10,29 +10,28 @@ from casemix.transport import (IPW, IPW_STABILIZED, OCR, effect_matrix,
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
-from conftest import continuous_ds
+from conftest import continuous_ds, separated_dataset
 
 OUTCOME = parse("y ~ 1 + treat + L + treat:L")
 PS = parse("study ~ 1 + L")
 
 
-def _kwargs(method):
+def _grid(ds, method, **kw):
     if method == OCR:
-        return {"outcome_formula": OUTCOME}
-    return {"ps_formula": PS}
+        return standardized_grid(ds, method, outcome_formula=OUTCOME, **kw)
+    return standardized_grid(ds, method, ps_formula=PS, **kw)
 
 
 @pytest.mark.parametrize("method", [OCR, IPW, IPW_STABILIZED])
 def test_psi_mean_vanishes_at_solution(enum_ds, method):
-    system = build_system(enum_ds, method, **_kwargs(method))
+    system = build_system(_grid(enum_ds, method))
     assert np.max(np.abs(system.psi_mean())) < 1e-8
     assert len(system.prob_rows) == 8
     assert system.n == enum_ds.n
 
 
 def test_psi_mean_vanishes_multinomial(three_trial_ds):
-    system = build_system(three_trial_ds, IPW_STABILIZED, ps_formula=PS,
-                          ps_mode="multinomial")
+    system = build_system(_grid(three_trial_ds, IPW_STABILIZED, ps_mode="multinomial"))
     assert np.max(np.abs(system.psi_mean())) < 1e-8
     assert len(system.prob_rows) == 18
 
@@ -45,8 +44,7 @@ def test_psi_mean_vanishes_multinomial(three_trial_ds):
 ])
 def test_bread_matches_finite_differences(method, extra):
     ds = continuous_ds(seed=4, n=400)
-    system = build_system(ds, method, outcome_formula=OUTCOME, ps_formula=PS,
-                          **extra)
+    system = build_system(_grid(ds, method, **extra))
     an = system.bread()
     fd = system.bread_fd()
     scale = 1.0 + np.max(np.abs(an))
@@ -54,8 +52,7 @@ def test_bread_matches_finite_differences(method, extra):
 
 
 def test_bread_matches_finite_differences_multinomial(three_trial_ds):
-    system = build_system(three_trial_ds, IPW, ps_formula=PS,
-                          ps_mode="multinomial")
+    system = build_system(_grid(three_trial_ds, IPW, ps_mode="multinomial"))
     an = system.bread()
     fd = system.bread_fd()
     scale = 1.0 + np.max(np.abs(an))
@@ -63,7 +60,7 @@ def test_bread_matches_finite_differences_multinomial(three_trial_ds):
 
 
 def test_sandwich_cov_full_grid(enum_ds):
-    res = sandwich_cov(enum_ds, IPW, ps_formula=PS)
+    res = sandwich_cov(_grid(enum_ds, IPW))
     assert res.method == "sandwich"
     assert res.cell_order() == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
     for msr in ("rr", "or", "rd"):
@@ -76,7 +73,7 @@ def test_sandwich_cov_full_grid(enum_ds):
 
 
 def test_sandwich_cov_nan_rows_for_undefined(oob_ds):
-    res = sandwich_cov(oob_ds, IPW, ps_formula=PS)
+    res = sandwich_cov(_grid(oob_ds, IPW))
     S = res.sigma["or"]
     bad = res.cell_order().index(("1", "2"))
     assert np.all(np.isnan(S[bad, :]))
@@ -88,8 +85,9 @@ def test_sandwich_cov_nan_rows_for_undefined(oob_ds):
 
 
 def test_attach_covariance(enum_ds):
-    mat = effect_matrix(enum_ds, IPW, ps_formula=PS, measure="rr")
-    res = sandwich_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",))
+    grid = _grid(enum_ds, IPW)
+    mat = effect_matrix(grid, "rr")
+    res = sandwich_cov(grid, measures=("rr",))
     attach_covariance(mat, res)
     assert mat.covariance_method == "sandwich"
     assert mat.sigma.shape == (4, 4)
@@ -99,36 +97,38 @@ def test_attach_covariance(enum_ds):
 
 
 def test_attach_covariance_requires_measure(enum_ds):
-    mat = effect_matrix(enum_ds, IPW, ps_formula=PS, measure="or")
-    res = sandwich_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",))
+    grid = _grid(enum_ds, IPW)
+    mat = effect_matrix(grid, "or")
+    res = sandwich_cov(grid, measures=("rr",))
     with pytest.raises(ValueError, match="lacks measure"):
         attach_covariance(mat, res)
 
 
 def test_attach_covariance_undefined_cell_gets_none(oob_ds):
-    mat = effect_matrix(oob_ds, IPW, ps_formula=PS, measure="or",
-                        collect_errors=True)
-    res = sandwich_cov(oob_ds, IPW, ps_formula=PS)
+    grid = _grid(oob_ds, IPW)
+    mat = effect_matrix(grid, "or", collect_errors=True)
+    res = sandwich_cov(grid)
     attach_covariance(mat, res)
     assert mat.cells[("1", "2")].se_transformed is None
     assert mat.cells[("2", "1")].se_transformed is not None
 
 
 def test_probability_scale_system_for_single_cells(enum_ds):
-    # measures=() still exposes the standardized probabilities themselves
-    system = build_system(enum_ds, IPW, ps_formula=PS, measures=())
+    # the system stops at the standardized probabilities: one membership fit
+    # (2 coefficients), 2 arm proportions and 8 probabilities
+    system = build_system(_grid(enum_ds, IPW))
+    assert system.m == 2 + 2 + 8
     S = system.sandwich()
     row = system.prob_rows[("1", "2", 1)]
     assert S[row, row] > 0
-    assert system.effect_rows == {}
 
 
 def test_bootstrap_deterministic_given_seed(enum_ds):
-    a = bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=16,
+    a = bootstrap_cov(_grid(enum_ds, IPW), measures=("rr",), B=16,
                       seed=3)
-    b = bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=16,
+    b = bootstrap_cov(_grid(enum_ds, IPW), measures=("rr",), B=16,
                       seed=3)
-    c = bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=16,
+    c = bootstrap_cov(_grid(enum_ds, IPW), measures=("rr",), B=16,
                       seed=4)
     assert np.array_equal(a.sigma["rr"], b.sigma["rr"], equal_nan=True)
     assert not np.allclose(a.sigma["rr"], c.sigma["rr"], equal_nan=True)
@@ -139,7 +139,7 @@ def test_bootstrap_deterministic_given_seed(enum_ds):
 
 def test_bootstrap_needs_two_replicates(enum_ds):
     with pytest.raises(ValueError, match="at least two"):
-        bootstrap_cov(enum_ds, IPW, ps_formula=PS, B=1)
+        bootstrap_cov(_grid(enum_ds, IPW), B=1)
 
 
 def test_bootstrap_reports_hopeless_cells(enum_ds):
@@ -154,7 +154,7 @@ def test_bootstrap_reports_hopeless_cells(enum_ds):
         return np.concatenate([study_rows[0], idx2])
 
     with pytest.raises(TooManyFailedReplicates, match="bootstrap"):
-        bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=8,
+        bootstrap_cov(_grid(enum_ds, IPW), measures=("rr",), B=8,
                       seed=0, _indices=rig)
 
 
@@ -167,7 +167,7 @@ def test_bootstrap_excludes_replicate_that_raises_casemix_error(enum_ds):
         return np.concatenate([rows[rng.integers(0, len(rows), len(rows))]
                                for rows in study_rows])
 
-    res = bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=6,
+    res = bootstrap_cov(_grid(enum_ds, IPW), measures=("rr",), B=6,
                         seed=0, _indices=rig)
     assert np.all(res.excluded["rr"] == 1)
 
@@ -176,14 +176,45 @@ def test_bootstrap_surfaces_programming_errors(enum_ds, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("a programming error")
 
+    grid = _grid(enum_ds, IPW)
     monkeypatch.setattr(variance, "standardized_grid", broken)
     with pytest.raises(TypeError, match="programming error"):
-        bootstrap_cov(enum_ds, IPW, ps_formula=PS, measures=("rr",), B=4, seed=0)
+        bootstrap_cov(grid, measures=("rr",), B=4, seed=0)
 
 
-def test_build_system_rejects_unknown_measure(enum_ds):
+def test_sandwich_rejects_unknown_measure(enum_ds):
     with pytest.raises(ValueError, match="unknown measure"):
-        build_system(enum_ds, IPW, ps_formula=PS, measures=("hr",))
+        sandwich_cov(_grid(enum_ds, IPW), measures=("hr",))
+
+
+def test_bootstrap_rejects_unknown_measure(enum_ds):
+    # a misspelt measure used to come back as another measure's covariance
+    with pytest.raises(ValueError, match="unknown measure 'hr'"):
+        bootstrap_cov(_grid(enum_ds, IPW), measures=("hr", "or"), B=4)
+
+
+def test_effect_matrix_rejects_unknown_measure(enum_ds):
+    with pytest.raises(ValueError, match="unknown measure"):
+        effect_matrix(_grid(enum_ds, IPW), "hr")
+
+
+def test_routes_accept_the_same_spellings(enum_ds):
+    grid = _grid(enum_ds, IPW)
+    assert effect_matrix(grid, "RR").measure == "rr"
+    upper, lower = sandwich_cov(grid, ("RR",)), sandwich_cov(grid, ("rr",))
+    assert np.array_equal(upper.sigma["rr"], lower.sigma["rr"])
+    upper, lower = bootstrap_cov(grid, ("Or",), B=4), bootstrap_cov(grid, ("or",), B=4)
+    assert np.array_equal(upper.sigma["or"], lower.sigma["or"])
+
+
+def test_sandwich_raises_singular_bread_on_separated_outcome():
+    # trial 2's outcome equals L, so its outcome fit diverges and the bread
+    # loses rank numerically
+    with pytest.warns(SeparationWarning):
+        grid = standardized_grid(separated_dataset(), OCR, outcome_formula=OUTCOME)
+    with pytest.raises(SingularBread, match="condition number") as exc:
+        sandwich_cov(grid)
+    assert exc.value.condition_number >= variance.COND_LIMIT
 
 
 def _three_trial_continuous(seed=2, n=900) -> IpdDataset:
@@ -198,36 +229,62 @@ def _three_trial_continuous(seed=2, n=900) -> IpdDataset:
     return IpdDataset.from_arrays(["L"], ["a", "b", "c"], S, treat, y, L[:, None])
 
 
-@pytest.mark.parametrize("method,kw", [
-    (OCR, {"outcome_formula": OUTCOME,
-           "overrides": {("a", "c"): parse("y ~ 1 + treat + L")}}),
-    (IPW, {"ps_formula": PS, "ps_mode": "pairwise"}),
-    (IPW_STABILIZED, {"ps_formula": PS, "ps_mode": "multinomial"}),
-    (IPW_STABILIZED, {"ps_formula": PS, "truncation": 95.0}),
-    (IPW, {"ps_formula": PS, "ps_mode": "pairwise", "truncation": 95.0}),
+def _stacked_oracle(grid, measure) -> np.ndarray:
+    """Sigma of one measure as a stacked M-estimator forms it: a delta row
+    t - g(p1, p0) per defined cell appended to the system, which extends the
+    bread to [[A, 0], [G, -I]] and the meat by zeros; NaN for undefined cells."""
+    system = build_system(grid)
+    A, B, m = system.bread(), system.meat(), system.m
+    order = [(j, k) for j in grid.ds.studies for k in grid.ds.studies]
+    G, cells = [], []
+    for c, (j, k) in enumerate(order):
+        p1, p0 = grid[(j, k, 1)].prob, grid[(j, k, 0)].prob
+        if measure == "rd":
+            g = (1.0, -1.0)
+        elif measure == "rr" and p1 > 0 and p0 > 0:
+            g = (1.0 / p1, -1.0 / p0)
+        elif measure == "or" and 0 < p1 < 1 and 0 < p0 < 1:
+            g = (1.0 / (p1 * (1 - p1)), -1.0 / (p0 * (1 - p0)))
+        else:
+            continue
+        row = np.zeros(m)
+        row[system.prob_rows[(j, k, 1)]], row[system.prob_rows[(j, k, 0)]] = g
+        G.append(row)
+        cells.append(c)
+    q = len(cells)
+    A_ext = np.block([[A, np.zeros((m, q))], [np.array(G), -np.eye(q)]])
+    B_ext = np.zeros((m + q, m + q))
+    B_ext[:m, :m] = B
+    A_inv = np.linalg.inv(A_ext)
+    S = A_inv @ B_ext @ A_inv.T / system.n
+    out = np.full((len(order), len(order)), np.nan)
+    out[np.ix_(cells, cells)] = S[m:, m:]
+    return out
+
+
+@pytest.mark.parametrize("data,method,kw", [
+    ("enum_ds", OCR, {"outcome_formula": OUTCOME}),
+    ("enum_ds", IPW, {"ps_formula": PS}),
+    ("enum_ds", IPW_STABILIZED, {"ps_formula": PS}),
+    ("oob_ds", IPW, {"ps_formula": PS}),
+    ("three_trial_ds", IPW, {"ps_formula": PS, "ps_mode": "multinomial"}),
+    ("continuous", OCR, {"outcome_formula": OUTCOME,
+                         "overrides": {("a", "c"): parse("y ~ 1 + treat + L")}}),
+    ("continuous", IPW, {"ps_formula": PS, "ps_mode": "pairwise"}),
+    ("continuous", IPW_STABILIZED, {"ps_formula": PS, "ps_mode": "multinomial"}),
+    ("continuous", IPW_STABILIZED, {"ps_formula": PS, "truncation": 95.0}),
+    ("continuous", IPW, {"ps_formula": PS, "ps_mode": "pairwise", "truncation": 95.0}),
 ])
-def test_sandwich_from_grid_equals_refitted(method, kw):
-    # the grid's fits are the sandwich's model blocks: reusing them moves no bit
-    ds = _three_trial_continuous()
+def test_sandwich_matches_stacked_oracle(request, data, method, kw):
+    # the delta method D Sigma_p D^T equals the stacked system with effect rows
+    ds = _three_trial_continuous() if data == "continuous" else request.getfixturevalue(data)
     grid = standardized_grid(ds, method, **kw)
-    shared = sandwich_cov(ds, method, grid=grid, **kw)
-    alone = sandwich_cov(ds, method, **kw)
+    res = sandwich_cov(grid)
     for msr in ("rr", "or", "rd"):
-        assert np.array_equal(shared.sigma[msr], alone.sigma[msr], equal_nan=True)
-        assert np.all(np.isfinite(np.diag(shared.sigma[msr])))
-    assert np.array_equal(shared.system.theta, alone.system.theta)
-
-
-def test_sandwich_rejects_grid_with_other_settings(enum_ds):
-    grid = standardized_grid(enum_ds, IPW, ps_formula=PS)
-    with pytest.raises(ValueError, match="grid was built"):
-        sandwich_cov(enum_ds, IPW, ps_formula=PS, truncation=95.0, grid=grid)
-    with pytest.raises(ValueError, match="grid was built"):
-        sandwich_cov(enum_ds, IPW_STABILIZED, ps_formula=PS, grid=grid)
-    with pytest.raises(ValueError, match="grid was built"):
-        sandwich_cov(enum_ds.subset(np.arange(enum_ds.n)), IPW, ps_formula=PS,
-                     grid=grid)
-    ocr = standardized_grid(enum_ds, OCR, outcome_formula=OUTCOME)
-    with pytest.raises(ValueError, match="grid was built"):
-        build_system(enum_ds, OCR, outcome_formula=parse("y ~ 1 + treat + L"),
-                     grid=ocr)
+        oracle = _stacked_oracle(grid, msr)
+        got = res.sigma[msr]
+        assert np.array_equal(np.isnan(got), np.isnan(oracle))
+        ok = ~np.isnan(oracle)
+        assert np.all(np.isfinite(np.diag(got)[np.diag(ok)]))
+        scale = np.max(np.abs(oracle[ok]))
+        assert np.max(np.abs(got[ok] - oracle[ok])) <= 1e-10 * scale, msr
