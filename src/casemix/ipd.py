@@ -314,10 +314,9 @@ def save_ipd(ds: IpdDataset, target) -> None:
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(list(RESERVED) + list(ds.schema.names))
-        for i in range(ds.n):
-            writer.writerow(
-                [ds.study_labels[ds.study_idx[i]], int(ds.treat[i]), int(ds.outcome[i])]
-                + [repr(float(v)) for v in ds.cov[i]])
+        labels = np.array(ds.study_labels, dtype=object)[ds.study_idx]
+        writer.writerows(zip(labels.tolist(), ds.treat.tolist(), ds.outcome.tolist(),
+                             *(map(repr, c.tolist()) for c in ds.cov.T)))
     finally:
         if should_close:
             stream.close()

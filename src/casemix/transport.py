@@ -7,10 +7,18 @@ Two routes to the same estimand P{Y(x_k)=1 | S=j}:
 * inverse probability weighting (IPW): reweight trial k's arm-x outcomes by
   the membership density ratio P(S=j|L)/P(S=k|L).
 
-The density ratio from a pairwise logistic fit is the *odds* of the fitted
-membership probability, exp of the linear predictor. `expit_weight=True`
-instead uses the membership probability itself as the weight; that variant is
-kept for comparison only and does not recover the estimand.
+One function, `transport_weight`, turns a membership fit into weights: it
+takes the fit's non-reference linear predictors on trial k's rows (formed by
+`membership_eta`) and returns the weights and their derivative. A pairwise
+logistic fit is its one-column case, whose density ratio is the odds of the
+fitted membership probability. The grid calls it at the fitted coefficients;
+the sandwich (`variance.build_system`) calls it at theta, on the same rows,
+so both see bit-identical weights. `expit_weight=True` instead uses the
+membership probability itself as the weight; that variant is kept for
+comparison only and does not recover the estimand.
+
+Truncation caps weights at a percentile of the cell's weights. A weight
+exactly at the cap counts as uncapped, in the grid and in the sandwich alike.
 """
 
 from __future__ import annotations
@@ -139,6 +147,65 @@ def ocr_standardized_prob(ds: IpdDataset, k, j, x: int,
                                 prob=p, method=OCR)
 
 
+def membership_eta(Z: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """n x C non-reference linear predictors of a membership model with
+    retained-column design `Z` and C x p coefficients, one `Z @ coef[c]` per
+    category, as `FittedMultinomial.linear_predictors` forms them."""
+    return np.column_stack([Z @ c for c in coef])
+
+
+def transport_weight(eta: np.ndarray, j_col: Optional[int], k_col: Optional[int],
+                     expit_weight: bool = False, cap: Optional[float] = None) -> tuple:
+    """Transport weights of trial k's rows toward population j and dw/deta.
+
+    `eta` holds the membership model's non-reference linear predictors on
+    trial k's rows; `j_col`/`k_col` are the columns of the target and source
+    trial, None for the reference trial (whose predictor is 0). The weight is
+    the density ratio P(S=j|L)/P(S=k|L) = exp(eta_j - eta_k), or the literal
+    softmax probability P(S=j|L) when `expit_weight`. Weights above `cap` are
+    reset to it and lose their derivative; one exactly at the cap keeps both.
+    """
+    if expit_weight:
+        m = np.maximum(eta.max(axis=1), 0.0)
+        e = np.exp(eta - m[:, None])
+        ref = np.exp(-m)
+        den = ref + e.sum(axis=1)
+        P = e / den[:, None]
+        w = (ref if j_col is None else e[:, j_col]) / den
+        dw = -w[:, None] * P
+        if j_col is not None:
+            dw[:, j_col] += w
+    else:
+        w = np.exp((0.0 if j_col is None else eta[:, j_col])
+                   - (0.0 if k_col is None else eta[:, k_col]))
+        dw = np.zeros_like(eta)
+        if j_col is not None:
+            dw[:, j_col] += w
+        if k_col is not None:
+            dw[:, k_col] -= w
+    if cap is not None:
+        dw[w > cap] = 0.0
+        w = np.minimum(w, cap)
+    return w, dw
+
+
+def membership_columns(fit, ds: IpdDataset, j, k) -> tuple:
+    """(C x p coefficients, retained design columns, eta column of j, eta
+    column of k) of a membership fit: the multinomial fit, or (label fitted
+    as 1, fit) for the pair {j, k}, its one-column case."""
+    if isinstance(fit, tuple):
+        fitted_for, fit = fit
+        return (fit.coef[None, :], fit.kept, 0 if j == fitted_for else None,
+                0 if k == fitted_for else None)
+    nonref = [c for c in fit.categories if c != fit.reference]
+
+    def col(label):
+        s = ds.study_number(label)
+        return None if s == fit.reference else nonref.index(s)
+
+    return fit.coef, fit.kept, col(j), col(k)
+
+
 def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
                           mode: str = "pairwise",
                           truncation: Optional[float] = None,
@@ -156,25 +223,18 @@ def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
         raise ValueError("membership models cannot reference treat")
     if mode not in ("pairwise", "multinomial"):
         raise ValueError(f"unknown propensity mode {mode!r}")
-    mk = ds.mask(k)
-    Xk = ps_formula.design_matrix(ds.covariate_columns(mk))
-    if mode == "pairwise":
-        fitted_for, fit = _fit if _fit is not None else (j, _pair_fit(ds, j, k, ps_formula))
-        lp = fit.linear_predictor(Xk)
-        w = _pairwise_weight(lp if fitted_for == j else -lp, expit_weight)
-    else:
-        fit = _fit if _fit is not None else _multinomial_fit(ds, ps_formula)
-        P = fit.predict(Xk)
-        cj = fit.category_index(ds.study_number(j))
-        ck = fit.category_index(ds.study_number(k))
-        w = P[:, cj] if expit_weight else P[:, cj] / P[:, ck]
+    if truncation is not None and not (0 < truncation <= 100):
+        raise ValueError("truncation percentile must be in (0, 100]")
+    if _fit is None:
+        _fit = (j, _pair_fit(ds, j, k, ps_formula)) if mode == "pairwise" \
+            else _multinomial_fit(ds, ps_formula)
+    coef, kept, j_col, k_col = membership_columns(_fit, ds, j, k)
+    Z = ps_formula.design_matrix(ds.covariate_columns(ds.mask(k)))[:, kept]
+    w = transport_weight(membership_eta(Z, coef), j_col, k_col, expit_weight)[0]
     truncated_at = None
     if truncation is not None:
-        if not (0 < truncation <= 100):
-            raise ValueError("truncation percentile must be in (0, 100]")
-        cap = float(np.percentile(w, truncation))
-        truncated_at = cap
-        w = np.minimum(w, cap)
+        truncated_at = float(np.percentile(w, truncation))
+        w = np.minimum(w, truncated_at)
     diag = WeightDiagnostics.of(w, threshold=positivity_threshold,
                                 truncated_at=truncated_at)
     if diag.n_over_threshold > 0:
@@ -198,12 +258,6 @@ def _multinomial_fit(ds: IpdDataset, ps_formula: ModelFormula) -> FittedMultinom
     return fit_multinomial(ps_formula.design_matrix(ds.covariate_columns()), ds.study_idx,
                            reference=0, column_names=ps_formula.column_names(),
                            formula=ps_formula)
-
-
-def _pairwise_weight(lp: np.ndarray, expit_weight: bool) -> np.ndarray:
-    if expit_weight:
-        return 1.0 / (1.0 + np.exp(-lp))
-    return np.exp(lp)
 
 
 def ipw_standardized_prob(ds: IpdDataset, k, j, x: int, ps_formula: ModelFormula,
@@ -335,6 +389,13 @@ class FittedGrid(dict):
     def outcome_formula_for(self, j, k) -> ModelFormula:
         return self.overrides.get((j, k), self.outcome_formula)
 
+    def membership_fit(self, j, k):
+        """The membership fit behind off-diagonal cell (j, k), in the form
+        `density_ratio_weights` takes as `_fit`."""
+        if self.ps_mode == "pairwise":
+            return self.pair_fits[frozenset((j, k))]
+        return self.multinomial_fit
+
 
 def standardized_grid(ds: IpdDataset, method: str,
                       outcome_formula: Optional[ModelFormula] = None,
@@ -378,16 +439,13 @@ def standardized_grid(ds: IpdDataset, method: str,
             for k in labels:
                 weights = None
                 if j != k:
-                    fit = out.multinomial_fit
-                    if out.ps_mode == "pairwise":
-                        key = frozenset((j, k))
-                        if key not in out.pair_fits:
-                            out.pair_fits[key] = (j, _pair_fit(ds, j, k, ps_formula))
-                        fit = out.pair_fits[key]
+                    key = frozenset((j, k))
+                    if out.ps_mode == "pairwise" and key not in out.pair_fits:
+                        out.pair_fits[key] = (j, _pair_fit(ds, j, k, ps_formula))
                     weights = density_ratio_weights(
                         ds, j, k, ps_formula, mode=out.ps_mode, truncation=truncation,
-                        expit_weight=expit_weight,
-                        positivity_threshold=positivity_threshold, _fit=fit)
+                        expit_weight=expit_weight, positivity_threshold=positivity_threshold,
+                        _fit=out.membership_fit(j, k))
                 for x in (0, 1):
                     out[(j, k, x)] = ipw_standardized_prob(
                         ds, k, j, x, ps_formula, stabilized=stabilized,

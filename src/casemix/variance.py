@@ -10,8 +10,16 @@ method, with D from `transport.effect_transform`. Cells whose effect measure
 is undefined (e.g. an out-of-bounds unstabilized probability feeding an odds
 ratio) get NaN rows rather than silent drops.
 
+Each component of the stacked system holds the row indices it acts on (its
+trial's `study_rows`) and evaluates its linear predictors on those rows only.
+IPW weights come from `transport.transport_weight`, the one function the grid
+also uses, evaluated at theta on the same rows with the same design, so the
+sandwich sees the grid's weights bit for bit.
+
 Weight truncation caps are held fixed at their estimated values inside the
-sandwich; capped subjects contribute no weight derivative.
+sandwich; capped subjects (weight strictly above the cap) contribute no
+weight derivative, and a weight exactly at the cap counts as uncapped, as in
+the grid.
 """
 
 from __future__ import annotations
@@ -30,215 +38,124 @@ from .transport import (
     OCR,
     FittedGrid,
     effect_transform,
+    membership_columns,
+    membership_eta,
     standardized_grid,
+    transport_weight,
 )
 
 COND_LIMIT = 1e12
 
 
 class _LogisticScore:
-    def __init__(self, X, y, mask, sl):
-        self.X, self.y, self.mask, self.sl = X, y, mask, sl
+    """Score of an outcome fit on its trial's rows."""
+
+    def __init__(self, rows, X, y, sl):
+        self.rows, self.X, self.y, self.sl = rows, X, y, sl
 
     def add_psi(self, theta, out):
         mu = expit(self.X @ theta[self.sl])
-        out[:, self.sl] = (self.mask * (self.y - mu))[:, None] * self.X
+        out[self.rows, self.sl] = (self.y - mu)[:, None] * self.X
 
     def add_bread(self, theta, A, n):
         mu = expit(self.X @ theta[self.sl])
-        wt = self.mask * mu * (1 - mu)
-        A[self.sl, self.sl] += (self.X * wt[:, None]).T @ self.X / n
+        A[self.sl, self.sl] += (self.X * (mu * (1 - mu))[:, None]).T @ self.X / n
 
 
-class _MultinomialScore:
-    """Score of the membership model over all rows; one block slice per
-    non-reference category."""
+class _MembershipScore:
+    """Score of a membership fit on one trial's rows: the trial's category
+    indicator minus the fitted probabilities, times the design, in one block
+    per non-reference category. A pairwise fit is the one-category case;
+    `col` is the trial's category (None for the reference)."""
 
-    def __init__(self, X, cat_idx, cats_nonref, sls):
-        self.X, self.cat_idx = X, cat_idx
-        self.cats = cats_nonref
-        self.sls = sls
+    def __init__(self, rows, Z, col, sl):
+        self.rows, self.Z, self.col, self.sl = rows, Z, col, sl
 
     def _probs(self, theta):
-        return nonref_probs(np.column_stack([self.X @ theta[sl] for sl in self.sls]))
+        return nonref_probs(membership_eta(self.Z, theta[self.sl].reshape(-1, self.Z.shape[1])))
 
     def add_psi(self, theta, out):
-        P = self._probs(theta)
-        for a, (c, sl) in enumerate(zip(self.cats, self.sls)):
-            ind = (self.cat_idx == c).astype(float)
-            out[:, sl] = (ind - P[:, a])[:, None] * self.X
+        R = -self._probs(theta)
+        if self.col is not None:
+            R[:, self.col] += 1.0
+        out[self.rows, self.sl] = (R[:, :, None] * self.Z[:, None, :]).reshape(len(self.rows), -1)
 
     def add_bread(self, theta, A, n):
-        sl = slice(self.sls[0].start, self.sls[-1].stop)   # blocks are adjacent
-        A[sl, sl] += multinomial_information(self.X, self._probs(theta)) / n
+        A[self.sl, self.sl] += multinomial_information(self.Z, self._probs(theta)) / n
 
 
 class _ArmProportion:
-    def __init__(self, mask, x, row):
-        self.mask, self.x, self.row = mask, x, row
+    def __init__(self, rows, x, row):
+        self.rows, self.x, self.row = rows, x, row
 
     def add_psi(self, theta, out):
-        out[:, self.row] = self.mask * (self.x - theta[self.row])
+        out[self.rows, self.row] = self.x - theta[self.row]
 
     def add_bread(self, theta, A, n):
-        A[self.row, self.row] += self.mask.sum() / n
+        A[self.row, self.row] += len(self.rows) / n
 
 
 class _OcrProb:
-    def __init__(self, mask_j, Xx, beta_sl, row):
-        self.mask_j, self.Xx, self.beta_sl, self.row = mask_j, Xx, beta_sl, row
+    def __init__(self, rows_j, Xx, beta_sl, row):
+        self.rows_j, self.Xx, self.beta_sl, self.row = rows_j, Xx, beta_sl, row
 
     def add_psi(self, theta, out):
-        mu = expit(self.Xx @ theta[self.beta_sl])
-        out[:, self.row] = self.mask_j * (mu - theta[self.row])
+        out[self.rows_j, self.row] = expit(self.Xx @ theta[self.beta_sl]) - theta[self.row]
 
     def add_bread(self, theta, A, n):
         mu = expit(self.Xx @ theta[self.beta_sl])
-        wt = self.mask_j * mu * (1 - mu)
-        A[self.row, self.beta_sl] += -(self.Xx * wt[:, None]).sum(axis=0) / n
-        A[self.row, self.row] += self.mask_j.sum() / n
-
-
-class _PairWeight:
-    """w = exp(s * z @ gamma) (density ratio) or expit(s * z @ gamma) (literal)."""
-
-    def __init__(self, Z, sl, sign, cap, expit_weight):
-        self.Z, self.sl, self.sign = Z, sl, sign
-        self.cap, self.expit_weight = cap, expit_weight
-
-    def value(self, theta):
-        lp = self.sign * (self.Z @ theta[self.sl])
-        w = expit(lp) if self.expit_weight else np.exp(lp)
-        return np.minimum(w, self.cap) if self.cap is not None else w
-
-    def grad_blocks(self, theta):
-        """[(slice, design, per-row coefficient)] with dw/dgamma = coeff[:,None]*design."""
-        lp = self.sign * (self.Z @ theta[self.sl])
-        if self.expit_weight:
-            w = expit(lp)
-            dw = w * (1 - w)
-        else:
-            w = np.exp(lp)
-            dw = w.copy()
-        if self.cap is not None:
-            dw = np.where(w > self.cap, 0.0, dw)
-            w = np.minimum(w, self.cap)
-        return w, [(self.sl, self.Z, self.sign * dw)]
-
-
-class _MultiRatioWeight:
-    """w = P(S=j|L)/P(S=k|L) = exp(eta_j - eta_k) under a multinomial fit."""
-
-    def __init__(self, Z, sls, cats_nonref, jn, kn, cap):
-        self.Z, self.sls, self.cats = Z, sls, cats_nonref
-        self.jn, self.kn, self.cap = jn, kn, cap
-
-    def _lp(self, theta):
-        lp = np.zeros(self.Z.shape[0])
-        for c, sl in zip(self.cats, self.sls):
-            if c == self.jn:
-                lp += self.Z @ theta[sl]
-            if c == self.kn:
-                lp -= self.Z @ theta[sl]
-        return lp
-
-    def value(self, theta):
-        w = np.exp(self._lp(theta))
-        return np.minimum(w, self.cap) if self.cap is not None else w
-
-    def grad_blocks(self, theta):
-        w = np.exp(self._lp(theta))
-        dw = w.copy()
-        if self.cap is not None:
-            dw = np.where(w > self.cap, 0.0, dw)
-            w = np.minimum(w, self.cap)
-        blocks = []
-        for c, sl in zip(self.cats, self.sls):
-            coeff = (1.0 if c == self.jn else 0.0) - (1.0 if c == self.kn else 0.0)
-            if coeff:
-                blocks.append((sl, self.Z, coeff * dw))
-        return w, blocks
-
-
-class _MultiExpitWeight:
-    """Literal-probability weight w = P(S=j|L) under a multinomial fit."""
-
-    def __init__(self, Z, sls, cats_nonref, jn, cap):
-        self.Z, self.sls, self.cats = Z, sls, cats_nonref
-        self.jn, self.cap = jn, cap
-
-    def _P(self, theta):
-        return nonref_probs(np.column_stack([self.Z @ theta[sl] for sl in self.sls]))
-
-    def _wj(self, P):
-        if self.jn in self.cats:
-            return P[:, self.cats.index(self.jn)]
-        return 1.0 - P.sum(axis=1)
-
-    def value(self, theta):
-        w = self._wj(self._P(theta))
-        return np.minimum(w, self.cap) if self.cap is not None else w
-
-    def grad_blocks(self, theta):
-        P = self._P(theta)
-        w = self._wj(P)
-        capped = (w > self.cap) if self.cap is not None else np.zeros(len(w), bool)
-        blocks = []
-        for a, (c, sl) in enumerate(zip(self.cats, self.sls)):
-            delta = 1.0 if c == self.jn else 0.0
-            coeff = np.where(capped, 0.0, w * (delta - P[:, a]))
-            blocks.append((sl, self.Z, coeff))
-        if self.cap is not None:
-            w = np.minimum(w, self.cap)
-        return w, blocks
-
-
-class _UnitWeight:
-    def __init__(self, n):
-        self.n = n
-
-    def value(self, theta):
-        return np.ones(self.n)
-
-    def grad_blocks(self, theta):
-        return np.ones(self.n), []
+        A[self.row, self.beta_sl] += -(self.Xx.T @ (mu * (1 - mu))) / n
+        A[self.row, self.row] += len(self.rows_j) / n
 
 
 class _IpwProb:
-    def __init__(self, mask_k, mask_j, y, arm, weight, row, stabilized, x, pi_row=None):
-        self.mask_k, self.mask_j, self.y, self.arm = mask_k, mask_j, y, arm
-        self.weight, self.row = weight, row
-        self.stabilized, self.x, self.pi_row = stabilized, x, pi_row
+    """Moment of one IPW probability on trial k's rows (y, arm); unstabilized,
+    it also subtracts the probability on trial j's rows. `weight` is None on
+    the diagonal (unit weights) or (Z, membership slice, j_col, k_col,
+    expit_weight, cap) for `transport_weight` at theta."""
+
+    def __init__(self, rows_k, rows_j, y, arm, x, row, stabilized, pi_row, weight):
+        self.rows_k, self.rows_j, self.y, self.arm = rows_k, rows_j, y, arm
+        self.x, self.row, self.stabilized, self.pi_row = x, row, stabilized, pi_row
+        self.weight = weight
 
     def _pi_x(self, theta):
         pi = theta[self.pi_row]
         return pi if self.x == 1 else 1.0 - pi
 
+    def _w(self, theta):
+        """Weights on trial k's rows and dw/deta (None on the diagonal)."""
+        if self.weight is None:
+            return np.ones(len(self.rows_k)), None
+        Z, sl, j_col, k_col, expit_weight, cap = self.weight
+        eta = membership_eta(Z, theta[sl].reshape(-1, Z.shape[1]))
+        return transport_weight(eta, j_col, k_col, expit_weight, cap)
+
+    def _add_weight_grad(self, A, n, coeff, dw):
+        """d/dgamma of sum(coeff * w) into the membership columns of A."""
+        if dw is not None:
+            Z, sl = self.weight[:2]
+            A[self.row, sl] += -(Z.T @ (coeff[:, None] * dw)).T.ravel() / n
+
     def add_psi(self, theta, out):
-        w = self.weight.value(theta)
-        base = self.mask_k * self.arm * w
+        w = self._w(theta)[0]
         if self.stabilized:
-            out[:, self.row] = base * (self.y - theta[self.row])
+            out[self.rows_k, self.row] = self.arm * w * (self.y - theta[self.row])
         else:
-            out[:, self.row] = (base * self.y / self._pi_x(theta)
-                                - self.mask_j * theta[self.row])
+            out[self.rows_k, self.row] = self.arm * w * self.y / self._pi_x(theta)
+            out[self.rows_j, self.row] -= theta[self.row]
 
     def add_bread(self, theta, A, n):
-        w, blocks = self.weight.grad_blocks(theta)
-        base = self.mask_k * self.arm
+        w, dw = self._w(theta)
         if self.stabilized:
-            resid = base * (self.y - theta[self.row])
-            for sl, Z, coeff in blocks:
-                A[self.row, sl] += -((Z * (resid * coeff)[:, None]).sum(axis=0)) / n
-            A[self.row, self.row] += (base * w).sum() / n
+            self._add_weight_grad(A, n, self.arm * (self.y - theta[self.row]), dw)
+            A[self.row, self.row] += (self.arm * w).sum() / n
         else:
             pix = self._pi_x(theta)
-            for sl, Z, coeff in blocks:
-                A[self.row, sl] += -((Z * (base * self.y * coeff / pix)[:, None]).sum(axis=0)) / n
-            if self.pi_row is not None:
-                dpi = 1.0 if self.x == 1 else -1.0
-                A[self.row, self.pi_row] += dpi * (base * w * self.y).sum() / (pix * pix * n)
-            A[self.row, self.row] += self.mask_j.sum() / n
+            self._add_weight_grad(A, n, self.arm * self.y / pix, dw)
+            dpi = 1.0 if self.x == 1 else -1.0
+            A[self.row, self.pi_row] += dpi * (self.arm * w * self.y).sum() / (pix * pix * n)
+            A[self.row, self.row] += len(self.rows_j) / n
 
 
 @dataclass
@@ -319,11 +236,13 @@ class CovarianceResult:
 
 def build_system(grid: FittedGrid) -> EstimatingSystem:
     """Assemble the stacked system of `grid` at its fitted solution: the
-    grid's fits are the model blocks of theta, its probabilities the rest."""
+    grid's fits are the model blocks of theta, its probabilities the rest.
+    Each component acts on its own trial's rows only."""
     ds, method, ps_formula = grid.ds, grid.method, grid.ps_formula
     labels = ds.studies
-    n = ds.n
-    covs = ds.covariate_columns()
+    rows = dict(zip(labels, ds.study_rows))
+    y = {lab: ds.outcome[r].astype(float) for lab, r in rows.items()}
+    treat = {lab: ds.treat[r].astype(float) for lab, r in rows.items()}
     theta_parts: list = []
     components: list = []
     cursor = 0
@@ -336,19 +255,17 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         cursor += len(vec)
         return sl
 
-    masks = {lab: (ds.study_idx == i).astype(float) for i, lab in enumerate(labels)}
-    y_all = ds.outcome.astype(float)
-    x_all = ds.treat.astype(float)
-    arms = {x: (x_all == x).astype(float) for x in (0, 1)}
     designs: dict = {}
 
-    def design(form, kept, x=None):
-        """All-row design at treat=x (observed treat if None), retained columns
-        only; one array per distinct key, shared by every component."""
-        key = (form, x, tuple(kept))
+    def design(form, lab, kept, x=None):
+        """Design on trial `lab`'s rows at treat=x (observed treat if None),
+        retained columns only; one array per distinct key, shared by every
+        component."""
+        key = (form, lab, x, tuple(kept))
         if key not in designs:
-            treat = x_all if x is None else np.full(n, float(x))
-            designs[key] = form.design_matrix(covs, treat=treat)[:, kept]
+            r = rows[lab]
+            tr = treat[lab] if x is None else np.full(len(r), float(x))
+            designs[key] = form.design_matrix(ds.covariate_columns(r), treat=tr)[:, kept]
         return designs[key]
 
     prob_rows: dict = {}
@@ -357,8 +274,8 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         fit_slices: dict = {}
         for (k, form), fit in grid.outcome_fits.items():
             fit_slices[(k, form)] = push(fit.coef)
-            components.append(_LogisticScore(design(form, fit.kept), y_all,
-                                             masks[k], fit_slices[(k, form)]))
+            components.append(_LogisticScore(rows[k], design(form, k, fit.kept), y[k],
+                                             fit_slices[(k, form)]))
         for j in labels:
             for k in labels:
                 form = grid.outcome_formula_for(j, k)
@@ -366,59 +283,47 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                 for x in (0, 1):
                     sl = push(grid[(j, k, x)].prob)
                     prob_rows[(j, k, x)] = sl.start
-                    components.append(_OcrProb(masks[j], design(form, kept, x),
+                    components.append(_OcrProb(rows[j], design(form, j, kept, x),
                                                fit_slices[(k, form)], sl.start))
     else:
         stabilized = method == IPW_STABILIZED
-        pair_info: dict = {}
-        if grid.ps_mode == "pairwise":
-            for key, (fitted_for, fit) in grid.pair_fits.items():
-                (other,) = key - {fitted_for}
-                sl = push(fit.coef)
-                pair_info[key] = (fitted_for, sl, fit.kept)
-                components.append(_LogisticScore(design(ps_formula, fit.kept), masks[fitted_for],
-                                                 masks[fitted_for] + masks[other], sl))
-        else:
-            mfit = grid.multinomial_fit
-            cats_nonref = [c for c in mfit.categories if c != mfit.reference]
-            sls = [push(mfit.coef[r]) for r in range(len(cats_nonref))]
-            Z = design(ps_formula, mfit.kept)
-            components.append(_MultinomialScore(Z, ds.study_idx, cats_nonref, sls))
+        gamma: dict = {}                # id of a membership fit -> its theta slice
+        for j in labels:
+            for k in labels:
+                fit = None if j == k else grid.membership_fit(j, k)
+                if fit is None or id(fit) in gamma:
+                    continue
+                coef, kept = membership_columns(fit, ds, j, k)[:2]
+                gamma[id(fit)] = sl = push(coef.ravel())
+                for lab in ((j, k) if grid.ps_mode == "pairwise" else labels):
+                    col = membership_columns(fit, ds, lab, lab)[2]
+                    components.append(_MembershipScore(rows[lab], design(ps_formula, lab, kept),
+                                                       col, sl))
 
         pi_rows: dict = {}
         if not stabilized:
             for k in labels:
-                mk = ds.mask(k)
-                sl = push(float(np.mean(x_all[mk])))
+                sl = push(float(np.mean(treat[k])))
                 pi_rows[k] = sl.start
-                components.append(_ArmProportion(masks[k], x_all, sl.start))
+                components.append(_ArmProportion(rows[k], treat[k], sl.start))
 
         for j in labels:
             for k in labels:
-                if j == k:
-                    weight = _UnitWeight(n)
-                elif grid.ps_mode == "pairwise":
-                    fitted_for, sl, kept = pair_info[frozenset((j, k))]
-                    sign = 1.0 if fitted_for == j else -1.0
-                    weight = _PairWeight(design(ps_formula, kept), sl, sign,
-                                         _cap_of(grid, j, k), grid.expit_weight)
-                else:
-                    jn, kn = ds.study_number(j), ds.study_number(k)
-                    if grid.expit_weight:
-                        weight = _MultiExpitWeight(Z, sls, cats_nonref,
-                                                   jn, _cap_of(grid, j, k))
-                    else:
-                        weight = _MultiRatioWeight(Z, sls, cats_nonref,
-                                                   jn, kn, _cap_of(grid, j, k))
+                weight = None
+                if j != k:
+                    fit = grid.membership_fit(j, k)
+                    _, kept, j_col, k_col = membership_columns(fit, ds, j, k)
+                    weight = (design(ps_formula, k, kept), gamma[id(fit)], j_col, k_col,
+                              grid.expit_weight, _cap_of(grid, j, k))
                 for x in (0, 1):
                     sl = push(grid[(j, k, x)].prob)
                     prob_rows[(j, k, x)] = sl.start
-                    components.append(_IpwProb(masks[k], masks[j], y_all, arms[x],
-                                               weight, sl.start, stabilized, x,
-                                               pi_row=pi_rows.get(k)))
+                    components.append(_IpwProb(rows[k], rows[j], y[k],
+                                               (treat[k] == x).astype(float), x, sl.start,
+                                               stabilized, pi_rows.get(k), weight))
 
     theta = np.concatenate(theta_parts)
-    return EstimatingSystem(theta=theta, components=components, n=n,
+    return EstimatingSystem(theta=theta, components=components, n=ds.n,
                             prob_rows=prob_rows)
 
 

@@ -1,5 +1,6 @@
 """Dataset validation and the CSV round trip."""
 
+import csv
 import io
 import re
 
@@ -135,6 +136,28 @@ def test_csv_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(back.treat, ds.treat)
     assert np.array_equal(back.outcome, ds.outcome)
     assert np.array_equal(back.cov, ds.cov)  # exact, thanks to repr formatting
+
+
+def _save_row_by_row(ds) -> str:
+    """The row loop `save_ipd` replaced: the bytes it must still write."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["study", "treat", "outcome"] + list(ds.schema.names))
+    for i in range(ds.n):
+        writer.writerow(
+            [ds.study_labels[ds.study_idx[i]], int(ds.treat[i]), int(ds.outcome[i])]
+            + [repr(float(v)) for v in ds.cov[i]])
+    return buf.getvalue()
+
+
+def test_save_writes_the_bytes_of_the_row_loop():
+    cov = np.array([[0.1, -0.0], [1e-300, 1 / 3], [-2.5e17, 0.0], [7.0, 1e-5]])
+    ds = IpdDataset.from_arrays(["L1", "L2"], ['tri"al, 1', "b"], np.array([0, 1, 0, 1]),
+                                np.array([1, 0, 0, 1]), np.array([0, 1, 1, 0]), cov)
+    buf = io.StringIO()
+    save_ipd(ds, buf)
+    assert buf.getvalue() == _save_row_by_row(ds)
+    assert '"tri""al, 1",1,0,0.1,-0.0\nb,0,1,1e-300,' in buf.getvalue()
 
 
 def test_load_from_bytes_and_stream():

@@ -5,8 +5,9 @@ from casemix import variance
 from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplicates
 from casemix.formula import parse
 from casemix.ipd import IpdDataset
-from casemix.transport import (IPW, IPW_STABILIZED, OCR, effect_matrix,
-                               standardized_grid)
+from casemix.simlab import generate_setting, preset_config
+from casemix.transport import (IPW, IPW_STABILIZED, OCR, density_ratio_weights,
+                               effect_matrix, standardized_grid)
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
@@ -215,6 +216,76 @@ def test_sandwich_raises_singular_bread_on_separated_outcome():
     with pytest.raises(SingularBread, match="condition number") as exc:
         sandwich_cov(grid)
     assert exc.value.condition_number >= variance.COND_LIMIT
+
+
+def test_separated_pair_membership_fit_raises_singular_bread():
+    # replication 29 of `simulate --preset 5 --n-total 300 --seed 7` with IPW1:
+    # the pair membership fit separates (gamma near (674, 683)), and its
+    # weights once overflowed on the other trial's rows into a NaN bread
+    ds = generate_setting(preset_config(5, n_total=300), [7, 1, 29])
+    with pytest.warns(SeparationWarning):
+        grid = standardized_grid(ds, IPW, ps_formula=PS)
+    with pytest.raises(SingularBread, match="condition number") as exc:
+        sandwich_cov(grid)
+    assert exc.value.condition_number >= variance.COND_LIMIT
+
+
+def _three_trials_sized(sizes=(201, 221, 241), seed=1) -> IpdDataset:
+    """Three trials of sizes n_k with n_k - 1 divisible by 20, so each cell's
+    95th weight percentile is one of its weights."""
+    rng = np.random.default_rng(seed)
+    S = np.repeat(np.arange(len(sizes)), sizes)
+    L = rng.normal(0.0, 1.0, size=len(S)) + 0.5 * S
+    treat = np.concatenate([np.arange(m) % 2 for m in sizes])
+    p = 1.0 / (1.0 + np.exp(-(-0.2 + 0.4 * treat + 0.5 * L - 0.3 * treat * L)))
+    y = (rng.random(len(S)) < p).astype(int)
+    return IpdDataset.from_arrays(["L"], ["a", "b", "c"], S, treat, y, L[:, None])
+
+
+@pytest.mark.parametrize("ps_mode", ["multinomial", "pairwise"])
+def test_bread_drops_weight_derivative_exactly_where_the_grid_caps(ps_mode):
+    # expected bread rows of every off-diagonal probability, from the grid's
+    # own weights: a weight has no derivative where it is strictly above the
+    # grid's cap, and one at the cap keeps it
+    ds = _three_trials_sized()
+    grid = standardized_grid(ds, IPW_STABILIZED, ps_formula=PS, ps_mode=ps_mode,
+                             truncation=95.0)
+    system = build_system(grid)
+    A = system.bread()
+    p = len(PS.column_names())
+    offsets, start = {}, 0              # membership blocks lead theta, in fit order
+    for key, (_, fit) in grid.pair_fits.items():
+        offsets[key] = start
+        start += len(fit.coef)
+    at_cap = 0
+    for j in ds.studies:
+        for k in ds.studies:
+            if j == k:
+                continue
+            rows = ds.study_rows[ds.study_number(k)]
+            Z = PS.design_matrix(ds.covariate_columns(rows))
+            w_raw = density_ratio_weights(ds, j, k, PS, mode=ps_mode,
+                                          _fit=grid.membership_fit(j, k))[0]
+            cap = grid[(j, k, 1)].weights_summary.truncated_at
+            at_cap += int(np.sum(w_raw == cap))
+            dw = np.where(w_raw > cap, 0.0, w_raw)     # d exp(eta_j - eta_k) / d eta_j
+            if ps_mode == "multinomial":        # trial "a" is the reference category
+                sides = [(ds.study_number(j) - 1, 1.0), (ds.study_number(k) - 1, -1.0)]
+                blocks = [(c * p, sign) for c, sign in sides if c >= 0]
+            else:
+                key = frozenset((j, k))
+                blocks = [(offsets[key], 1.0 if grid.pair_fits[key][0] == j else -1.0)]
+            for x in (0, 1):
+                row = system.prob_rows[(j, k, x)]
+                arm = (ds.treat[rows] == x).astype(float)
+                resid = arm * (ds.outcome[rows] - grid[(j, k, x)].prob)
+                want = np.zeros(system.m)
+                for off, sign in blocks:
+                    want[off:off + p] -= sign * (Z.T @ (resid * dw)) / ds.n
+                want[row] = np.sum(arm * np.minimum(w_raw, cap)) / ds.n
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(A[row] - want)) <= 1e-12 * scale, (j, k, x)
+    assert at_cap == 6                  # one weight sits exactly at each cell's cap
 
 
 def _three_trial_continuous(seed=2, n=900) -> IpdDataset:
