@@ -14,8 +14,7 @@ import numpy as np
 
 from casemix.formula import parse
 from casemix.simlab import preset_config, generate_setting
-from casemix.transport import (standardized_grid, effect_matrix,
-                               density_ratio_weights)
+from casemix.transport import standardized_grid, effect_matrix
 
 # a synthetic two-trial dataset with a known covariate shift:
 # trial 2 enrolls systematically different L than trial 1
@@ -76,10 +75,12 @@ print(f"\nlargest OCR vs IPW disagreement: {diff:.4f}")
 # ---------------------------------------------------------------
 # The weights deserve a look before trusting a weighted estimate.
 # Heavy right tails mean a few source patients carry the whole cell.
+# Each weighted cell keeps the diagnostics of the weights behind it.
 
-w, diag = density_ratio_weights(ds, "2", "1", ps)
+diag = grid_w[("2", "1", 1)].weights_summary
 print("\nweights for transporting trial 1 onto population 2:")
-print(f"  n={len(w)}  max={diag.max:.3f}  95th pct={diag.p95:.3f}")
+print(f"  n={int(ds.mask('1').sum())}  max={diag.max:.3f}  "
+      f"95th pct={diag.p95:.3f}")
 print(f"  effective sample size={diag.ess:.1f}  "
       f"over threshold {diag.threshold:g}: {diag.n_over_threshold}")
 

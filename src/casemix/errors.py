@@ -64,12 +64,9 @@ class DimensionMismatch(CasemixError):
 
 # --- standardization ---
 
-class EmptyTarget(CasemixError):
-    pass
-
-
-class EmptyArm(CasemixError):
-    pass
+class InvalidFormula(CasemixError, ValueError):
+    """A formula that cannot serve its model's role: a membership model that
+    references treat."""
 
 
 class DivisionByZero(CasemixError):
@@ -112,7 +109,3 @@ class SeparationWarning(UserWarning):
 
 class PositivityWarning(UserWarning):
     """Extreme transport weights observed (possible positivity violation)."""
-
-
-class ConditionNumberWarning(UserWarning):
-    """A contrast covariance is poorly conditioned; the test result may be fragile."""

@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.special import expit
-from scipy.stats import chi2
+from scipy.special import chdtrc, expit
 
 from .errors import (
     AllSameResponse,
@@ -379,7 +378,7 @@ def _term_pvalues_logistic(fit: FittedLogistic, terms) -> list:
             out.append(1.0)
             continue
         stat = fit.coef[j] ** 2 / se2
-        out.append(float(chi2.sf(stat, 1)))
+        out.append(float(chdtrc(1, stat)))
     return out
 
 
@@ -402,5 +401,5 @@ def _term_pvalues_multinomial(fit: FittedMultinomial, terms) -> list:
         except np.linalg.LinAlgError:
             out.append(1.0)
             continue
-        out.append(float(chi2.sf(stat, C)))
+        out.append(float(chdtrc(C, max(stat, 0.0))))    # chdtrc is NaN below 0
     return out

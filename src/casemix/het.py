@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import SingularContrastCovariance
 
@@ -90,7 +90,7 @@ def wald_test(estimates: Sequence[float], sigma: np.ndarray, M: np.ndarray,
     T = max(T, 0.0)
     return WaldTestResult(
         hypothesis=hypothesis, contrast_rows=contrast_rows or [],
-        statistic=T, df=df, p_value=float(chi2.sf(T, df)), scale=scale,
+        statistic=T, df=df, p_value=float(chdtrc(df, T)), scale=scale,
         condition_number=cond)
 
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import NoEstimableInputs
 
-Z975 = norm.ppf(0.975)
+Z975 = ndtri(0.975)
 
 REML_MAX_ITER = 200
 REML_TOL = 1e-10

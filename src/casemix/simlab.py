@@ -607,7 +607,9 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                                          seed=_entropy(seed) + [2, r])
                     raw.boot_excluded[r] = max(int(v.max()) for v in bres.excluded.values())
                     _record_tests(raw, r, 1, measures, matrices, bres, raw.var_boot)
-            except Exception as e:             # one bad replication must not kill the study
+            except (CasemixError, np.linalg.LinAlgError) as e:
+                # a failed fit, grid or covariance fails this replication
+                # only; any other error is a programming error and propagates
                 raw.failed[r] = True
                 failures[an.name].append((r, f"{type(e).__name__}: {e}"))
 

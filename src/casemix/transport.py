@@ -7,15 +7,20 @@ Two routes to the same estimand P{Y(x_k)=1 | S=j}:
 * inverse probability weighting (IPW): reweight trial k's arm-x outcomes by
   the membership density ratio P(S=j|L)/P(S=k|L).
 
+`standardized_grid` is the only call that takes the data and the analysis
+settings: it fits each model once, computes every cell from those fits and
+returns them all in a `FittedGrid`, which also owns every design the cells
+and the sandwich (`variance.build_system`) evaluate.
+
 One function, `transport_weight`, turns a membership fit into weights: it
 takes the fit's non-reference linear predictors on trial k's rows (formed by
 `membership_eta`) and returns the weights and their derivative. A pairwise
 logistic fit is its one-column case, whose density ratio is the odds of the
 fitted membership probability. The grid calls it at the fitted coefficients;
-the sandwich (`variance.build_system`) calls it at theta, on the same rows,
-so both see bit-identical weights. `expit_weight=True` instead uses the
-membership probability itself as the weight; that variant is kept for
-comparison only and does not recover the estimand.
+the sandwich calls it at theta, on the same design, so both see
+bit-identical weights. `expit_weight=True` instead uses the membership
+probability itself as the weight; that variant is kept for comparison only
+and does not recover the estimand.
 
 Truncation caps weights at a percentile of the cell's weights. A weight
 exactly at the cap counts as uncapped, in the grid and in the sandwich alike.
@@ -28,15 +33,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc, expit
 
-from .errors import (
-    DivisionByZero,
-    EmptyArm,
-    EmptyTarget,
-    PositivityWarning,
-    UndefinedMeasure,
-)
+from .errors import DivisionByZero, InvalidFormula, PositivityWarning, UndefinedMeasure
 from .formula import ModelFormula
 from .glm import FittedLogistic, FittedMultinomial, fit_logistic, fit_multinomial
 from .ipd import IpdDataset, arm_counts
@@ -123,30 +122,6 @@ class EffectMatrix:
         return np.array([self.cells[jk].point for jk in self.cell_order()])
 
 
-def _outcome_fit(ds: IpdDataset, k, formula: ModelFormula) -> FittedLogistic:
-    m = ds.mask(k)
-    X = formula.design_matrix(ds.covariate_columns(m), treat=ds.treat[m])
-    return fit_logistic(X, ds.outcome[m].astype(float),
-                        column_names=formula.column_names(), formula=formula)
-
-
-def _target_design(ds: IpdDataset, j, x: int, formula: ModelFormula) -> np.ndarray:
-    m = ds.mask(j)
-    return formula.design_matrix(ds.covariate_columns(m), treat=np.full(int(m.sum()), float(x)))
-
-
-def ocr_standardized_prob(ds: IpdDataset, k, j, x: int,
-                          outcome_formula: ModelFormula,
-                          _fit: Optional[FittedLogistic] = None) -> StandardizedEstimate:
-    """Fit the outcome model on trial k, average predictions over trial j at treat=x."""
-    if not ds.mask(j).any():
-        raise EmptyTarget(f"study {j!r} has no subjects")
-    fit = _fit if _fit is not None else _outcome_fit(ds, k, outcome_formula)
-    p = float(np.mean(fit.predict(_target_design(ds, j, x, outcome_formula))))
-    return StandardizedEstimate(source_k=str(k), target_j=str(j), arm_x=int(x),
-                                prob=p, method=OCR)
-
-
 def membership_eta(Z: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """n x C non-reference linear predictors of a membership model with
     retained-column design `Z` and C x p coefficients, one `Z @ coef[c]` per
@@ -206,45 +181,6 @@ def membership_columns(fit, ds: IpdDataset, j, k) -> tuple:
     return fit.coef, fit.kept, col(j), col(k)
 
 
-def density_ratio_weights(ds: IpdDataset, j, k, ps_formula: ModelFormula,
-                          mode: str = "pairwise",
-                          truncation: Optional[float] = None,
-                          expit_weight: bool = False,
-                          positivity_threshold: float = POSITIVITY_THRESHOLD,
-                          _fit=None):
-    """Weights P̂(S=j|L)/P̂(S=k|L) for every subject of trial k, plus diagnostics.
-
-    `truncation` is a percentile in (0, 100]; weights above that percentile of
-    the weight distribution are reset to it. Percentile 100 is the identity.
-    `_fit` reuses a membership fit: the multinomial fit, or in pairwise mode
-    (label fitted as 1, fit) for the pair {j, k}.
-    """
-    if ps_formula.requires_treat:
-        raise ValueError("membership models cannot reference treat")
-    if mode not in ("pairwise", "multinomial"):
-        raise ValueError(f"unknown propensity mode {mode!r}")
-    if truncation is not None and not (0 < truncation <= 100):
-        raise ValueError("truncation percentile must be in (0, 100]")
-    if _fit is None:
-        _fit = (j, _pair_fit(ds, j, k, ps_formula)) if mode == "pairwise" \
-            else _multinomial_fit(ds, ps_formula)
-    coef, kept, j_col, k_col = membership_columns(_fit, ds, j, k)
-    Z = ps_formula.design_matrix(ds.covariate_columns(ds.mask(k)))[:, kept]
-    w = transport_weight(membership_eta(Z, coef), j_col, k_col, expit_weight)[0]
-    truncated_at = None
-    if truncation is not None:
-        truncated_at = float(np.percentile(w, truncation))
-        w = np.minimum(w, truncated_at)
-    diag = WeightDiagnostics.of(w, threshold=positivity_threshold,
-                                truncated_at=truncated_at)
-    if diag.n_over_threshold > 0:
-        warnings.warn(
-            f"{diag.n_over_threshold} transport weight(s) exceed {positivity_threshold:g} "
-            f"(max {diag.max:.3g}): possible positivity violation",
-            PositivityWarning, stacklevel=2)
-    return w, diag
-
-
 def _pair_fit(ds: IpdDataset, j, k, ps_formula: ModelFormula) -> FittedLogistic:
     """Membership model of trial j (response 1) against trial k, on their rows."""
     pool = ds.mask(j) | ds.mask(k)
@@ -260,55 +196,46 @@ def _multinomial_fit(ds: IpdDataset, ps_formula: ModelFormula) -> FittedMultinom
                            formula=ps_formula)
 
 
-def ipw_standardized_prob(ds: IpdDataset, k, j, x: int, ps_formula: ModelFormula,
-                          stabilized: bool = False,
-                          truncation: Optional[float] = None,
-                          ps_mode: str = "pairwise",
-                          expit_weight: bool = False,
-                          positivity_threshold: float = POSITIVITY_THRESHOLD,
-                          _weights=None) -> StandardizedEstimate:
-    """Reweight trial k's arm-x outcomes to trial j's case mix.
+def _cell_weights(grid: "FittedGrid", j, k) -> tuple:
+    """Transport weights of trial k's rows toward population j, capped at the
+    grid's truncation percentile, and their diagnostics; warns when any
+    weight exceeds the positivity threshold."""
+    coef, kept, j_col, k_col = membership_columns(grid.membership_fit(j, k), grid.ds, j, k)
+    Z = grid.design(grid.ps_formula, k, kept)
+    w = transport_weight(membership_eta(Z, coef), j_col, k_col, grid.expit_weight)[0]
+    truncated_at = None
+    if grid.truncation is not None:
+        truncated_at = float(np.percentile(w, grid.truncation))
+        w = np.minimum(w, truncated_at)
+    threshold = grid.positivity_threshold
+    diag = WeightDiagnostics.of(w, threshold=threshold, truncated_at=truncated_at)
+    if diag.n_over_threshold > 0:
+        warnings.warn(
+            f"{diag.n_over_threshold} transport weight(s) exceed {threshold:g} "
+            f"(max {diag.max:.3g}): possible positivity violation",
+            PositivityWarning, stacklevel=2)
+    return w, diag
 
-    Unstabilized: sum(I(S=k) Y I(X=x) w) / (P̂(X=x|S=k) * n_j). Can leave [0,1]
-    under positivity failure; flagged, never clamped. Stabilized: ratio of
-    weighted sums, a convex combination of outcomes, always in [0,1].
+
+def _ipw_prob(k, x: int, w: np.ndarray, y: np.ndarray, arm: np.ndarray,
+              pi_x: Optional[float], n_j: int) -> tuple:
+    """Probability of arm x of trial k reweighted by `w` (on trial k's rows,
+    with outcomes `y` and arm indicator `arm`), and whether it left [0, 1].
+
+    Stabilized when `pi_x` is None: the ratio of weighted sums, a convex
+    combination of outcomes, always in [0, 1]. Unstabilized:
+    sum(arm w y) / (pi_x n_j), with pi_x the arm's share of trial k and n_j
+    the target trial's size; it can leave [0, 1] under positivity failure and
+    is flagged, never clamped.
     """
-    mk = ds.mask(k)
-    xk = ds.treat[mk]
-    if not np.any(xk == x):
-        raise EmptyArm(f"study {k!r} has no subjects with treat={x}")
-    same = ds.study_number(j) == ds.study_number(k)
-    if _weights is not None:
-        w, diag = _weights
-    elif same:
-        # self-transport: the membership model of a trial vs itself is
-        # degenerate, so the weights are 1 and the cell is the crude contrast
-        w = np.ones(int(mk.sum()))
-        diag = WeightDiagnostics.of(w, threshold=positivity_threshold)
-    else:
-        w, diag = density_ratio_weights(ds, j, k, ps_formula, mode=ps_mode,
-                                        truncation=truncation,
-                                        expit_weight=expit_weight,
-                                        positivity_threshold=positivity_threshold)
-    yk = ds.outcome[mk].astype(float)
-    arm = (xk == x).astype(float)
-    if stabilized:
+    if pi_x is None:
         den = float(np.sum(arm * w))
         if den == 0.0:
             raise DivisionByZero(
                 f"no weight mass in arm {x} of study {k!r}: positivity failure")
-        p = float(np.sum(arm * w * yk) / den)
-        oob = False
-        method = IPW_STABILIZED
-    else:
-        n_t, n_c = arm_counts(ds, k)
-        pi_x = (n_t if x == 1 else n_c) / (n_t + n_c)
-        p = float(np.sum(arm * w * yk) / (pi_x * int(ds.mask(j).sum())))
-        oob = not (0.0 <= p <= 1.0)
-        method = IPW
-    return StandardizedEstimate(source_k=str(k), target_j=str(j), arm_x=int(x),
-                                prob=p, method=method, weights_summary=diag,
-                                out_of_bounds=oob)
+        return float(np.sum(arm * w * y) / den), False
+    p = float(np.sum(arm * w * y) / (pi_x * n_j))
+    return p, not (0.0 <= p <= 1.0)
 
 
 def effect_transform(measure: str, p1, p0) -> tuple:
@@ -365,12 +292,14 @@ def _undefined_cell(measure, j, k, p1, p0, msg) -> EffectEstimate:
 
 class FittedGrid(dict):
     """The standardized probabilities keyed (target_j, source_k, arm_x), with
-    the dataset, the fitted models they came from and the settings they were
-    built with.
+    the dataset, the fitted models and designs they came from and the
+    settings they were built with. `standardized_grid` builds it.
 
     Everything downstream (effect matrices, sandwich, bootstrap) reads the
-    grid, so the points and their covariance come from one set of fits, and
-    bootstrap replicates are rebuilt with exactly these settings.
+    grid, so the points and their covariance come from one set of fits and
+    one set of designs: `design` builds each retained-column design once,
+    and the sandwich evaluates the very arrays the cells were computed from.
+    Bootstrap replicates are rebuilt with exactly these settings.
     """
 
     def __init__(self, ds: IpdDataset, method, outcome_formula, ps_formula, ps_mode,
@@ -385,16 +314,40 @@ class FittedGrid(dict):
         self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
         self.pair_fits: dict = {}       # frozenset{j, k} -> (label fitted as 1, FittedLogistic)
         self.multinomial_fit: Optional[FittedMultinomial] = None
+        self._designs: dict = {}        # (formula, label, x, kept) -> design
 
     def outcome_formula_for(self, j, k) -> ModelFormula:
         return self.overrides.get((j, k), self.outcome_formula)
 
     def membership_fit(self, j, k):
-        """The membership fit behind off-diagonal cell (j, k), in the form
-        `density_ratio_weights` takes as `_fit`."""
+        """The membership fit behind off-diagonal cell (j, k): the multinomial
+        fit, or (label fitted as 1, fit) for the pair {j, k}."""
         if self.ps_mode == "pairwise":
             return self.pair_fits[frozenset((j, k))]
         return self.multinomial_fit
+
+    def design(self, form: ModelFormula, label, kept, x: Optional[int] = None) -> np.ndarray:
+        """Design of `form` on trial `label`'s rows at treat=x (the observed
+        treat if None), retained columns `kept` only; built once per grid."""
+        key = (form, label, x, tuple(kept))
+        if key not in self._designs:
+            m = self.ds.mask(label)
+            treat = self.ds.treat[m] if x is None else np.full(int(m.sum()), float(x))
+            self._designs[key] = form.design_matrix(self.ds.covariate_columns(m),
+                                                    treat=treat)[:, kept]
+        return self._designs[key]
+
+    def _outcome_fit(self, k, form: ModelFormula) -> FittedLogistic:
+        """The outcome model `form` fitted on trial k, fitted on first use; its
+        retained-column design is kept as the observed-treat `design`."""
+        if (k, form) not in self.outcome_fits:
+            ds, m = self.ds, self.ds.mask(k)
+            X = form.design_matrix(ds.covariate_columns(m), treat=ds.treat[m])
+            fit = fit_logistic(X, ds.outcome[m].astype(float),
+                               column_names=form.column_names(), formula=form)
+            self._designs[(form, k, None, tuple(fit.kept))] = X[:, fit.kept]
+            self.outcome_fits[(k, form)] = fit
+        return self.outcome_fits[(k, form)]
 
 
 def standardized_grid(ds: IpdDataset, method: str,
@@ -405,10 +358,13 @@ def standardized_grid(ds: IpdDataset, method: str,
                       expit_weight: bool = False,
                       overrides: Optional[Mapping] = None,
                       positivity_threshold: float = POSITIVITY_THRESHOLD) -> FittedGrid:
-    """All K^2 x 2 standardized probabilities, sharing model fits across cells.
+    """All K^2 x 2 standardized probabilities, sharing model fits and designs
+    across cells.
 
     `overrides` maps (target_j, source_k) label pairs to replacement outcome
-    formulas for those cells (OCR only).
+    formulas for those cells (OCR only). `truncation` is a percentile in
+    (0, 100]: each off-diagonal cell's weights above that percentile of the
+    cell's weights are reset to it (IPW only; 100 is the identity).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -420,39 +376,50 @@ def standardized_grid(ds: IpdDataset, method: str,
     if method == OCR:
         if outcome_formula is None:
             raise ValueError("OCR needs an outcome formula")
-        fits = out.outcome_fits
         for j in labels:
             for k in labels:
                 form = out.outcome_formula_for(j, k)
-                if (k, form) not in fits:
-                    fits[(k, form)] = _outcome_fit(ds, k, form)
+                fit = out._outcome_fit(k, form)
                 for x in (0, 1):
-                    out[(j, k, x)] = ocr_standardized_prob(ds, k, j, x, form,
-                                                           _fit=fits[(k, form)])
-    else:
-        if ps_formula is None:
-            raise ValueError("IPW needs a membership formula")
-        stabilized = method == IPW_STABILIZED
-        if out.ps_mode == "multinomial":
-            out.multinomial_fit = _multinomial_fit(ds, ps_formula)
-        for j in labels:
-            for k in labels:
-                weights = None
-                if j != k:
-                    key = frozenset((j, k))
-                    if out.ps_mode == "pairwise" and key not in out.pair_fits:
-                        out.pair_fits[key] = (j, _pair_fit(ds, j, k, ps_formula))
-                    weights = density_ratio_weights(
-                        ds, j, k, ps_formula, mode=out.ps_mode, truncation=truncation,
-                        expit_weight=expit_weight, positivity_threshold=positivity_threshold,
-                        _fit=out.membership_fit(j, k))
-                for x in (0, 1):
-                    out[(j, k, x)] = ipw_standardized_prob(
-                        ds, k, j, x, ps_formula, stabilized=stabilized,
-                        truncation=truncation, ps_mode=out.ps_mode,
-                        expit_weight=expit_weight,
-                        positivity_threshold=positivity_threshold,
-                        _weights=weights)
+                    p = float(np.mean(expit(out.design(form, j, fit.kept, x) @ fit.coef)))
+                    out[(j, k, x)] = StandardizedEstimate(source_k=str(k), target_j=str(j),
+                                                          arm_x=x, prob=p, method=OCR)
+        return out
+
+    if ps_formula is None:
+        raise ValueError("IPW needs a membership formula")
+    if ps_formula.requires_treat:
+        raise InvalidFormula("membership models cannot reference treat")
+    if out.ps_mode not in ("pairwise", "multinomial"):
+        raise ValueError(f"unknown propensity mode {out.ps_mode!r}")
+    if truncation is not None and not (0 < truncation <= 100):
+        raise ValueError("truncation percentile must be in (0, 100]")
+    if out.ps_mode == "multinomial":
+        out.multinomial_fit = _multinomial_fit(ds, ps_formula)
+    for j in labels:
+        n_j = int(ds.mask(j).sum())
+        for k in labels:
+            mk = ds.mask(k)
+            if j == k:
+                # self-transport: the membership model of a trial vs itself is
+                # degenerate, so the weights are 1 and the cell is the crude contrast
+                w = np.ones(int(mk.sum()))
+                diag = WeightDiagnostics.of(w, threshold=positivity_threshold)
+            else:
+                key = frozenset((j, k))
+                if out.ps_mode == "pairwise" and key not in out.pair_fits:
+                    out.pair_fits[key] = (j, _pair_fit(ds, j, k, ps_formula))
+                w, diag = _cell_weights(out, j, k)
+            yk, xk = ds.outcome[mk].astype(float), ds.treat[mk]
+            n_t, n_c = arm_counts(ds, k)
+            for x in (0, 1):
+                pi_x = None
+                if method == IPW:
+                    pi_x = (n_t if x == 1 else n_c) / (n_t + n_c)
+                p, oob = _ipw_prob(k, x, w, yk, (xk == x).astype(float), pi_x, n_j)
+                out[(j, k, x)] = StandardizedEstimate(
+                    source_k=str(k), target_j=str(j), arm_x=x, prob=p, method=method,
+                    weights_summary=diag, out_of_bounds=oob)
     return out
 
 
@@ -520,6 +487,6 @@ def common_control_check(ds: IpdDataset, control_formula: ModelFormula,
     df = len(fit_b.column_names) - len(fit_a.column_names)
     if df <= 0:
         raise ValueError("no study terms could be added (aliased design)")
-    p = float(chi2.sf(stat, df))
+    p = float(chdtrc(df, stat))
     return CommonControlReport(statistic=float(stat), df=int(df), p_value=p,
                                alpha=alpha, reject=bool(p < alpha))

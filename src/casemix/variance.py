@@ -12,9 +12,11 @@ ratio) get NaN rows rather than silent drops.
 
 Each component of the stacked system holds the row indices it acts on (its
 trial's `study_rows`) and evaluates its linear predictors on those rows only.
-IPW weights come from `transport.transport_weight`, the one function the grid
-also uses, evaluated at theta on the same rows with the same design, so the
-sandwich sees the grid's weights bit for bit.
+Every design comes from the grid (`FittedGrid.design`), so the components
+evaluate the arrays the cells were computed from. IPW weights come from
+`transport.transport_weight`, the one function the grid also uses, evaluated
+at theta on the same design, so the sandwich sees the grid's weights bit for
+bit.
 
 Weight truncation caps are held fixed at their estimated values inside the
 sandwich; capped subjects (weight strictly above the cap) contribute no
@@ -237,7 +239,8 @@ class CovarianceResult:
 def build_system(grid: FittedGrid) -> EstimatingSystem:
     """Assemble the stacked system of `grid` at its fitted solution: the
     grid's fits are the model blocks of theta, its probabilities the rest.
-    Each component acts on its own trial's rows only."""
+    Each component acts on its own trial's rows only, with the design the
+    grid evaluated there (`FittedGrid.design`)."""
     ds, method, ps_formula = grid.ds, grid.method, grid.ps_formula
     labels = ds.studies
     rows = dict(zip(labels, ds.study_rows))
@@ -255,27 +258,14 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         cursor += len(vec)
         return sl
 
-    designs: dict = {}
-
-    def design(form, lab, kept, x=None):
-        """Design on trial `lab`'s rows at treat=x (observed treat if None),
-        retained columns only; one array per distinct key, shared by every
-        component."""
-        key = (form, lab, x, tuple(kept))
-        if key not in designs:
-            r = rows[lab]
-            tr = treat[lab] if x is None else np.full(len(r), float(x))
-            designs[key] = form.design_matrix(ds.covariate_columns(r), treat=tr)[:, kept]
-        return designs[key]
-
     prob_rows: dict = {}
 
     if method == OCR:
         fit_slices: dict = {}
         for (k, form), fit in grid.outcome_fits.items():
             fit_slices[(k, form)] = push(fit.coef)
-            components.append(_LogisticScore(rows[k], design(form, k, fit.kept), y[k],
-                                             fit_slices[(k, form)]))
+            components.append(_LogisticScore(rows[k], grid.design(form, k, fit.kept),
+                                             y[k], fit_slices[(k, form)]))
         for j in labels:
             for k in labels:
                 form = grid.outcome_formula_for(j, k)
@@ -283,7 +273,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                 for x in (0, 1):
                     sl = push(grid[(j, k, x)].prob)
                     prob_rows[(j, k, x)] = sl.start
-                    components.append(_OcrProb(rows[j], design(form, j, kept, x),
+                    components.append(_OcrProb(rows[j], grid.design(form, j, kept, x),
                                                fit_slices[(k, form)], sl.start))
     else:
         stabilized = method == IPW_STABILIZED
@@ -297,8 +287,8 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                 gamma[id(fit)] = sl = push(coef.ravel())
                 for lab in ((j, k) if grid.ps_mode == "pairwise" else labels):
                     col = membership_columns(fit, ds, lab, lab)[2]
-                    components.append(_MembershipScore(rows[lab], design(ps_formula, lab, kept),
-                                                       col, sl))
+                    components.append(_MembershipScore(
+                        rows[lab], grid.design(ps_formula, lab, kept), col, sl))
 
         pi_rows: dict = {}
         if not stabilized:
@@ -313,8 +303,9 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                 if j != k:
                     fit = grid.membership_fit(j, k)
                     _, kept, j_col, k_col = membership_columns(fit, ds, j, k)
-                    weight = (design(ps_formula, k, kept), gamma[id(fit)], j_col, k_col,
-                              grid.expit_weight, _cap_of(grid, j, k))
+                    weight = (grid.design(ps_formula, k, kept), gamma[id(fit)], j_col,
+                              k_col, grid.expit_weight,
+                              grid[(j, k, 1)].weights_summary.truncated_at)
                 for x in (0, 1):
                     sl = push(grid[(j, k, x)].prob)
                     prob_rows[(j, k, x)] = sl.start
@@ -325,11 +316,6 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
     theta = np.concatenate(theta_parts)
     return EstimatingSystem(theta=theta, components=components, n=ds.n,
                             prob_rows=prob_rows)
-
-
-def _cap_of(grid, j, k) -> Optional[float]:
-    d = grid[(j, k, 1)].weights_summary
-    return None if d is None else d.truncated_at
 
 
 def _se_from_sigma(M: np.ndarray) -> np.ndarray:

@@ -23,8 +23,7 @@ from casemix.formula import parse
 from casemix.errors import SeparationWarning
 from casemix.simlab import (analysis_preset, generate_setting, preset_config,
                             run_study, true_values_oracle)
-from casemix.transport import (IPW, IPW_STABILIZED, OCR, ocr_standardized_prob,
-                               standardized_grid)
+from casemix.transport import IPW, IPW_STABILIZED, OCR, standardized_grid
 from casemix.variance import build_system
 
 from conftest import ENUM_GRID, continuous_ds, enum_dataset, oob_dataset
@@ -94,8 +93,13 @@ def extrapolation_limit():
             # the cubic's linear predictor exceeds 30 in trial 1's far tail,
             # where fitted probabilities round to 1; that is not separation
             warnings.simplefilter("ignore", SeparationWarning)
-            p1, p0 = (ocr_standardized_prob(ds, "1", "2", x, form).prob
-                      for x in (1, 0))
+            src, tgt = ds.mask("1"), ds.mask("2")
+            fit = fit_logistic(form.design_matrix(ds.covariate_columns(src),
+                                                  treat=ds.treat[src]),
+                               ds.outcome[src].astype(float))
+            p1, p0 = (float(np.mean(fit.predict(form.design_matrix(
+                ds.covariate_columns(tgt), treat=np.full(int(tgt.sum()), float(x))))))
+                for x in (1, 0))
         limit[name] = p1 / p0
     return limit
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from casemix import simlab
 from casemix.formula import parse
 from casemix.simlab import (Analysis, SettingConfig, analysis_preset,
                             generate_setting, preset_config, run_study,
@@ -181,6 +182,17 @@ def test_run_study_records_failures(tiny_truth):
     r, msg = rep.failures["BAD"][0]
     assert r == 0 and "treat" in msg
     assert all(r["n_ran"] == 0 for r in rep.rejection_rows())
+
+
+def test_run_study_surfaces_programming_errors(tiny_truth, monkeypatch):
+    # only a typed failure (CasemixError, LinAlgError) fails a replication
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(simlab, "sandwich_cov", broken)
+    with pytest.raises(TypeError, match="programming error"):
+        run_study(preset_config(1), ["OCR1"], reps=2, seed=3, bootstrap_b=0,
+                  truth=tiny_truth)
 
 
 def test_write_tables(tiny_run, tmp_path):

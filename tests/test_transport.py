@@ -5,8 +5,8 @@ from casemix.errors import (DivisionByZero, PositivityWarning, UndefinedMeasure)
 from casemix.formula import parse
 from casemix.transport import (
     IPW, IPW_STABILIZED, OCR, StandardizedEstimate, WeightDiagnostics,
-    common_control_check, density_ratio_weights, effect, effect_matrix,
-    effect_transform, ipw_standardized_prob, ocr_standardized_prob, standardized_grid)
+    common_control_check, effect, effect_matrix, effect_transform, membership_columns,
+    membership_eta, standardized_grid, transport_weight)
 
 from conftest import ENUM_GRID, ENUM_OR, ENUM_RD, ENUM_RR, cell, dataset_from_cells
 
@@ -37,7 +37,7 @@ def test_grid_estimate_metadata(enum_ds):
 
 
 def test_diagonal_uses_unit_weights(enum_ds):
-    est = ipw_standardized_prob(enum_ds, "2", "2", 1, PS)
+    est = standardized_grid(enum_ds, IPW, ps_formula=PS)[("2", "2", 1)]
     assert est.prob == pytest.approx(0.375, abs=1e-12)
     assert est.weights_summary.max == 1.0
     assert est.weights_summary.ess == pytest.approx(800.0)
@@ -66,7 +66,11 @@ def test_effect_matrix_vector_order(enum_ds):
 
 
 def test_density_ratio_weights_values(enum_ds):
-    w, diag = density_ratio_weights(enum_ds, "1", "2", PS)
+    grid = standardized_grid(enum_ds, IPW, ps_formula=PS)
+    coef, kept, j_col, k_col = membership_columns(grid.membership_fit("1", "2"),
+                                                  enum_ds, "1", "2")
+    w = transport_weight(membership_eta(grid.design(PS, "2", kept), coef), j_col, k_col)[0]
+    diag = grid[("1", "2", 1)].weights_summary
     assert w.shape == (800,)
     lo = enum_ds.cov[enum_ds.mask("2"), 0] == 0
     assert np.allclose(w[lo], 1 / 3, atol=1e-10)
@@ -78,10 +82,8 @@ def test_density_ratio_weights_values(enum_ds):
 
 def test_expit_weight_stabilized(enum_ds):
     # membership probability itself as the weight, not the density ratio
-    est1 = ipw_standardized_prob(enum_ds, "2", "1", 1, PS, stabilized=True,
-                                 expit_weight=True)
-    est0 = ipw_standardized_prob(enum_ds, "2", "1", 0, PS, stabilized=True,
-                                 expit_weight=True)
+    grid = standardized_grid(enum_ds, IPW_STABILIZED, ps_formula=PS, expit_weight=True)
+    est1, est0 = grid[("1", "2", 1)], grid[("1", "2", 0)]
     assert est1.prob == pytest.approx(0.42, abs=1e-10)
     assert est0.prob == pytest.approx(0.36, abs=1e-10)
 
@@ -89,18 +91,16 @@ def test_expit_weight_stabilized(enum_ds):
 def test_truncation_at_median_collapses_to_crude(enum_ds):
     # the median weight for (1,2) is 1/3, so capping there makes the weights
     # uniform and the stabilized estimate equal to trial 2's crude rates
-    est1 = ipw_standardized_prob(enum_ds, "2", "1", 1, PS, stabilized=True,
-                                 truncation=50.0)
-    est0 = ipw_standardized_prob(enum_ds, "2", "1", 0, PS, stabilized=True,
-                                 truncation=50.0)
+    grid = standardized_grid(enum_ds, IPW_STABILIZED, ps_formula=PS, truncation=50.0)
+    est1, est0 = grid[("1", "2", 1)], grid[("1", "2", 0)]
     assert est1.prob == pytest.approx(0.375, abs=1e-10)
     assert est0.prob == pytest.approx(0.3, abs=1e-10)
     assert est1.weights_summary.truncated_at == pytest.approx(1 / 3, abs=1e-10)
 
 
 def test_truncation_100_is_identity(enum_ds):
-    plain = ipw_standardized_prob(enum_ds, "2", "1", 1, PS)
-    capped = ipw_standardized_prob(enum_ds, "2", "1", 1, PS, truncation=100.0)
+    plain = standardized_grid(enum_ds, IPW, ps_formula=PS)[("1", "2", 1)]
+    capped = standardized_grid(enum_ds, IPW, ps_formula=PS, truncation=100.0)[("1", "2", 1)]
     assert capped.prob == pytest.approx(plain.prob, abs=1e-12)
     assert capped.weights_summary.truncated_at == pytest.approx(1.0, abs=1e-10)
 
@@ -108,12 +108,12 @@ def test_truncation_100_is_identity(enum_ds):
 @pytest.mark.parametrize("bad", [0.0, -5.0, 100.5])
 def test_truncation_percentile_validated(enum_ds, bad):
     with pytest.raises(ValueError, match="truncation percentile"):
-        density_ratio_weights(enum_ds, "1", "2", PS, truncation=bad)
+        standardized_grid(enum_ds, IPW, ps_formula=PS, truncation=bad)
 
 
 def test_unstabilized_can_leave_unit_interval(oob_ds):
-    est1 = ipw_standardized_prob(oob_ds, "2", "1", 1, PS)
-    est0 = ipw_standardized_prob(oob_ds, "2", "1", 0, PS)
+    grid = standardized_grid(oob_ds, IPW, ps_formula=PS)
+    est1, est0 = grid[("1", "2", 1)], grid[("1", "2", 0)]
     assert est1.prob == pytest.approx(1.35, abs=1e-8)
     assert est1.out_of_bounds
     assert est0.prob == pytest.approx(0.45, abs=1e-8)
@@ -127,7 +127,7 @@ def test_unstabilized_can_leave_unit_interval(oob_ds):
 
 
 def test_stabilized_always_in_bounds(oob_ds):
-    est = ipw_standardized_prob(oob_ds, "2", "1", 1, PS, stabilized=True)
+    est = standardized_grid(oob_ds, IPW_STABILIZED, ps_formula=PS)[("1", "2", 1)]
     assert not est.out_of_bounds
     assert est.prob == pytest.approx(243 / 260, abs=1e-8)
     assert 0.0 <= est.prob <= 1.0
@@ -147,8 +147,8 @@ def test_effect_matrix_collect_errors(oob_ds):
 
 def test_positivity_warning(oob_ds):
     with pytest.warns(PositivityWarning, match="positivity"):
-        w, diag = density_ratio_weights(oob_ds, "1", "2", PS,
-                                        positivity_threshold=5.0)
+        grid = standardized_grid(oob_ds, IPW, ps_formula=PS, positivity_threshold=5.0)
+    diag = grid[("1", "2", 1)].weights_summary
     assert diag.n_over_threshold == 40
     assert diag.max == pytest.approx(9.0, abs=1e-6)
 
@@ -239,7 +239,7 @@ def test_grid_input_validation(enum_ds):
 
 def test_ps_formula_cannot_reference_treat(enum_ds):
     with pytest.raises(ValueError, match="cannot reference treat"):
-        density_ratio_weights(enum_ds, "1", "2", parse("study ~ 1 + treat"))
+        standardized_grid(enum_ds, IPW, ps_formula=parse("study ~ 1 + treat"))
 
 
 def test_ocr_overrides_replace_single_cell(enum_ds):

@@ -3,11 +3,11 @@ import pytest
 
 from casemix import variance
 from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplicates
-from casemix.formula import parse
+from casemix.formula import ModelFormula, parse
 from casemix.ipd import IpdDataset
 from casemix.simlab import generate_setting, preset_config
-from casemix.transport import (IPW, IPW_STABILIZED, OCR, density_ratio_weights,
-                               effect_matrix, standardized_grid)
+from casemix.transport import (IPW, IPW_STABILIZED, OCR, effect_matrix, membership_columns,
+                               membership_eta, standardized_grid, transport_weight)
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
@@ -35,6 +35,24 @@ def test_psi_mean_vanishes_multinomial(three_trial_ds):
     system = build_system(_grid(three_trial_ds, IPW_STABILIZED, ps_mode="multinomial"))
     assert np.max(np.abs(system.psi_mean())) < 1e-8
     assert len(system.prob_rows) == 18
+
+
+@pytest.mark.parametrize("method,ps_mode", [
+    (OCR, None), (IPW, "pairwise"), (IPW_STABILIZED, "multinomial")])
+def test_build_system_builds_no_design(three_trial_ds, monkeypatch, method, ps_mode):
+    # every design the sandwich evaluates is one the grid built for its cells
+    grid = _grid(three_trial_ds, method, ps_mode=ps_mode, truncation=90.0)
+    built = []
+    design_matrix = ModelFormula.design_matrix
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        return design_matrix(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelFormula, "design_matrix", counted)
+    system = build_system(grid)
+    assert built == []
+    assert np.max(np.abs(system.psi_mean())) < 1e-8
 
 
 @pytest.mark.parametrize("method,extra", [
@@ -264,8 +282,9 @@ def test_bread_drops_weight_derivative_exactly_where_the_grid_caps(ps_mode):
                 continue
             rows = ds.study_rows[ds.study_number(k)]
             Z = PS.design_matrix(ds.covariate_columns(rows))
-            w_raw = density_ratio_weights(ds, j, k, PS, mode=ps_mode,
-                                          _fit=grid.membership_fit(j, k))[0]
+            coef, kept, j_col, k_col = membership_columns(grid.membership_fit(j, k), ds, j, k)
+            w_raw = transport_weight(membership_eta(grid.design(PS, k, kept), coef),
+                                     j_col, k_col)[0]
             cap = grid[(j, k, 1)].weights_summary.truncated_at
             at_cap += int(np.sum(w_raw == cap))
             dw = np.where(w_raw > cap, 0.0, w_raw)     # d exp(eta_j - eta_k) / d eta_j
