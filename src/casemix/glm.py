@@ -82,16 +82,48 @@ def multinomial_information(X: np.ndarray, P: np.ndarray,
     return H
 
 
-def _multinomial_newton(X, Y, B, w):
-    """Score (flattened like B) and information of the multinomial logit at B."""
-    P = nonref_probs(X @ B.T)
-    g = (X.T @ ((Y - P) * w[:, None])).T.ravel()
-    return g, multinomial_information(X, P, w)
-
-
 def _bernoulli_deviance(eta, y, w):
     # -2 loglik; log(1+e^eta) via logaddexp for stability
     return 2.0 * float(np.sum(w * (np.logaddexp(0.0, eta) - y * eta)))
+
+
+def _multinomial_deviance(eta, Y, w):
+    # -2 loglik from the n x C non-reference predictors (reference eta = 0)
+    m = np.maximum(eta.max(axis=1), 0.0)
+    lse = m + np.log(np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1))
+    return 2.0 * float(np.sum(w * (lse - (Y * eta).sum(axis=1))))
+
+
+def _newton(coef, evaluate, score_info, tol, max_iter) -> tuple:
+    """Damped Newton from `coef` -> (coef, eta, deviance, converged, iterations,
+    inverse information). `evaluate(coef)` gives eta and the deviance, kept for
+    the accepted step; `score_info(eta)` the score (flattened like coef) and
+    the information. A step is halved while the deviance rises, 30 times at most."""
+    eta, dev = evaluate(coef)
+    converged, it = False, 0
+    for it in range(1, max_iter + 1):
+        g, H = score_info(eta)
+        try:
+            step = np.linalg.solve(H, g).reshape(coef.shape)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, g, rcond=None)[0].reshape(coef.shape)
+        scale = 1.0
+        for halving in range(31):
+            cand = coef + scale * step
+            cand_eta, cand_dev = evaluate(cand)
+            if cand_dev <= dev + 1e-10 or halving == 30:
+                break
+            scale *= 0.5
+        coef, eta, dev = cand, cand_eta, cand_dev
+        if np.max(np.abs(scale * step)) < tol:
+            converged = True
+            break
+    H = score_info(eta)[1]
+    try:
+        cov = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(H)
+    return coef, eta, dev, converged, it, cov
 
 
 @dataclass
@@ -187,43 +219,18 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, weights: Optional[np.ndarray] = N
     Xk = X[:, kept]
     pk = Xk.shape[1]
 
-    beta = np.zeros(pk)
-    eta = Xk @ beta
-    dev = _bernoulli_deviance(eta, y, w)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        mu = expit(eta)
-        g = Xk.T @ (w * (y - mu))
-        wt = w * mu * (1.0 - mu)
-        H = (Xk * wt[:, None]).T @ Xk
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
-        # step-halving: never accept a deviance increase
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            cand_dev = _bernoulli_deviance(Xk @ cand, y, w)
-            if cand_dev <= dev + 1e-10:
-                break
-            scale *= 0.5
-        beta = beta + scale * step
+    def evaluate(beta):
         eta = Xk @ beta
-        dev = _bernoulli_deviance(eta, y, w)
-        if np.max(np.abs(scale * step)) < tol:
-            converged = True
-            break
+        return eta, _bernoulli_deviance(eta, y, w)
 
+    def score_info(eta):
+        mu = expit(eta)
+        wt = w * mu * (1.0 - mu)
+        return Xk.T @ (w * (y - mu)), (Xk * wt[:, None]).T @ Xk
+
+    beta, eta, dev, converged, it, cov = _newton(np.zeros(pk), evaluate, score_info,
+                                                 tol, max_iter)
     separated = _separated(converged, eta, dev)
-    mu = expit(eta)
-    wt = w * mu * (1.0 - mu)
-    H = (Xk * wt[:, None]).T @ Xk
-    try:
-        cov = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(H)
 
     fit = FittedLogistic(coef=beta, fisher_cov=cov, converged=converged, iterations=it,
                          deviance=dev, separation_flag=separated,
@@ -264,42 +271,17 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
     C = len(others)
     Y = np.column_stack([(cats_arr == c).astype(float) for c in others])  # n x C
 
-    B = np.zeros((C, pk))
-    converged = False
-    it = 0
+    def evaluate(B):
+        eta = Xk @ B.T                          # n x C, reference eta = 0
+        return eta, _multinomial_deviance(eta, Y, w)
 
-    def dev_of(Bm):
-        eta = Xk @ Bm.T                       # n x C, reference eta = 0
-        m = np.maximum(eta.max(axis=1), 0.0)
-        lse = m + np.log(np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1))
-        return 2.0 * float(np.sum(w * (lse - (Y * eta).sum(axis=1))))
+    def score_info(eta):
+        P = nonref_probs(eta)
+        return (Xk.T @ ((Y - P) * w[:, None])).T.ravel(), multinomial_information(Xk, P, w)
 
-    dev = dev_of(B)
-    for it in range(1, max_iter + 1):
-        g, H = _multinomial_newton(Xk, Y, B, w)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
-        step = step.reshape(C, pk)
-        scale = 1.0
-        for _ in range(30):
-            cand = B + scale * step
-            if dev_of(cand) <= dev + 1e-10:
-                break
-            scale *= 0.5
-        B = B + scale * step
-        dev = dev_of(B)
-        if np.max(np.abs(scale * step)) < tol:
-            converged = True
-            break
-
-    separated = _separated(converged, Xk @ B.T, dev)
-    H = _multinomial_newton(Xk, Y, B, w)[1]
-    try:
-        cov = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(H)
+    B, eta, dev, converged, it, cov = _newton(np.zeros((C, pk)), evaluate, score_info,
+                                              tol, max_iter)
+    separated = _separated(converged, eta, dev)
 
     fit = FittedMultinomial(coef=B, categories=tuple(uniq), reference=reference,
                             fisher_cov=cov, converged=converged, iterations=it,

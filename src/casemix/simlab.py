@@ -19,13 +19,14 @@ import csv
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import expit
 
-from . import het
+from . import het, transport
 from .errors import CasemixError
 from .formula import ModelFormula, parse
 from .ipd import IpdDataset
@@ -357,9 +358,11 @@ def analysis_preset(name: str, setting_preset) -> Analysis:
 
 
 def _resolve_analyses(analyses, cfg: SettingConfig) -> list:
-    out = []
-    for a in analyses:
-        out.append(a if isinstance(a, Analysis) else analysis_preset(a, cfg.preset))
+    out = [a if isinstance(a, Analysis) else analysis_preset(a, cfg.preset) for a in analyses]
+    for a in out:
+        with suppress(CasemixError):    # InvalidFormula fails each replication instead
+            transport._check_settings(a.method, a.outcome_formula, a.ps_formula, a.ps_mode,
+                                      a.truncation)
     names = [a.name for a in out]
     if len(set(names)) != len(names):
         raise ValueError("analysis names must be unique")

@@ -350,6 +350,23 @@ class FittedGrid(dict):
         return self.outcome_fits[(k, form)]
 
 
+def _check_settings(method, outcome_formula, ps_formula, ps_mode, truncation) -> None:
+    """The checks of `standardized_grid`'s settings, none of which needs data."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == OCR:
+        if outcome_formula is None:
+            raise ValueError("OCR needs an outcome formula")
+    elif ps_formula is None:
+        raise ValueError("IPW needs a membership formula")
+    elif ps_formula.requires_treat:
+        raise InvalidFormula("membership models cannot reference treat")
+    elif ps_mode and ps_mode not in ("pairwise", "multinomial"):
+        raise ValueError(f"unknown propensity mode {ps_mode!r}")
+    elif truncation is not None and not (0 < truncation <= 100):
+        raise ValueError("truncation percentile must be in (0, 100]")
+
+
 def standardized_grid(ds: IpdDataset, method: str,
                       outcome_formula: Optional[ModelFormula] = None,
                       ps_formula: Optional[ModelFormula] = None,
@@ -366,16 +383,13 @@ def standardized_grid(ds: IpdDataset, method: str,
     (0, 100]: each off-diagonal cell's weights above that percentile of the
     cell's weights are reset to it (IPW only; 100 is the identity).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    _check_settings(method, outcome_formula, ps_formula, ps_mode, truncation)
     if ds.K < 2:
         raise ValueError("transport needs at least two studies")
     labels = ds.studies
     out = FittedGrid(ds, method, outcome_formula, ps_formula, ps_mode, truncation,
                      expit_weight, overrides, positivity_threshold)
     if method == OCR:
-        if outcome_formula is None:
-            raise ValueError("OCR needs an outcome formula")
         for j in labels:
             for k in labels:
                 form = out.outcome_formula_for(j, k)
@@ -386,14 +400,6 @@ def standardized_grid(ds: IpdDataset, method: str,
                                                           arm_x=x, prob=p, method=OCR)
         return out
 
-    if ps_formula is None:
-        raise ValueError("IPW needs a membership formula")
-    if ps_formula.requires_treat:
-        raise InvalidFormula("membership models cannot reference treat")
-    if out.ps_mode not in ("pairwise", "multinomial"):
-        raise ValueError(f"unknown propensity mode {out.ps_mode!r}")
-    if truncation is not None and not (0 < truncation <= 100):
-        raise ValueError("truncation percentile must be in (0, 100]")
     if out.ps_mode == "multinomial":
         out.multinomial_fit = _multinomial_fit(ds, ps_formula)
     for j in labels:

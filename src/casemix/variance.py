@@ -10,13 +10,13 @@ method, with D from `transport.effect_transform`. Cells whose effect measure
 is undefined (e.g. an out-of-bounds unstabilized probability feeding an odds
 ratio) get NaN rows rather than silent drops.
 
-Each component of the stacked system holds the row indices it acts on (its
-trial's `study_rows`) and evaluates its linear predictors on those rows only.
-Every design comes from the grid (`FittedGrid.design`), so the components
-evaluate the arrays the cells were computed from. IPW weights come from
-`transport.transport_weight`, the one function the grid also uses, evaluated
-at theta on the same design, so the sandwich sees the grid's weights bit for
-bit.
+Every component of the stacked system acts on one trial's rows only, so
+psi is zero outside the trial blocks: trial t's rows touch only the columns
+C_t its components write. The meat sums the blocks' Gram matrices one trial
+at a time, in O(max n_t |C_t| + m^2) memory, never the n x m psi. Every
+design comes from the grid (`FittedGrid.design`), and IPW weights come from
+`transport.transport_weight`, the one function the grid also uses, once per
+cell for both arms, so the sandwich sees the grid's weights bit for bit.
 
 Weight truncation caps are held fixed at their estimated values inside the
 sandwich; capped subjects (weight strictly above the cap) contribute no
@@ -52,12 +52,13 @@ COND_LIMIT = 1e12
 class _LogisticScore:
     """Score of an outcome fit on its trial's rows."""
 
-    def __init__(self, rows, X, y, sl):
-        self.rows, self.X, self.y, self.sl = rows, X, y, sl
+    def __init__(self, trial, rows, X, y, sl):
+        self.trial, self.rows, self.cols = trial, rows, range(sl.start, sl.stop)
+        self.X, self.y, self.sl = X, y, sl
 
-    def add_psi(self, theta, out):
+    def add_psi(self, theta, P, pos):
         mu = expit(self.X @ theta[self.sl])
-        out[self.rows, self.sl] = (self.y - mu)[:, None] * self.X
+        P[:, pos[self.sl]] = (self.y - mu)[:, None] * self.X
 
     def add_bread(self, theta, A, n):
         mu = expit(self.X @ theta[self.sl])
@@ -70,94 +71,116 @@ class _MembershipScore:
     per non-reference category. A pairwise fit is the one-category case;
     `col` is the trial's category (None for the reference)."""
 
-    def __init__(self, rows, Z, col, sl):
-        self.rows, self.Z, self.col, self.sl = rows, Z, col, sl
+    def __init__(self, trial, rows, Z, col, sl):
+        self.trial, self.rows, self.cols = trial, rows, range(sl.start, sl.stop)
+        self.Z, self.col, self.sl = Z, col, sl
 
     def _probs(self, theta):
         return nonref_probs(membership_eta(self.Z, theta[self.sl].reshape(-1, self.Z.shape[1])))
 
-    def add_psi(self, theta, out):
+    def add_psi(self, theta, P, pos):
         R = -self._probs(theta)
         if self.col is not None:
             R[:, self.col] += 1.0
-        out[self.rows, self.sl] = (R[:, :, None] * self.Z[:, None, :]).reshape(len(self.rows), -1)
+        P[:, pos[self.sl]] = (R[:, :, None] * self.Z[:, None, :]).reshape(len(P), -1)
 
     def add_bread(self, theta, A, n):
         A[self.sl, self.sl] += multinomial_information(self.Z, self._probs(theta)) / n
 
 
-class _ArmProportion:
-    def __init__(self, rows, x, row):
-        self.rows, self.x, self.row = rows, x, row
+class _Centering:
+    """Adds x - theta[cols] on one trial's rows: an arm proportion, or, with no
+    x, the target trial's -p term of both unstabilized IPW probabilities of a
+    cell, after the cell's own term when both act on the same trial."""
 
-    def add_psi(self, theta, out):
-        out[self.rows, self.row] = self.x - theta[self.row]
+    def __init__(self, trial, rows, cols, x=None):
+        self.trial, self.rows, self.cols = trial, rows, cols
+        self.x = 0.0 if x is None else x[:, None]
+
+    def add_psi(self, theta, P, pos):
+        P[:, pos[self.cols]] += self.x - theta[self.cols]
 
     def add_bread(self, theta, A, n):
-        A[self.row, self.row] += len(self.rows) / n
+        A[self.cols, self.cols] += len(self.rows) / n
 
 
 class _OcrProb:
-    def __init__(self, rows_j, Xx, beta_sl, row):
-        self.rows_j, self.Xx, self.beta_sl, self.row = rows_j, Xx, beta_sl, row
+    def __init__(self, trial_j, rows_j, Xx, beta_sl, row):
+        self.trial, self.rows, self.cols = trial_j, rows_j, (row,)
+        self.Xx, self.beta_sl, self.row = Xx, beta_sl, row
 
-    def add_psi(self, theta, out):
-        out[self.rows_j, self.row] = expit(self.Xx @ theta[self.beta_sl]) - theta[self.row]
+    def add_psi(self, theta, P, pos):
+        P[:, pos[self.row]] = expit(self.Xx @ theta[self.beta_sl]) - theta[self.row]
 
     def add_bread(self, theta, A, n):
         mu = expit(self.Xx @ theta[self.beta_sl])
         A[self.row, self.beta_sl] += -(self.Xx.T @ (mu * (1 - mu))) / n
-        A[self.row, self.row] += len(self.rows_j) / n
+        A[self.row, self.row] += len(self.rows) / n
 
 
-class _IpwProb:
-    """Moment of one IPW probability on trial k's rows (y, arm); unstabilized,
-    it also subtracts the probability on trial j's rows. `weight` is None on
-    the diagonal (unit weights) or (Z, membership slice, j_col, k_col,
-    expit_weight, cap) for `transport_weight` at theta."""
+class _IpwCell:
+    """Both IPW probability moments (theta indices `cols`, arm 0 then 1) of a
+    cell on source trial k's rows; unstabilized, with the arm proportion at
+    `pi_row`, a `_Centering` completes them. `weight` is None on the diagonal
+    or (Z, membership slice, j_col, k_col, expit_weight, cap) for
+    `transport_weight`, which runs once for both arms."""
 
-    def __init__(self, rows_k, rows_j, y, arm, x, row, stabilized, pi_row, weight):
-        self.rows_k, self.rows_j, self.y, self.arm = rows_k, rows_j, y, arm
-        self.x, self.row, self.stabilized, self.pi_row = x, row, stabilized, pi_row
-        self.weight = weight
+    def __init__(self, trial_k, rows_k, y, treat, cols, pi_row, weight):
+        self.trial, self.rows, self.cols = trial_k, rows_k, cols
+        self.y, self.pi_row, self.weight = y, pi_row, weight
+        self.arms = [(treat == x).astype(float) for x in (0, 1)]
 
-    def _pi_x(self, theta):
+    def _pi_x(self, theta, x):
         pi = theta[self.pi_row]
-        return pi if self.x == 1 else 1.0 - pi
+        return pi if x == 1 else 1.0 - pi
 
     def _w(self, theta):
         """Weights on trial k's rows and dw/deta (None on the diagonal)."""
         if self.weight is None:
-            return np.ones(len(self.rows_k)), None
+            return np.ones(len(self.rows)), None
         Z, sl, j_col, k_col, expit_weight, cap = self.weight
         eta = membership_eta(Z, theta[sl].reshape(-1, Z.shape[1]))
         return transport_weight(eta, j_col, k_col, expit_weight, cap)
 
-    def _add_weight_grad(self, A, n, coeff, dw):
-        """d/dgamma of sum(coeff * w) into the membership columns of A."""
-        if dw is not None:
-            Z, sl = self.weight[:2]
-            A[self.row, sl] += -(Z.T @ (coeff[:, None] * dw)).T.ravel() / n
-
-    def add_psi(self, theta, out):
+    def add_psi(self, theta, P, pos):
         w = self._w(theta)[0]
-        if self.stabilized:
-            out[self.rows_k, self.row] = self.arm * w * (self.y - theta[self.row])
-        else:
-            out[self.rows_k, self.row] = self.arm * w * self.y / self._pi_x(theta)
-            out[self.rows_j, self.row] -= theta[self.row]
+        for x, (arm, row) in enumerate(zip(self.arms, self.cols)):
+            if self.pi_row is None:
+                P[:, pos[row]] = arm * w * (self.y - theta[row])
+            else:
+                P[:, pos[row]] = arm * w * self.y / self._pi_x(theta, x)
 
     def add_bread(self, theta, A, n):
         w, dw = self._w(theta)
-        if self.stabilized:
-            self._add_weight_grad(A, n, self.arm * (self.y - theta[self.row]), dw)
-            A[self.row, self.row] += (self.arm * w).sum() / n
-        else:
-            pix = self._pi_x(theta)
-            self._add_weight_grad(A, n, self.arm * self.y / pix, dw)
-            dpi = 1.0 if self.x == 1 else -1.0
-            A[self.row, self.pi_row] += dpi * (self.arm * w * self.y).sum() / (pix * pix * n)
-            A[self.row, self.row] += len(self.rows_j) / n
+        for x, (arm, row) in enumerate(zip(self.arms, self.cols)):
+            if self.pi_row is None:
+                coeff = arm * (self.y - theta[row])
+                A[row, row] += (arm * w).sum() / n
+            else:
+                pix = self._pi_x(theta, x)
+                coeff = arm * self.y / pix
+                dpi = 1.0 if x == 1 else -1.0
+                A[row, self.pi_row] += dpi * (arm * w * self.y).sum() / (pix * pix * n)
+            if dw is not None:          # d/dgamma of sum(coeff * w)
+                Z, sl = self.weight[:2]
+                A[row, sl] += -(Z.T @ (coeff[:, None] * dw)).T.ravel() / n
+
+
+class _TrialBlock:
+    """The components acting on one trial, its rows and the columns C_t they
+    write, with their positions in the trial's n_t x |C_t| block of psi."""
+
+    def __init__(self, components, m):
+        self.components, self.rows = components, components[0].rows
+        self.cols = np.unique(np.concatenate([c.cols for c in components]))
+        self.pos = np.full(m, -1)
+        self.pos[self.cols] = np.arange(len(self.cols))
+
+    def psi(self, theta) -> np.ndarray:
+        P = np.zeros((len(self.rows), len(self.cols)))
+        for c in self.components:
+            c.add_psi(theta, P, self.pos)
+        return P
 
 
 @dataclass
@@ -169,15 +192,20 @@ class EstimatingSystem:
     n: int
     prob_rows: dict                     # (j,k,x) -> theta index
 
+    def __post_init__(self):
+        self._blocks = [_TrialBlock([c for c in self.components if c.trial == t], self.m)
+                        for t in dict.fromkeys(c.trial for c in self.components)]
+
     @property
     def m(self) -> int:
         return len(self.theta)
 
     def psi(self, theta: Optional[np.ndarray] = None) -> np.ndarray:
+        """The n x m psi, assembled from the trial blocks."""
         theta = self.theta if theta is None else theta
         out = np.zeros((self.n, self.m))
-        for c in self.components:
-            c.add_psi(theta, out)
+        for blk in self._blocks:
+            out[np.ix_(blk.rows, blk.cols)] = blk.psi(theta)
         return out
 
     def psi_mean(self, theta: Optional[np.ndarray] = None) -> np.ndarray:
@@ -203,8 +231,13 @@ class EstimatingSystem:
         return A
 
     def meat(self) -> np.ndarray:
-        psi = self.psi()
-        return psi.T @ psi / self.n
+        """psi'psi / n, summed over the trial blocks: O(max n_t |C_t| + m^2) memory."""
+        B = np.zeros((self.m, self.m))
+        for blk in self._blocks:
+            P = blk.psi(self.theta)
+            B[np.ix_(blk.cols, blk.cols)] += P.T @ P
+            del P                       # one block alive at a time
+        return B / self.n
 
     def sandwich(self) -> np.ndarray:
         A = self.bread()
@@ -264,17 +297,16 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         fit_slices: dict = {}
         for (k, form), fit in grid.outcome_fits.items():
             fit_slices[(k, form)] = push(fit.coef)
-            components.append(_LogisticScore(rows[k], grid.design(form, k, fit.kept),
+            components.append(_LogisticScore(k, rows[k], grid.design(form, k, fit.kept),
                                              y[k], fit_slices[(k, form)]))
         for j in labels:
             for k in labels:
                 form = grid.outcome_formula_for(j, k)
                 kept = grid.outcome_fits[(k, form)].kept
                 for x in (0, 1):
-                    sl = push(grid[(j, k, x)].prob)
-                    prob_rows[(j, k, x)] = sl.start
-                    components.append(_OcrProb(rows[j], grid.design(form, j, kept, x),
-                                               fit_slices[(k, form)], sl.start))
+                    prob_rows[(j, k, x)] = row = push(grid[(j, k, x)].prob).start
+                    components.append(_OcrProb(j, rows[j], grid.design(form, j, kept, x),
+                                               fit_slices[(k, form)], row))
     else:
         stabilized = method == IPW_STABILIZED
         gamma: dict = {}                # id of a membership fit -> its theta slice
@@ -288,14 +320,10 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                 for lab in ((j, k) if grid.ps_mode == "pairwise" else labels):
                     col = membership_columns(fit, ds, lab, lab)[2]
                     components.append(_MembershipScore(
-                        rows[lab], grid.design(ps_formula, lab, kept), col, sl))
+                        lab, rows[lab], grid.design(ps_formula, lab, kept), col, sl))
 
-        pi_rows: dict = {}
-        if not stabilized:
-            for k in labels:
-                sl = push(float(np.mean(treat[k])))
-                pi_rows[k] = sl.start
-                components.append(_ArmProportion(rows[k], treat[k], sl.start))
+        pi_rows = {} if stabilized else {k: push(np.mean(treat[k])).start for k in labels}
+        components += [_Centering(k, rows[k], [r], treat[k]) for k, r in pi_rows.items()]
 
         for j in labels:
             for k in labels:
@@ -306,12 +334,12 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                     weight = (grid.design(ps_formula, k, kept), gamma[id(fit)], j_col,
                               k_col, grid.expit_weight,
                               grid[(j, k, 1)].weights_summary.truncated_at)
-                for x in (0, 1):
-                    sl = push(grid[(j, k, x)].prob)
-                    prob_rows[(j, k, x)] = sl.start
-                    components.append(_IpwProb(rows[k], rows[j], y[k],
-                                               (treat[k] == x).astype(float), x, sl.start,
-                                               stabilized, pi_rows.get(k), weight))
+                cols = [push(grid[(j, k, x)].prob).start for x in (0, 1)]
+                prob_rows.update({(j, k, 0): cols[0], (j, k, 1): cols[1]})
+                components.append(_IpwCell(k, rows[k], y[k], treat[k], cols, pi_rows.get(k),
+                                           weight))
+                if not stabilized:
+                    components.append(_Centering(j, rows[j], cols))
 
     theta = np.concatenate(theta_parts)
     return EstimatingSystem(theta=theta, components=components, n=ds.n,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+from casemix import glm
 from casemix.errors import (
     AllSameResponse,
     DimensionMismatch,
@@ -221,3 +222,68 @@ def test_backward_eliminate_membership_target(enum_ds):
 def test_backward_eliminate_unknown_target(enum_ds):
     with pytest.raises(ValueError, match="target"):
         backward_eliminate(enum_ds, parse("y ~ 1"), [], target="nonsense")
+
+
+def _multinomial_fixture(separated=False):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=600)
+    X = np.column_stack([np.ones(600), x, rng.normal(size=600)])
+    if separated:
+        return X, np.where(x < -0.3, 0, np.where(x < 0.3, 1, 2))
+    eta = np.column_stack([np.zeros(600), 0.5 + x, -0.2 - 0.7 * x])
+    P = np.exp(eta) / np.exp(eta).sum(axis=1, keepdims=True)
+    return X, (rng.random(600)[:, None] > P.cumsum(axis=1)).sum(axis=1)
+
+
+def _multinomial_fit_deviance(fit, X, cats):
+    Y = np.column_stack([(cats == c).astype(float)
+                         for c in fit.categories if c != fit.reference])
+    return glm._multinomial_deviance(X[:, fit.kept] @ fit.coef.T, Y, np.ones(len(cats)))
+
+
+@pytest.mark.parametrize("separated", [False, True])
+def test_fit_deviance_is_the_deviance_at_the_coefficients(separated):
+    # the Newton loops keep the accepted candidate's deviance: it must be the
+    # deviance recomputed at the returned coefficients, bit for bit
+    if separated:
+        x = np.linspace(-1, 1, 40)
+        X, y = np.column_stack([np.ones(40), x]), (x > 0).astype(float)
+    else:
+        X, y = saturated_binary_fixture()
+    Xm, cats = _multinomial_fixture(separated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        lfit = fit_logistic(X, y)
+        mfit = fit_multinomial(Xm, cats, reference=0)
+    assert lfit.separation_flag == mfit.separation_flag == separated
+    assert lfit.deviance == glm._bernoulli_deviance(X[:, lfit.kept] @ lfit.coef, y,
+                                                   np.ones(len(y)))
+    assert mfit.deviance == _multinomial_fit_deviance(mfit, Xm, cats)
+
+
+@pytest.mark.parametrize("multinomial", [False, True])
+def test_every_halving_failed_recomputes_the_deviance(monkeypatch, multinomial):
+    # rig the first step's 30 candidates to look worse: the loop leaves with
+    # the scale halved once more, whose deviance no candidate computed
+    name = "_multinomial_deviance" if multinomial else "_bernoulli_deviance"
+    real = getattr(glm, name)
+    calls = []
+
+    def rigged(*args):
+        calls.append(1)
+        return np.inf if 2 <= len(calls) <= 31 else real(*args)
+
+    monkeypatch.setattr(glm, name, rigged)
+    X, y = saturated_binary_fixture()
+    with pytest.raises(NoConvergence) as exc:
+        if multinomial:
+            fit_multinomial(X, y, reference=0, max_iter=1, tol=1e-14)
+        else:
+            fit_logistic(X, y, max_iter=1, tol=1e-14)
+    fit = exc.value.last_fit
+    assert len(calls) == 32
+    if multinomial:
+        want = _multinomial_fit_deviance(fit, X, y)
+    else:
+        want = real(X[:, fit.kept] @ fit.coef, y, np.ones(len(y)))
+    assert np.isfinite(fit.deviance) and fit.deviance == want

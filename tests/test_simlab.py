@@ -222,3 +222,13 @@ def test_duplicate_analysis_names_rejected(tiny_truth):
     with pytest.raises(ValueError, match="unique"):
         run_study(preset_config(1), ["OCR1", "OCR1"], reps=1, seed=0,
                   bootstrap_b=0, truth=tiny_truth)
+
+
+def test_run_study_checks_analyses_before_the_oracle(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the analyses were checked")
+
+    monkeypatch.setattr(simlab, "true_values_oracle", oracle)
+    bad = Analysis("T", IPW, ps_formula=parse("study ~ 1 + L"), truncation=150.0)
+    with pytest.raises(ValueError, match="truncation percentile must be in"):
+        run_study(preset_config(1), [bad], reps=3, bootstrap_b=0, oracle_runs=300)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -378,3 +380,80 @@ def test_sandwich_matches_stacked_oracle(request, data, method, kw):
         assert np.all(np.isfinite(np.diag(got)[np.diag(ok)]))
         scale = np.max(np.abs(oracle[ok]))
         assert np.max(np.abs(got[ok] - oracle[ok])) <= 1e-10 * scale, msr
+
+
+def _doubled(ds) -> IpdDataset:
+    """Every row twice, the copies interleaved with the other trials' rows."""
+    return ds.subset(np.concatenate([np.arange(ds.n), np.arange(ds.n)]))
+
+
+@pytest.mark.parametrize("data,method,kw", [
+    ("continuous", OCR, {"outcome_formula": OUTCOME,
+                         "overrides": {("a", "c"): parse("y ~ 1 + treat + L")}}),
+    ("continuous", IPW, {"ps_formula": PS, "ps_mode": "pairwise"}),
+    ("continuous", IPW_STABILIZED, {"ps_formula": PS, "ps_mode": "multinomial"}),
+    ("continuous", IPW_STABILIZED, {"ps_formula": PS, "expit_weight": True,
+                                    "truncation": 90.0}),
+    ("doubled", IPW, {"ps_formula": PS, "ps_mode": "multinomial", "truncation": 90.0}),
+    ("doubled", OCR, {"outcome_formula": OUTCOME}),
+])
+def test_trial_blocked_meat_equals_dense_meat(data, method, kw):
+    # the meat sums one Gram matrix per trial block; the full psi, assembled
+    # from the same blocks, gives psi'psi / n
+    ds = _three_trial_continuous()
+    if data == "doubled":
+        ds = _doubled(ds)
+    for rows in ds.study_rows:                  # trials interleave in the data
+        assert np.any(np.diff(rows) > 1)
+    system = build_system(standardized_grid(ds, method, **kw))
+    psi = system.psi()
+    dense = psi.T @ psi / system.n
+    B = system.meat()
+    assert np.max(np.abs(B - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_unstabilized_diagonal_cell_writes_both_terms_in_one_block():
+    # on (j, j) the reweighted outcome and the subtracted probability share
+    # trial j's block: psi = arm y / pi_x - p there
+    ds = _three_trial_continuous()
+    grid = standardized_grid(ds, IPW, ps_formula=PS, ps_mode="pairwise")
+    system = build_system(grid)
+    psi = system.psi()
+    rows = ds.study_rows[0]
+    treat, y = ds.treat[rows], ds.outcome[rows]
+    pi = np.mean(treat)
+    for x, pi_x in ((1, pi), (0, 1.0 - pi)):
+        p = grid[("a", "a", x)].prob
+        want = (treat == x) * y / pi_x - p
+        assert np.max(np.abs(psi[rows, system.prob_rows[("a", "a", x)]] - want)) < 1e-12
+        others = np.setdiff1d(np.arange(ds.n), rows)
+        assert np.all(psi[others, system.prob_rows[("a", "a", x)]] == 0.0)
+
+
+@pytest.mark.parametrize("method", [OCR, IPW, IPW_STABILIZED])
+def test_duplicating_every_row_halves_sigma(method):
+    ds = _three_trial_continuous()
+    one = sandwich_cov(_grid(ds, method))
+    two = sandwich_cov(_grid(_doubled(ds), method))
+    for msr in ("rr", "or", "rd"):
+        scale = np.max(np.diag(one.sigma[msr]))
+        assert np.max(np.abs(2.0 * two.sigma[msr] - one.sigma[msr])) <= 1e-12 * scale, msr
+
+
+def test_meat_never_allocates_the_dense_psi():
+    # the meat holds one trial block at a time, not the n x m psi
+    rng = np.random.default_rng(3)
+    sizes = (3000, 3500, 4000, 4500, 5000)
+    S = np.repeat(np.arange(5), sizes)
+    L = rng.normal(0.0, 1.0, size=len(S)) + 0.3 * S
+    treat = rng.integers(0, 2, size=len(S))
+    y = (rng.random(len(S)) < 1.0 / (1.0 + np.exp(-(0.3 * treat + 0.5 * L)))).astype(int)
+    ds = IpdDataset.from_arrays(["L"], list("abcde"), S, treat, y, L[:, None])
+    system = build_system(standardized_grid(ds, IPW, ps_formula=PS, ps_mode="multinomial"))
+    tracemalloc.start()
+    try:
+        system.meat()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < system.n * system.m * 8 / 4
