@@ -18,14 +18,14 @@ import numpy as np
 from casemix.formula import parse
 from casemix.het import all_tests, report_records
 from casemix.simlab import preset_config, generate_setting
-from casemix.transport import effect_matrix, standardized_grid
+from casemix.transport import GridSettings, effect_matrix, standardized_grid
 from casemix.variance import sandwich_cov, attach_covariance
 
 outcome = parse("y ~ 1 + treat + L + treat:L")
 
 
 def tested_matrix(ds, measure="rr"):
-    grid = standardized_grid(ds, "ocr", outcome_formula=outcome)
+    grid = standardized_grid(ds, GridSettings("ocr", outcome_formula=outcome))
     m = effect_matrix(grid, measure)
     attach_covariance(m, sandwich_cov(grid, measures=(measure,)))
     return m

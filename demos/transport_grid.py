@@ -14,7 +14,7 @@ import numpy as np
 
 from casemix.formula import parse
 from casemix.simlab import preset_config, generate_setting
-from casemix.transport import standardized_grid, effect_matrix
+from casemix.transport import GridSettings, standardized_grid, effect_matrix
 
 # a synthetic two-trial dataset with a known covariate shift:
 # trial 2 enrolls systematically different L than trial 1
@@ -32,7 +32,7 @@ for lab in ds.studies:
 # trial, then average its predictions over the target population.
 
 outcome = parse("y ~ 1 + treat + L + treat:L")
-grid = standardized_grid(ds, "ocr", outcome_formula=outcome)
+grid = standardized_grid(ds, GridSettings("ocr", outcome_formula=outcome))
 
 print("\nstandardized P(Y(x)=1), outcome-regression route")
 print("  (target j, source k, arm x)")
@@ -57,7 +57,7 @@ for j in ds.studies:
 # like the target population, via a study-membership model.
 
 ps = parse("study ~ 1 + L + L^2")
-grid_w = standardized_grid(ds, "ipw", ps_formula=ps)
+grid_w = standardized_grid(ds, GridSettings("ipw", ps_formula=ps))
 
 print("\nsame grid, inverse-odds-weighting route")
 for j in ds.studies:
@@ -86,7 +86,7 @@ print(f"  effective sample size={diag.ess:.1f}  "
 
 # stabilized weights cap the damage when the populations barely overlap;
 # on well-behaved data they just reproduce the plain weighted answer
-grid_s = standardized_grid(ds, "ipw-stabilized", ps_formula=ps)
+grid_s = standardized_grid(ds, GridSettings("ipw-stabilized", ps_formula=ps))
 p = grid_s[("2", "1", 1)].prob
 print(f"\nstabilized P(Y(1)=1) in population 2 from trial 1: {p:.4f}")
 print(f"unstabilized same cell:                            "

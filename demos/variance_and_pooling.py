@@ -14,13 +14,13 @@ import numpy as np
 from casemix.formula import parse
 from casemix.meta import pool_matrix, forest_rows
 from casemix.simlab import preset_config, generate_setting
-from casemix.transport import effect_matrix, standardized_grid
+from casemix.transport import GridSettings, effect_matrix, standardized_grid
 from casemix.variance import sandwich_cov, bootstrap_cov, attach_covariance
 
 ds = generate_setting(preset_config(1, n_total=3000), seed=7)
 outcome = parse("y ~ 1 + treat + L + treat:L")
 
-grid = standardized_grid(ds, "ocr", outcome_formula=outcome)
+grid = standardized_grid(ds, GridSettings("ocr", outcome_formula=outcome))
 rr = effect_matrix(grid, "rr")
 
 # ---------------------------------------------------------------

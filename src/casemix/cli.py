@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .transport import (
     IPW_STABILIZED,
     OCR,
     POSITIVITY_THRESHOLD,
+    GridSettings,
     common_control_check,
     effect_matrix,
     standardized_grid,
@@ -188,20 +189,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _formulas_from(cfg: dict) -> tuple:
+def _settings_from(cfg: dict) -> GridSettings:
+    """The grid settings of `analyze` or `transport`, checked before any data
+    is read; only the formula the method uses is parsed."""
     method = METHODS.get(cfg.get("method") or "")
     if method is None:
         raise ValueError("--method is required (ocr, ipw, or ipw-stabilized)")
-    outcome = ps = None
-    if method == OCR:
-        if not cfg.get("outcome_formula"):
-            raise ValueError("OCR needs --outcome-formula")
-        outcome = parse_formula(cfg["outcome_formula"])
-    else:
-        if not cfg.get("ps_formula"):
-            raise ValueError("IPW needs --ps-formula")
-        ps = parse_formula(cfg["ps_formula"])
-    return method, outcome, ps
+    key = "outcome_formula" if method == OCR else "ps_formula"
+    formula = parse_formula(cfg[key]) if cfg.get(key) else None
+    return GridSettings(method, **{key: formula}, ps_mode=cfg["ps_mode"],
+                        truncation=cfg["truncate_percentile"],
+                        expit_weight=cfg["expit_weight"],
+                        positivity_threshold=float(cfg["positivity_threshold"]))
 
 
 def _candidate_terms(spec: str) -> list:
@@ -226,37 +225,27 @@ def cmd_analyze(args) -> int:
         "outcome_formula": None, "ps_formula": None, "method": None,
         "input": None,
     })
-    method, outcome_formula, ps_formula = _formulas_from(cfg)
+    settings = _settings_from(cfg)
+    candidates = _candidate_terms(cfg["eliminate"]) if cfg.get("eliminate") else None
     ds = load_ipd(cfg["input"])
     alpha = float(cfg["alpha"])
-    truncation = cfg["truncate_percentile"]
-    threshold = float(cfg["positivity_threshold"])
 
     # control-arm exchangeability: intercept + all covariate mains
     control = parse_formula("y ~ 1 + " + " + ".join(ds.schema.names))
     control_report = common_control_check(ds, control, alpha=alpha)
 
     eliminated_to = None
-    if cfg.get("eliminate"):
-        candidates = _candidate_terms(cfg["eliminate"])
-        if method == OCR:
-            base = _without_terms(outcome_formula, candidates)
-            outcome_formula = backward_eliminate(ds, base, candidates,
-                                                 alpha=alpha, target="outcome-model")
-            eliminated_to = outcome_formula.text()
-        else:
-            base = _without_terms(ps_formula, candidates)
-            ps_formula = backward_eliminate(ds, base, candidates,
-                                            alpha=alpha, target="membership-model")
-            eliminated_to = ps_formula.text()
+    if candidates is not None:
+        key, target = (("outcome_formula", "outcome-model") if settings.method == OCR
+                       else ("ps_formula", "membership-model"))
+        base = _without_terms(getattr(settings, key), candidates)
+        settings = replace(settings, **{key: backward_eliminate(ds, base, candidates,
+                                                                alpha=alpha, target=target)})
+        eliminated_to = getattr(settings, key).text()
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        grid = standardized_grid(ds, method, outcome_formula=outcome_formula,
-                                 ps_formula=ps_formula, ps_mode=cfg["ps_mode"],
-                                 truncation=truncation,
-                                 expit_weight=bool(cfg["expit_weight"]),
-                                 positivity_threshold=threshold)
+        grid = standardized_grid(ds, settings)
         matrix = effect_matrix(grid, cfg["measure"], collect_errors=True)
         if cfg["variance"] == "sandwich":
             covres = sandwich_cov(grid, measures=(cfg["measure"],))
@@ -345,7 +334,7 @@ def cmd_analyze(args) -> int:
     for pth in written:
         print(pth)
     if diagnostics["positivity_flag"]:
-        print(f"warning: transport weights exceed {threshold:g}; "
+        print(f"warning: transport weights exceed {settings.positivity_threshold:g}; "
               "possible positivity violation (see diagnostics.json)")
     return 0
 
@@ -362,7 +351,7 @@ def cmd_transport(args) -> int:
             raise ValueError(f"--{key} is required")
     if cfg.get("arm") is None:
         raise ValueError("--arm is required")
-    method, outcome_formula, ps_formula = _formulas_from(cfg)
+    settings = _settings_from(cfg)
     ds = load_ipd(cfg["input"])
     j, k, x = str(cfg["target"]), str(cfg["source"]), int(cfg["arm"])
     ds.study_number(j)
@@ -370,11 +359,7 @@ def cmd_transport(args) -> int:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        grid = standardized_grid(ds, method, outcome_formula=outcome_formula,
-                                 ps_formula=ps_formula, ps_mode=cfg["ps_mode"],
-                                 truncation=cfg["truncate_percentile"],
-                                 expit_weight=bool(cfg["expit_weight"]),
-                                 positivity_threshold=float(cfg["positivity_threshold"]))
+        grid = standardized_grid(ds, settings)
         est = grid[(j, k, x)]
         se = float("nan")
         se_note = ""

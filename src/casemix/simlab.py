@@ -19,18 +19,17 @@ import csv
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import expit
 
-from . import het, transport
+from . import het
 from .errors import CasemixError
-from .formula import ModelFormula, parse
+from .formula import parse
 from .ipd import IpdDataset
-from .transport import IPW, IPW_STABILIZED, OCR, effect_matrix, standardized_grid
+from .transport import IPW, IPW_STABILIZED, OCR, GridSettings, effect_matrix, standardized_grid
 from .variance import _entropy, attach_covariance, bootstrap_cov, sandwich_cov
 
 GENERIC = "generic"
@@ -278,30 +277,13 @@ def true_values_oracle(cfg: SettingConfig, runs: int = 5000,
 
 @dataclass
 class Analysis:
-    """One estimator variant: a method plus its (possibly misspecified) models."""
+    """One estimator variant: a name and the grid settings it runs with
+    (a method plus its possibly misspecified models)."""
     name: str
-    method: str
-    outcome_formula: Optional[ModelFormula] = None
-    ps_formula: Optional[ModelFormula] = None
-    overrides: Optional[dict] = None    # (j,k) -> outcome formula
-    truncation: Optional[float] = None
-    expit_weight: bool = False
-    ps_mode: Optional[str] = None
+    settings: GridSettings
 
     def describe(self) -> dict:
-        d = {"name": self.name, "method": self.method}
-        if self.outcome_formula is not None:
-            d["outcome_formula"] = self.outcome_formula.text()
-        if self.ps_formula is not None:
-            d["ps_formula"] = self.ps_formula.text()
-        if self.overrides:
-            d["overrides"] = {f"({j},{k})": f.text()
-                              for (j, k), f in self.overrides.items()}
-        if self.truncation is not None:
-            d["truncation"] = self.truncation
-        if self.expit_weight:
-            d["expit_weight"] = True
-        return d
+        return {"name": self.name, **self.settings.describe()}
 
 
 _OUTCOME_CORRECT = {
@@ -330,21 +312,22 @@ def analysis_preset(name: str, setting_preset) -> Analysis:
     key = base[:-1] if stabilized else base
 
     if key == "OCR1":
-        return Analysis(base, OCR, outcome_formula=parse(_OUTCOME_CORRECT[setting_preset]))
+        return Analysis(base, GridSettings(OCR, outcome_formula=parse(
+            _OUTCOME_CORRECT[setting_preset])))
     if key == "OCR2":
         full = parse(_OUTCOME_CORRECT[setting_preset])
         inter = [t for t in full.terms if type(t).__name__ == "Interaction"]
         if not inter:
             raise ValueError(f"OCR2 undefined for setting {setting_preset}: "
                              "no interaction to drop")
-        return Analysis(base, OCR, outcome_formula=full.without(inter[0]))
+        return Analysis(base, GridSettings(OCR, outcome_formula=full.without(inter[0])))
     if key == "OCR3":
         if setting_preset != 5:
             raise ValueError("OCR3 is specific to setting 5")
         full = parse(_OUTCOME_CORRECT[5])
         reduced = parse("y ~ 1 + treat + L + L^2")
-        return Analysis(base, OCR, outcome_formula=full,
-                        overrides={("2", "1"): reduced})
+        return Analysis(base, GridSettings(OCR, outcome_formula=full,
+                                           overrides={("2", "1"): reduced}))
     if key in ("IPW1", "IPW2", "IPW3"):
         method = IPW_STABILIZED if stabilized else IPW
         if key == "IPW1":
@@ -353,16 +336,12 @@ def analysis_preset(name: str, setting_preset) -> Analysis:
             text = "study ~ 1 + L"
         else:
             text = "study ~ 0 + L"
-        return Analysis(base, method, ps_formula=parse(text))
+        return Analysis(base, GridSettings(method, ps_formula=parse(text)))
     raise ValueError(f"unknown analysis preset {name!r}")
 
 
 def _resolve_analyses(analyses, cfg: SettingConfig) -> list:
     out = [a if isinstance(a, Analysis) else analysis_preset(a, cfg.preset) for a in analyses]
-    for a in out:
-        with suppress(CasemixError):    # InvalidFormula fails each replication instead
-            transport._check_settings(a.method, a.outcome_formula, a.ps_formula, a.ps_mode,
-                                      a.truncation)
     names = [a.name for a in out]
     if len(set(names)) != len(names):
         raise ValueError("analysis names must be unique")
@@ -585,11 +564,7 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
         for an in analyses:
             raw = raws[an.name]
             try:
-                grid = standardized_grid(
-                    ds, an.method, outcome_formula=an.outcome_formula,
-                    ps_formula=an.ps_formula, ps_mode=an.ps_mode,
-                    truncation=an.truncation, expit_weight=an.expit_weight,
-                    overrides=an.overrides)
+                grid = standardized_grid(ds, an.settings)
                 for c, (j, k) in enumerate(order):
                     for x in (0, 1):
                         est = grid[(j, k, x)]

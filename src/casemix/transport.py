@@ -7,10 +7,12 @@ Two routes to the same estimand P{Y(x_k)=1 | S=j}:
 * inverse probability weighting (IPW): reweight trial k's arm-x outcomes by
   the membership density ratio P(S=j|L)/P(S=k|L).
 
-`standardized_grid` is the only call that takes the data and the analysis
-settings: it fits each model once, computes every cell from those fits and
-returns them all in a `FittedGrid`, which also owns every design the cells
-and the sandwich (`variance.build_system`) evaluate.
+The analysis settings (method, models, weight options) are one frozen
+`GridSettings`, which checks itself when it is built. `standardized_grid`
+is the only call that takes the data and the settings: it fits each model
+once, computes every cell from those fits and returns them all in a
+`FittedGrid`, which keeps the settings and owns every design the cells and
+the sandwich (`variance.build_system`) evaluate.
 
 One function, `transport_weight`, turns a membership fit into weights: it
 takes the fit's non-reference linear predictors on trial k's rows (formed by
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -48,6 +51,67 @@ METHODS = (OCR, IPW, IPW_STABILIZED)
 MEASURES = ("rr", "or", "rd")
 
 POSITIVITY_THRESHOLD = 200.0
+
+
+@dataclass(frozen=True)
+class GridSettings:
+    """The settings of one standardized grid, checked once when built.
+
+    `overrides` maps (target_j, source_k) label pairs to replacement outcome
+    formulas for those cells (OCR only); it is kept as a read-only copy.
+    `truncation` is a percentile in (0, 100]: each off-diagonal cell's
+    weights above that percentile of the cell's weights are reset to it
+    (IPW only; 100 is the identity). `ps_mode` is "pairwise" or
+    "multinomial"; None picks pairwise for two trials and multinomial
+    otherwise. An OCR grid ignores the IPW-only settings, but they must
+    still be valid.
+    """
+
+    method: str
+    outcome_formula: Optional[ModelFormula] = None
+    ps_formula: Optional[ModelFormula] = None
+    ps_mode: Optional[str] = None
+    truncation: Optional[float] = None
+    expit_weight: bool = False
+    overrides: Optional[Mapping] = None
+    positivity_threshold: float = POSITIVITY_THRESHOLD
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.method == OCR:
+            if self.outcome_formula is None:
+                raise ValueError("OCR needs an outcome formula")
+        elif self.ps_formula is None:
+            raise ValueError("IPW needs a membership formula")
+        elif self.ps_formula.requires_treat:
+            raise InvalidFormula("membership models cannot reference treat")
+        if self.ps_mode and self.ps_mode not in ("pairwise", "multinomial"):
+            raise ValueError(f"unknown propensity mode {self.ps_mode!r}")
+        if self.truncation is not None and not (0 < self.truncation <= 100):
+            raise ValueError("truncation percentile must be in (0, 100]")
+        object.__setattr__(self, "expit_weight", bool(self.expit_weight))
+        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides or {})))
+
+    def describe(self) -> dict:
+        """The settings as JSON values; `ps_mode` and the positivity threshold
+        only when they are set to other than the defaults."""
+        d = {"method": self.method}
+        if self.outcome_formula is not None:
+            d["outcome_formula"] = self.outcome_formula.text()
+        if self.ps_formula is not None:
+            d["ps_formula"] = self.ps_formula.text()
+        if self.overrides:
+            d["overrides"] = {f"({j},{k})": f.text() for (j, k), f in self.overrides.items()}
+        if self.truncation is not None:
+            d["truncation"] = self.truncation
+        if self.expit_weight:
+            d["expit_weight"] = True
+        if self.ps_mode:
+            d["ps_mode"] = self.ps_mode
+        if self.positivity_threshold != POSITIVITY_THRESHOLD:
+            d["positivity_threshold"] = self.positivity_threshold
+        return d
 
 
 @dataclass(frozen=True)
@@ -200,14 +264,15 @@ def _cell_weights(grid: "FittedGrid", j, k) -> tuple:
     """Transport weights of trial k's rows toward population j, capped at the
     grid's truncation percentile, and their diagnostics; warns when any
     weight exceeds the positivity threshold."""
+    settings = grid.settings
     coef, kept, j_col, k_col = membership_columns(grid.membership_fit(j, k), grid.ds, j, k)
-    Z = grid.design(grid.ps_formula, k, kept)
-    w = transport_weight(membership_eta(Z, coef), j_col, k_col, grid.expit_weight)[0]
+    Z = grid.design(settings.ps_formula, k, kept)
+    w = transport_weight(membership_eta(Z, coef), j_col, k_col, settings.expit_weight)[0]
     truncated_at = None
-    if grid.truncation is not None:
-        truncated_at = float(np.percentile(w, grid.truncation))
+    if settings.truncation is not None:
+        truncated_at = float(np.percentile(w, settings.truncation))
         w = np.minimum(w, truncated_at)
-    threshold = grid.positivity_threshold
+    threshold = settings.positivity_threshold
     diag = WeightDiagnostics.of(w, threshold=threshold, truncated_at=truncated_at)
     if diag.n_over_threshold > 0:
         warnings.warn(
@@ -293,31 +358,27 @@ def _undefined_cell(measure, j, k, p1, p0, msg) -> EffectEstimate:
 class FittedGrid(dict):
     """The standardized probabilities keyed (target_j, source_k, arm_x), with
     the dataset, the fitted models and designs they came from and the
-    settings they were built with. `standardized_grid` builds it.
+    `settings` they were built with. `standardized_grid` builds it.
 
     Everything downstream (effect matrices, sandwich, bootstrap) reads the
     grid, so the points and their covariance come from one set of fits and
     one set of designs: `design` builds each retained-column design once,
     and the sandwich evaluates the very arrays the cells were computed from.
-    Bootstrap replicates are rebuilt with exactly these settings.
+    Bootstrap replicates are rebuilt with this very `settings` object.
+    `ps_mode` is the settings' membership mode resolved for this dataset.
     """
 
-    def __init__(self, ds: IpdDataset, method, outcome_formula, ps_formula, ps_mode,
-                 truncation, expit_weight, overrides, positivity_threshold):
+    def __init__(self, ds: IpdDataset, settings: GridSettings):
         super().__init__()
-        self.ds, self.method = ds, method
-        self.outcome_formula, self.ps_formula = outcome_formula, ps_formula
-        self.ps_mode = ps_mode or ("pairwise" if ds.K == 2 else "multinomial")
-        self.truncation, self.expit_weight = truncation, bool(expit_weight)
-        self.overrides = dict(overrides or {})
-        self.positivity_threshold = positivity_threshold
+        self.ds, self.settings = ds, settings
+        self.ps_mode = settings.ps_mode or ("pairwise" if ds.K == 2 else "multinomial")
         self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
         self.pair_fits: dict = {}       # frozenset{j, k} -> (label fitted as 1, FittedLogistic)
         self.multinomial_fit: Optional[FittedMultinomial] = None
         self._designs: dict = {}        # (formula, label, x, kept) -> design
 
     def outcome_formula_for(self, j, k) -> ModelFormula:
-        return self.overrides.get((j, k), self.outcome_formula)
+        return self.settings.overrides.get((j, k), self.settings.outcome_formula)
 
     def membership_fit(self, j, k):
         """The membership fit behind off-diagonal cell (j, k): the multinomial
@@ -350,45 +411,14 @@ class FittedGrid(dict):
         return self.outcome_fits[(k, form)]
 
 
-def _check_settings(method, outcome_formula, ps_formula, ps_mode, truncation) -> None:
-    """The checks of `standardized_grid`'s settings, none of which needs data."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == OCR:
-        if outcome_formula is None:
-            raise ValueError("OCR needs an outcome formula")
-    elif ps_formula is None:
-        raise ValueError("IPW needs a membership formula")
-    elif ps_formula.requires_treat:
-        raise InvalidFormula("membership models cannot reference treat")
-    elif ps_mode and ps_mode not in ("pairwise", "multinomial"):
-        raise ValueError(f"unknown propensity mode {ps_mode!r}")
-    elif truncation is not None and not (0 < truncation <= 100):
-        raise ValueError("truncation percentile must be in (0, 100]")
-
-
-def standardized_grid(ds: IpdDataset, method: str,
-                      outcome_formula: Optional[ModelFormula] = None,
-                      ps_formula: Optional[ModelFormula] = None,
-                      ps_mode: Optional[str] = None,
-                      truncation: Optional[float] = None,
-                      expit_weight: bool = False,
-                      overrides: Optional[Mapping] = None,
-                      positivity_threshold: float = POSITIVITY_THRESHOLD) -> FittedGrid:
-    """All K^2 x 2 standardized probabilities, sharing model fits and designs
-    across cells.
-
-    `overrides` maps (target_j, source_k) label pairs to replacement outcome
-    formulas for those cells (OCR only). `truncation` is a percentile in
-    (0, 100]: each off-diagonal cell's weights above that percentile of the
-    cell's weights are reset to it (IPW only; 100 is the identity).
-    """
-    _check_settings(method, outcome_formula, ps_formula, ps_mode, truncation)
+def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
+    """All K^2 x 2 standardized probabilities of `ds` under `settings`,
+    sharing model fits and designs across cells."""
     if ds.K < 2:
         raise ValueError("transport needs at least two studies")
     labels = ds.studies
-    out = FittedGrid(ds, method, outcome_formula, ps_formula, ps_mode, truncation,
-                     expit_weight, overrides, positivity_threshold)
+    out = FittedGrid(ds, settings)
+    method, ps_formula = settings.method, settings.ps_formula
     if method == OCR:
         for j in labels:
             for k in labels:
@@ -410,7 +440,7 @@ def standardized_grid(ds: IpdDataset, method: str,
                 # self-transport: the membership model of a trial vs itself is
                 # degenerate, so the weights are 1 and the cell is the crude contrast
                 w = np.ones(int(mk.sum()))
-                diag = WeightDiagnostics.of(w, threshold=positivity_threshold)
+                diag = WeightDiagnostics.of(w, threshold=settings.positivity_threshold)
             else:
                 key = frozenset((j, k))
                 if out.ps_mode == "pairwise" and key not in out.pair_fits:
@@ -447,7 +477,7 @@ def effect_matrix(grid: FittedGrid, measure: str = "rr",
                     raise
                 cells[(j, k)] = _undefined_cell(measure, j, k, p1.prob, p0.prob, str(e))
     return EffectMatrix(measure=measure.lower(), labels=labels, cells=cells,
-                        method=grid.method, diagnostics=diagnostics)
+                        method=grid.settings.method, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)

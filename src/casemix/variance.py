@@ -274,7 +274,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
     grid's fits are the model blocks of theta, its probabilities the rest.
     Each component acts on its own trial's rows only, with the design the
     grid evaluated there (`FittedGrid.design`)."""
-    ds, method, ps_formula = grid.ds, grid.method, grid.ps_formula
+    ds, method, ps_formula = grid.ds, grid.settings.method, grid.settings.ps_formula
     labels = ds.studies
     rows = dict(zip(labels, ds.study_rows))
     y = {lab: ds.outcome[r].astype(float) for lab, r in rows.items()}
@@ -332,7 +332,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                     fit = grid.membership_fit(j, k)
                     _, kept, j_col, k_col = membership_columns(fit, ds, j, k)
                     weight = (grid.design(ps_formula, k, kept), gamma[id(fit)], j_col,
-                              k_col, grid.expit_weight,
+                              k_col, grid.settings.expit_weight,
                               grid[(j, k, 1)].weights_summary.truncated_at)
                 cols = [push(grid[(j, k, x)].prob).start for x in (0, 1)]
                 prob_rows.update({(j, k, 0): cols[0], (j, k, 1): cols[1]})
@@ -381,7 +381,7 @@ def sandwich_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES) -> Covari
 def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int = 200,
                   seed=0, _indices=None) -> CovarianceResult:
     """Stratified bootstrap: each trial resampled to its own size, the whole
-    grid rebuilt per replicate with the settings of `grid`, covariance taken
+    grid rebuilt per replicate with `grid.settings`, covariance taken
     across replicates. Replicates where a cell is undefined are excluded for
     that cell (pairwise-complete covariance) and counted."""
     if B < 2:
@@ -402,10 +402,7 @@ def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int =
             idx = np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
                                   for rows in ds.study_rows])
         try:
-            rep = standardized_grid(ds.subset(np.asarray(idx)), grid.method,
-                                    grid.outcome_formula, grid.ps_formula, grid.ps_mode,
-                                    grid.truncation, grid.expit_weight, grid.overrides,
-                                    grid.positivity_threshold)
+            rep = standardized_grid(ds.subset(np.asarray(idx)), grid.settings)
         except (CasemixError, np.linalg.LinAlgError):
             continue                    # whole-replicate failure: excluded everywhere
         probs[b] = [[rep[(j, k, x)].prob for x in (0, 1)] for j, k in order]

@@ -23,7 +23,7 @@ from casemix.formula import parse
 from casemix.errors import SeparationWarning
 from casemix.simlab import (analysis_preset, generate_setting, preset_config,
                             run_study, true_values_oracle)
-from casemix.transport import IPW, IPW_STABILIZED, OCR, standardized_grid
+from casemix.transport import IPW, IPW_STABILIZED, OCR, GridSettings, standardized_grid
 from casemix.variance import build_system
 
 from conftest import ENUM_GRID, continuous_ds, enum_dataset, oob_dataset
@@ -88,7 +88,7 @@ def extrapolation_limit():
     limit = {}
     for name in ("OCR3", "OCR1"):
         an = analysis_preset(name, 5)
-        form = (an.overrides or {}).get(("2", "1"), an.outcome_formula)
+        form = an.settings.overrides.get(("2", "1"), an.settings.outcome_formula)
         with warnings.catch_warnings():
             # the cubic's linear predictor exceeds 30 in trial 1's far tail,
             # where fitted probabilities round to 1; that is not separation
@@ -394,7 +394,7 @@ def test_criterion_8_property_suites(tmp_path):
     score = X.T @ (ds.outcome - fit.predict(X)) / ds.n
     if np.max(np.abs(score)) > 1e-6:
         bad.append(f"score not zero ({np.max(np.abs(score)):.2e})")
-    system = build_system(standardized_grid(ds, OCR, outcome_formula=form))
+    system = build_system(standardized_grid(ds, GridSettings(OCR, outcome_formula=form)))
     gap = np.max(np.abs(system.bread_fd() - system.bread()))
     if gap / (1 + np.max(np.abs(system.bread()))) > 1e-4:
         bad.append(f"bread vs finite differences off by {gap:.2e}")
@@ -402,9 +402,9 @@ def test_criterion_8_property_suites(tmp_path):
     # all three standardization routes reproduce the enumeration oracle
     enum = enum_dataset()
     for method in (OCR, IPW, IPW_STABILIZED):
-        grid = standardized_grid(enum, method,
-                                 outcome_formula=form,
-                                 ps_formula=parse("study ~ 1 + L"))
+        grid = standardized_grid(enum, GridSettings(method,
+                                                    outcome_formula=form,
+                                                    ps_formula=parse("study ~ 1 + L")))
         worst = max(abs(grid[key].prob - truth)
                     for key, truth in ENUM_GRID.items())
         if worst > 1e-10:
@@ -412,8 +412,8 @@ def test_criterion_8_property_suites(tmp_path):
 
     # stabilized probabilities stay in [0,1] even under positivity failure
     oob = oob_dataset()
-    grid = standardized_grid(oob, IPW_STABILIZED,
-                             ps_formula=parse("study ~ 1 + L"))
+    grid = standardized_grid(oob, GridSettings(IPW_STABILIZED,
+                                               ps_formula=parse("study ~ 1 + L")))
     if not all(0.0 <= est.prob <= 1.0 for est in grid.values()):
         bad.append("stabilized probability left [0,1]")
 

@@ -136,6 +136,32 @@ def test_analyze_requires_method(enum_csv, capsys):
     assert "--method is required" in captured.err
 
 
+def test_analyze_ocr_rejects_an_invalid_truncation(enum_csv, capsys):
+    # the default --truncate-percentile 95 is valid, and an OCR analysis ignores it
+    rc = cli.main(["analyze", enum_csv, *OCR_ARGS, "--truncate-percentile", "150"])
+    assert rc == 1
+    assert "truncation percentile must be in (0, 100]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,msg", [
+    (["analyze", *IPW_ARGS, "--truncate-percentile", "150"],
+     "truncation percentile must be in (0, 100]"),
+    (["analyze", "--method", "ocr"], "OCR needs an outcome formula"),
+    (["analyze", "--method", "ipw", "--ps-formula", "study ~ 1 + treat"],
+     "membership models cannot reference treat"),
+    (["transport", "--target", "1", "--source", "2", "--arm", "1", "--method", "ipw"],
+     "IPW needs a membership formula"),
+])
+def test_settings_are_checked_before_the_data_is_loaded(monkeypatch, capsys, args, msg):
+    def load_ipd(*a, **kw):
+        raise AssertionError("the data was loaded before the settings were checked")
+
+    monkeypatch.setattr(cli, "load_ipd", load_ipd)
+    rc = cli.main([args[0], "no-such.csv", *args[1:]])
+    assert rc == 1
+    assert msg in capsys.readouterr().err
+
+
 def test_simulate_tiny_study(tmp_path, capsys):
     out = str(tmp_path / "sim")
     rc = cli.main(["simulate", "--preset", "1", "--reps", "2", "--seed", "1",

@@ -6,8 +6,8 @@ from casemix.errors import SingularContrastCovariance
 from casemix.formula import parse
 from casemix.het import (RAW, all_tests, beyond_casemix_test, casemix_test,
                          conventional_test, report_records, wald_test)
-from casemix.transport import (EffectEstimate, EffectMatrix, IPW, OCR, effect_matrix,
-                               standardized_grid)
+from casemix.transport import (EffectEstimate, EffectMatrix, IPW, OCR, GridSettings,
+                               effect_matrix, standardized_grid)
 from casemix.variance import attach_covariance, sandwich_cov
 
 PS = parse("study ~ 1 + L")
@@ -86,7 +86,7 @@ def test_wald_input_validation():
 
 
 def _attached(ds, measure="rr", collect_errors=False):
-    grid = standardized_grid(ds, IPW, ps_formula=PS)
+    grid = standardized_grid(ds, GridSettings(IPW, ps_formula=PS))
     mat = effect_matrix(grid, measure, collect_errors=collect_errors)
     attach_covariance(mat, sandwich_cov(grid))
     return mat
@@ -144,7 +144,7 @@ def test_unknown_scale_and_labels(enum_ds):
 
 
 def test_missing_covariance_rejected(enum_ds):
-    mat = effect_matrix(standardized_grid(enum_ds, IPW, ps_formula=PS), "rr")
+    mat = effect_matrix(standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS)), "rr")
     with pytest.raises(ValueError, match="no covariance attached"):
         conventional_test(mat)
 

@@ -6,7 +6,7 @@ import pytest
 from casemix.errors import NoEstimableInputs
 from casemix.formula import parse
 from casemix.meta import MetaSummary, forest_rows, pool_matrix, pool_row
-from casemix.transport import (EffectEstimate, EffectMatrix, IPW, OCR,
+from casemix.transport import (EffectEstimate, EffectMatrix, IPW, OCR, GridSettings,
                                effect_matrix, standardized_grid)
 from casemix.variance import attach_covariance, sandwich_cov
 
@@ -91,7 +91,7 @@ def test_natural_scale_helpers():
 
 
 def test_pool_matrix_rows(enum_ds):
-    grid = standardized_grid(enum_ds, IPW, ps_formula=PS)
+    grid = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))
     mat = effect_matrix(grid, "rr")
     attach_covariance(mat, sandwich_cov(grid))
     pooled = pool_matrix(mat)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from casemix import simlab
+from casemix.errors import InvalidFormula
 from casemix.formula import parse
 from casemix.simlab import (Analysis, SettingConfig, analysis_preset,
                             generate_setting, preset_config, run_study,
                             true_values_oracle)
-from casemix.transport import IPW, IPW_STABILIZED, OCR
+from casemix.transport import IPW, IPW_STABILIZED, OCR, GridSettings
 
 
 def test_setting_config_validation():
@@ -89,24 +90,24 @@ def test_oracle_truth_internal_consistency():
 
 def test_analysis_presets():
     a = analysis_preset("OCR1", 1)
-    assert a.method == OCR
-    assert a.outcome_formula.text() == "y ~ 1 + treat + L + treat:L"
-    assert analysis_preset("OCR1", 5).outcome_formula.text() == \
+    assert a.settings.method == OCR
+    assert a.settings.outcome_formula.text() == "y ~ 1 + treat + L + treat:L"
+    assert analysis_preset("OCR1", 5).settings.outcome_formula.text() == \
         "y ~ 1 + treat + L + L^2 + L^3"
     b = analysis_preset("OCR2", 1)
-    assert b.outcome_formula.text() == "y ~ 1 + treat + L"
+    assert b.settings.outcome_formula.text() == "y ~ 1 + treat + L"
     c = analysis_preset("OCR3", 5)
-    assert c.outcome_formula.text() == "y ~ 1 + treat + L + L^2 + L^3"
-    assert c.overrides[("2", "1")].text() == "y ~ 1 + treat + L + L^2"
+    assert c.settings.outcome_formula.text() == "y ~ 1 + treat + L + L^2 + L^3"
+    assert c.settings.overrides[("2", "1")].text() == "y ~ 1 + treat + L + L^2"
     with pytest.raises(ValueError, match="specific to setting 5"):
         analysis_preset("OCR3", 1)
-    assert analysis_preset("IPW1", 1).ps_formula.text() == "study ~ 1 + L + L^2"
-    assert analysis_preset("IPW1", 2).ps_formula.text() == "study ~ 1 + L"
-    assert analysis_preset("IPW3", 1).ps_formula.text() == "study ~ 0 + L"
+    assert analysis_preset("IPW1", 1).settings.ps_formula.text() == "study ~ 1 + L + L^2"
+    assert analysis_preset("IPW1", 2).settings.ps_formula.text() == "study ~ 1 + L"
+    assert analysis_preset("IPW3", 1).settings.ps_formula.text() == "study ~ 0 + L"
     s = analysis_preset("IPW1S", 3)
-    assert s.method == IPW_STABILIZED
+    assert s.settings.method == IPW_STABILIZED
     assert s.name == "IPW1S"
-    assert analysis_preset("IPW2", 1).method == IPW
+    assert analysis_preset("IPW2", 1).settings.method == IPW
     with pytest.raises(ValueError, match="unknown analysis"):
         analysis_preset("TMLE", 1)
     with pytest.raises(ValueError, match="explicit Analysis"):
@@ -174,13 +175,14 @@ def test_run_study_worker_count_invariance(tiny_truth):
 
 
 def test_run_study_records_failures(tiny_truth):
-    bad = Analysis(name="BAD", method=IPW, ps_formula=parse("study ~ 1 + treat"))
+    # the setting has no covariate Z, which only the data can tell
+    bad = Analysis(name="BAD", settings=GridSettings(IPW, ps_formula=parse("study ~ 1 + Z")))
     rep = run_study(preset_config(1), [bad], reps=2, seed=3, bootstrap_b=0,
                     truth=tiny_truth)
     assert rep.failure_counts() == {"BAD": 2}
     assert len(rep.failures["BAD"]) == 2
     r, msg = rep.failures["BAD"][0]
-    assert r == 0 and "treat" in msg
+    assert r == 0 and "Z" in msg
     assert all(r["n_ran"] == 0 for r in rep.rejection_rows())
 
 
@@ -224,11 +226,34 @@ def test_duplicate_analysis_names_rejected(tiny_truth):
                   bootstrap_b=0, truth=tiny_truth)
 
 
-def test_run_study_checks_analyses_before_the_oracle(monkeypatch):
-    def oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before the analyses were checked")
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("the oracle ran before the analyses were checked")
 
-    monkeypatch.setattr(simlab, "true_values_oracle", oracle)
-    bad = Analysis("T", IPW, ps_formula=parse("study ~ 1 + L"), truncation=150.0)
+
+def test_run_study_checks_analyses_before_the_oracle(monkeypatch):
+    monkeypatch.setattr(simlab, "true_values_oracle", _no_oracle)
     with pytest.raises(ValueError, match="truncation percentile must be in"):
+        bad = Analysis("T", GridSettings(IPW, ps_formula=parse("study ~ 1 + L"),
+                                         truncation=150.0))
         run_study(preset_config(1), [bad], reps=3, bootstrap_b=0, oracle_runs=300)
+
+
+def test_analysis_with_treat_in_membership_formula_fails_when_built(monkeypatch):
+    # a data-free fault fails the study before the oracle or any replication
+    monkeypatch.setattr(simlab, "true_values_oracle", _no_oracle)
+    with pytest.raises(InvalidFormula, match="cannot reference treat"):
+        bad = Analysis("BAD", GridSettings(IPW, ps_formula=parse("study ~ 1 + treat")))
+        run_study(preset_config(1), [bad], reps=2, seed=3, bootstrap_b=0)
+
+
+def test_analysis_describe_is_the_settings_description():
+    ocr3 = analysis_preset("OCR3", 5)
+    assert ocr3.describe() == {
+        "name": "OCR3", "method": OCR, "outcome_formula": "y ~ 1 + treat + L + L^2 + L^3",
+        "overrides": {"(2,1)": "y ~ 1 + treat + L + L^2"}}
+    # ps_mode and a non-default positivity threshold appear only when set
+    assert "ps_mode" not in analysis_preset("IPW1", 1).describe()
+    pairwise = Analysis("P", GridSettings(IPW, ps_formula=parse("study ~ 1 + L"),
+                                          ps_mode="pairwise", positivity_threshold=50.0))
+    assert pairwise.describe() == {"name": "P", "method": IPW, "ps_formula": "study ~ 1 + L",
+                                   "ps_mode": "pairwise", "positivity_threshold": 50.0}

@@ -1,10 +1,14 @@
+import re
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from casemix.errors import (DivisionByZero, PositivityWarning, UndefinedMeasure)
+from casemix.errors import (DivisionByZero, InvalidFormula, PositivityWarning,
+                            UndefinedMeasure)
 from casemix.formula import parse
 from casemix.transport import (
-    IPW, IPW_STABILIZED, OCR, StandardizedEstimate, WeightDiagnostics,
+    IPW, IPW_STABILIZED, OCR, GridSettings, StandardizedEstimate, WeightDiagnostics,
     common_control_check, effect, effect_matrix, effect_transform, membership_columns,
     membership_eta, standardized_grid, transport_weight)
 
@@ -20,8 +24,8 @@ PS = parse("study ~ 1 + L")
 
 @pytest.mark.parametrize("method", [OCR, IPW, IPW_STABILIZED])
 def test_grid_matches_enumeration(enum_ds, method):
-    grid = standardized_grid(enum_ds, method, outcome_formula=OUTCOME,
-                             ps_formula=PS)
+    grid = standardized_grid(enum_ds, GridSettings(method, outcome_formula=OUTCOME,
+                                                   ps_formula=PS))
     assert set(grid) == set(ENUM_GRID)
     for key, truth in ENUM_GRID.items():
         assert grid[key].prob == pytest.approx(truth, abs=1e-10), key
@@ -29,7 +33,7 @@ def test_grid_matches_enumeration(enum_ds, method):
 
 
 def test_grid_estimate_metadata(enum_ds):
-    grid = standardized_grid(enum_ds, IPW, ps_formula=PS)
+    grid = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))
     est = grid[("1", "2", 1)]
     assert (est.target_j, est.source_k, est.arm_x) == ("1", "2", 1)
     assert est.method == IPW
@@ -37,7 +41,7 @@ def test_grid_estimate_metadata(enum_ds):
 
 
 def test_diagonal_uses_unit_weights(enum_ds):
-    est = standardized_grid(enum_ds, IPW, ps_formula=PS)[("2", "2", 1)]
+    est = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))[("2", "2", 1)]
     assert est.prob == pytest.approx(0.375, abs=1e-12)
     assert est.weights_summary.max == 1.0
     assert est.weights_summary.ess == pytest.approx(800.0)
@@ -46,7 +50,8 @@ def test_diagonal_uses_unit_weights(enum_ds):
 @pytest.mark.parametrize("measure,table", [
     ("rr", ENUM_RR), ("or", ENUM_OR), ("rd", ENUM_RD)])
 def test_effect_matrix_frozen_values(enum_ds, measure, table):
-    mat = effect_matrix(standardized_grid(enum_ds, OCR, outcome_formula=OUTCOME), measure)
+    mat = effect_matrix(standardized_grid(enum_ds, GridSettings(OCR, outcome_formula=OUTCOME)),
+                        measure)
     assert mat.labels == ("1", "2")
     for jk, truth in table.items():
         c = mat.cells[jk]
@@ -57,7 +62,8 @@ def test_effect_matrix_frozen_values(enum_ds, measure, table):
 
 
 def test_effect_matrix_vector_order(enum_ds):
-    mat = effect_matrix(standardized_grid(enum_ds, OCR, outcome_formula=OUTCOME), "rd")
+    mat = effect_matrix(standardized_grid(enum_ds, GridSettings(OCR, outcome_formula=OUTCOME)),
+                        "rd")
     assert mat.cell_order() == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
     assert mat.cell_index("2", "1") == 2
     vec = mat.transformed_vector()
@@ -66,7 +72,7 @@ def test_effect_matrix_vector_order(enum_ds):
 
 
 def test_density_ratio_weights_values(enum_ds):
-    grid = standardized_grid(enum_ds, IPW, ps_formula=PS)
+    grid = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))
     coef, kept, j_col, k_col = membership_columns(grid.membership_fit("1", "2"),
                                                   enum_ds, "1", "2")
     w = transport_weight(membership_eta(grid.design(PS, "2", kept), coef), j_col, k_col)[0]
@@ -82,7 +88,8 @@ def test_density_ratio_weights_values(enum_ds):
 
 def test_expit_weight_stabilized(enum_ds):
     # membership probability itself as the weight, not the density ratio
-    grid = standardized_grid(enum_ds, IPW_STABILIZED, ps_formula=PS, expit_weight=True)
+    grid = standardized_grid(enum_ds, GridSettings(IPW_STABILIZED, ps_formula=PS,
+                                                   expit_weight=True))
     est1, est0 = grid[("1", "2", 1)], grid[("1", "2", 0)]
     assert est1.prob == pytest.approx(0.42, abs=1e-10)
     assert est0.prob == pytest.approx(0.36, abs=1e-10)
@@ -91,7 +98,8 @@ def test_expit_weight_stabilized(enum_ds):
 def test_truncation_at_median_collapses_to_crude(enum_ds):
     # the median weight for (1,2) is 1/3, so capping there makes the weights
     # uniform and the stabilized estimate equal to trial 2's crude rates
-    grid = standardized_grid(enum_ds, IPW_STABILIZED, ps_formula=PS, truncation=50.0)
+    grid = standardized_grid(enum_ds, GridSettings(IPW_STABILIZED, ps_formula=PS,
+                                                   truncation=50.0))
     est1, est0 = grid[("1", "2", 1)], grid[("1", "2", 0)]
     assert est1.prob == pytest.approx(0.375, abs=1e-10)
     assert est0.prob == pytest.approx(0.3, abs=1e-10)
@@ -99,8 +107,9 @@ def test_truncation_at_median_collapses_to_crude(enum_ds):
 
 
 def test_truncation_100_is_identity(enum_ds):
-    plain = standardized_grid(enum_ds, IPW, ps_formula=PS)[("1", "2", 1)]
-    capped = standardized_grid(enum_ds, IPW, ps_formula=PS, truncation=100.0)[("1", "2", 1)]
+    plain = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))[("1", "2", 1)]
+    capped = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS,
+                                                     truncation=100.0))[("1", "2", 1)]
     assert capped.prob == pytest.approx(plain.prob, abs=1e-12)
     assert capped.weights_summary.truncated_at == pytest.approx(1.0, abs=1e-10)
 
@@ -108,11 +117,11 @@ def test_truncation_100_is_identity(enum_ds):
 @pytest.mark.parametrize("bad", [0.0, -5.0, 100.5])
 def test_truncation_percentile_validated(enum_ds, bad):
     with pytest.raises(ValueError, match="truncation percentile"):
-        standardized_grid(enum_ds, IPW, ps_formula=PS, truncation=bad)
+        standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS, truncation=bad))
 
 
 def test_unstabilized_can_leave_unit_interval(oob_ds):
-    grid = standardized_grid(oob_ds, IPW, ps_formula=PS)
+    grid = standardized_grid(oob_ds, GridSettings(IPW, ps_formula=PS))
     est1, est0 = grid[("1", "2", 1)], grid[("1", "2", 0)]
     assert est1.prob == pytest.approx(1.35, abs=1e-8)
     assert est1.out_of_bounds
@@ -127,14 +136,14 @@ def test_unstabilized_can_leave_unit_interval(oob_ds):
 
 
 def test_stabilized_always_in_bounds(oob_ds):
-    est = standardized_grid(oob_ds, IPW_STABILIZED, ps_formula=PS)[("1", "2", 1)]
+    est = standardized_grid(oob_ds, GridSettings(IPW_STABILIZED, ps_formula=PS))[("1", "2", 1)]
     assert not est.out_of_bounds
     assert est.prob == pytest.approx(243 / 260, abs=1e-8)
     assert 0.0 <= est.prob <= 1.0
 
 
 def test_effect_matrix_collect_errors(oob_ds):
-    grid = standardized_grid(oob_ds, IPW, ps_formula=PS)
+    grid = standardized_grid(oob_ds, GridSettings(IPW, ps_formula=PS))
     with pytest.raises(UndefinedMeasure):
         effect_matrix(grid, "or")
     mat = effect_matrix(grid, "or", collect_errors=True)
@@ -147,17 +156,18 @@ def test_effect_matrix_collect_errors(oob_ds):
 
 def test_positivity_warning(oob_ds):
     with pytest.warns(PositivityWarning, match="positivity"):
-        grid = standardized_grid(oob_ds, IPW, ps_formula=PS, positivity_threshold=5.0)
+        grid = standardized_grid(oob_ds, GridSettings(IPW, ps_formula=PS,
+                                                      positivity_threshold=5.0))
     diag = grid[("1", "2", 1)].weights_summary
     assert diag.n_over_threshold == 40
     assert diag.max == pytest.approx(9.0, abs=1e-6)
 
 
 def test_three_study_pairwise_matches_multinomial(three_trial_ds):
-    pair = standardized_grid(three_trial_ds, IPW_STABILIZED, ps_formula=PS,
-                             ps_mode="pairwise")
-    multi = standardized_grid(three_trial_ds, IPW_STABILIZED, ps_formula=PS,
-                              ps_mode="multinomial")
+    pair = standardized_grid(three_trial_ds, GridSettings(IPW_STABILIZED, ps_formula=PS,
+                                                          ps_mode="pairwise"))
+    multi = standardized_grid(three_trial_ds, GridSettings(IPW_STABILIZED, ps_formula=PS,
+                                                           ps_mode="multinomial"))
     assert set(pair) == set(multi)
     for key in pair:
         assert pair[key].prob == pytest.approx(multi[key].prob, abs=1e-10), key
@@ -166,9 +176,9 @@ def test_three_study_pairwise_matches_multinomial(three_trial_ds):
 
 
 def test_three_study_default_mode_is_multinomial(three_trial_ds):
-    grid = standardized_grid(three_trial_ds, IPW_STABILIZED, ps_formula=PS)
-    multi = standardized_grid(three_trial_ds, IPW_STABILIZED, ps_formula=PS,
-                              ps_mode="multinomial")
+    grid = standardized_grid(three_trial_ds, GridSettings(IPW_STABILIZED, ps_formula=PS))
+    multi = standardized_grid(three_trial_ds, GridSettings(IPW_STABILIZED, ps_formula=PS,
+                                                           ps_mode="multinomial"))
     for key in grid:
         assert grid[key].prob == pytest.approx(multi[key].prob, abs=1e-12)
 
@@ -226,26 +236,70 @@ def test_effect_transform_undefined_cells_are_nan():
 
 def test_grid_input_validation(enum_ds):
     with pytest.raises(ValueError, match="unknown method"):
-        standardized_grid(enum_ds, "matching")
+        standardized_grid(enum_ds, GridSettings("matching"))
     with pytest.raises(ValueError, match="outcome formula"):
-        standardized_grid(enum_ds, OCR)
+        standardized_grid(enum_ds, GridSettings(OCR))
     with pytest.raises(ValueError, match="membership formula"):
-        standardized_grid(enum_ds, IPW)
+        standardized_grid(enum_ds, GridSettings(IPW))
     single = dataset_from_cells([
         cell("1", 0, 1, 50, 20), cell("1", 0, 0, 50, 10)])
     with pytest.raises(ValueError, match="at least two studies"):
-        standardized_grid(single, OCR, outcome_formula=OUTCOME)
+        standardized_grid(single, GridSettings(OCR, outcome_formula=OUTCOME))
 
 
 def test_ps_formula_cannot_reference_treat(enum_ds):
     with pytest.raises(ValueError, match="cannot reference treat"):
-        standardized_grid(enum_ds, IPW, ps_formula=parse("study ~ 1 + treat"))
+        standardized_grid(enum_ds, GridSettings(IPW, ps_formula=parse("study ~ 1 + treat")))
+
+
+MODELS = {OCR: {"outcome_formula": OUTCOME}, IPW: {"ps_formula": PS},
+          IPW_STABILIZED: {"ps_formula": PS}}
+
+
+def test_grid_settings_are_frozen_and_copy_the_overrides():
+    overrides = {("1", "2"): parse("y ~ 1 + treat")}
+    settings = GridSettings(OCR, outcome_formula=OUTCOME, overrides=overrides)
+    with pytest.raises(FrozenInstanceError):
+        settings.truncation = 50.0
+    with pytest.raises(TypeError):
+        settings.overrides[("2", "1")] = OUTCOME
+    overrides[("2", "1")] = OUTCOME
+    assert list(settings.overrides) == [("1", "2")]
+    assert GridSettings(IPW, ps_formula=PS, expit_weight=1).expit_weight is True
+
+
+@pytest.mark.parametrize("kw,error,msg", [
+    ({"method": "matching"}, ValueError, "unknown method 'matching'"),
+    ({"method": OCR}, ValueError, "OCR needs an outcome formula"),
+    ({"method": IPW}, ValueError, "IPW needs a membership formula"),
+    ({"method": IPW_STABILIZED, "ps_formula": parse("study ~ 1 + treat")}, InvalidFormula,
+     "membership models cannot reference treat"),
+] + [({"method": m, **MODELS[m], **bad}, ValueError, msg)
+     for m in (OCR, IPW, IPW_STABILIZED)
+     for bad, msg in (({"ps_mode": "bogus"}, "unknown propensity mode 'bogus'"),
+                      ({"truncation": 150.0}, "truncation percentile must be in (0, 100]"),
+                      ({"truncation": 0.0}, "truncation percentile must be in (0, 100]"))])
+def test_grid_settings_reject_invalid_input(kw, error, msg):
+    # an invalid ps_mode or truncation fails for OCR too, which ignores valid ones
+    with pytest.raises(error, match=re.escape(msg)):
+        GridSettings(**kw)
+
+
+def test_ocr_grid_ignores_valid_ipw_settings(enum_ds):
+    plain = standardized_grid(enum_ds, GridSettings(OCR, outcome_formula=OUTCOME))
+    extra = standardized_grid(enum_ds, GridSettings(
+        OCR, outcome_formula=OUTCOME, ps_formula=PS, ps_mode="multinomial", truncation=95.0,
+        expit_weight=True, positivity_threshold=5.0))
+    assert {key: est.prob for key, est in extra.items()} == \
+        {key: est.prob for key, est in plain.items()}
+    assert all(est.weights_summary is None for est in extra.values())
 
 
 def test_ocr_overrides_replace_single_cell(enum_ds):
     # intercept-only override for (1,2): prediction is trial 2's crude rate
-    mat = standardized_grid(enum_ds, OCR, outcome_formula=OUTCOME,
-                            overrides={("1", "2"): parse("y ~ 1 + treat")})
+    override = {("1", "2"): parse("y ~ 1 + treat")}
+    mat = standardized_grid(enum_ds, GridSettings(OCR, outcome_formula=OUTCOME,
+                                                  overrides=override))
     assert mat[("1", "2", 1)].prob == pytest.approx(0.375, abs=1e-10)
     assert mat[("1", "2", 0)].prob == pytest.approx(0.3, abs=1e-10)
     assert mat[("2", "1", 1)].prob == pytest.approx(0.5, abs=1e-10)

@@ -8,8 +8,9 @@ from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplic
 from casemix.formula import ModelFormula, parse
 from casemix.ipd import IpdDataset
 from casemix.simlab import generate_setting, preset_config
-from casemix.transport import (IPW, IPW_STABILIZED, OCR, effect_matrix, membership_columns,
-                               membership_eta, standardized_grid, transport_weight)
+from casemix.transport import (IPW, IPW_STABILIZED, OCR, GridSettings, effect_matrix,
+                               membership_columns, membership_eta, standardized_grid,
+                               transport_weight)
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
@@ -21,8 +22,8 @@ PS = parse("study ~ 1 + L")
 
 def _grid(ds, method, **kw):
     if method == OCR:
-        return standardized_grid(ds, method, outcome_formula=OUTCOME, **kw)
-    return standardized_grid(ds, method, ps_formula=PS, **kw)
+        return standardized_grid(ds, GridSettings(method, outcome_formula=OUTCOME, **kw))
+    return standardized_grid(ds, GridSettings(method, ps_formula=PS, **kw))
 
 
 @pytest.mark.parametrize("method", [OCR, IPW, IPW_STABILIZED])
@@ -193,6 +194,25 @@ def test_bootstrap_excludes_replicate_that_raises_casemix_error(enum_ds):
     assert np.all(res.excluded["rr"] == 1)
 
 
+def test_every_bootstrap_replicate_gets_the_grid_settings(enum_ds, monkeypatch):
+    # each replicate is a resample through `IpdDataset.subset`, rebuilt by
+    # `standardized_grid` with the very settings object of the parent grid
+    grid = _grid(enum_ds, IPW, truncation=90.0)
+    seen, subsets = [], []
+    subset = IpdDataset.subset
+
+    def recording_grid(ds, settings):
+        seen.append(settings)
+        return standardized_grid(ds, settings)
+
+    monkeypatch.setattr(variance, "standardized_grid", recording_grid)
+    monkeypatch.setattr(IpdDataset, "subset",
+                        lambda self, rows: subsets.append(rows) or subset(self, rows))
+    bootstrap_cov(grid, measures=("rr",), B=5, seed=0)
+    assert len(seen) == len(subsets) == 5
+    assert all(s is grid.settings for s in seen)
+
+
 def test_bootstrap_surfaces_programming_errors(enum_ds, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("a programming error")
@@ -232,7 +252,8 @@ def test_sandwich_raises_singular_bread_on_separated_outcome():
     # trial 2's outcome equals L, so its outcome fit diverges and the bread
     # loses rank numerically
     with pytest.warns(SeparationWarning):
-        grid = standardized_grid(separated_dataset(), OCR, outcome_formula=OUTCOME)
+        grid = standardized_grid(separated_dataset(),
+                                 GridSettings(OCR, outcome_formula=OUTCOME))
     with pytest.raises(SingularBread, match="condition number") as exc:
         sandwich_cov(grid)
     assert exc.value.condition_number >= variance.COND_LIMIT
@@ -244,7 +265,7 @@ def test_separated_pair_membership_fit_raises_singular_bread():
     # weights once overflowed on the other trial's rows into a NaN bread
     ds = generate_setting(preset_config(5, n_total=300), [7, 1, 29])
     with pytest.warns(SeparationWarning):
-        grid = standardized_grid(ds, IPW, ps_formula=PS)
+        grid = standardized_grid(ds, GridSettings(IPW, ps_formula=PS))
     with pytest.raises(SingularBread, match="condition number") as exc:
         sandwich_cov(grid)
     assert exc.value.condition_number >= variance.COND_LIMIT
@@ -268,8 +289,8 @@ def test_bread_drops_weight_derivative_exactly_where_the_grid_caps(ps_mode):
     # own weights: a weight has no derivative where it is strictly above the
     # grid's cap, and one at the cap keeps it
     ds = _three_trials_sized()
-    grid = standardized_grid(ds, IPW_STABILIZED, ps_formula=PS, ps_mode=ps_mode,
-                             truncation=95.0)
+    grid = standardized_grid(ds, GridSettings(IPW_STABILIZED, ps_formula=PS, ps_mode=ps_mode,
+                                              truncation=95.0))
     system = build_system(grid)
     A = system.bread()
     p = len(PS.column_names())
@@ -370,7 +391,7 @@ def _stacked_oracle(grid, measure) -> np.ndarray:
 def test_sandwich_matches_stacked_oracle(request, data, method, kw):
     # the delta method D Sigma_p D^T equals the stacked system with effect rows
     ds = _three_trial_continuous() if data == "continuous" else request.getfixturevalue(data)
-    grid = standardized_grid(ds, method, **kw)
+    grid = standardized_grid(ds, GridSettings(method, **kw))
     res = sandwich_cov(grid)
     for msr in ("rr", "or", "rd"):
         oracle = _stacked_oracle(grid, msr)
@@ -405,7 +426,7 @@ def test_trial_blocked_meat_equals_dense_meat(data, method, kw):
         ds = _doubled(ds)
     for rows in ds.study_rows:                  # trials interleave in the data
         assert np.any(np.diff(rows) > 1)
-    system = build_system(standardized_grid(ds, method, **kw))
+    system = build_system(standardized_grid(ds, GridSettings(method, **kw)))
     psi = system.psi()
     dense = psi.T @ psi / system.n
     B = system.meat()
@@ -416,7 +437,7 @@ def test_unstabilized_diagonal_cell_writes_both_terms_in_one_block():
     # on (j, j) the reweighted outcome and the subtracted probability share
     # trial j's block: psi = arm y / pi_x - p there
     ds = _three_trial_continuous()
-    grid = standardized_grid(ds, IPW, ps_formula=PS, ps_mode="pairwise")
+    grid = standardized_grid(ds, GridSettings(IPW, ps_formula=PS, ps_mode="pairwise"))
     system = build_system(grid)
     psi = system.psi()
     rows = ds.study_rows[0]
@@ -449,7 +470,8 @@ def test_meat_never_allocates_the_dense_psi():
     treat = rng.integers(0, 2, size=len(S))
     y = (rng.random(len(S)) < 1.0 / (1.0 + np.exp(-(0.3 * treat + 0.5 * L)))).astype(int)
     ds = IpdDataset.from_arrays(["L"], list("abcde"), S, treat, y, L[:, None])
-    system = build_system(standardized_grid(ds, IPW, ps_formula=PS, ps_mode="multinomial"))
+    system = build_system(standardized_grid(ds, GridSettings(IPW, ps_formula=PS,
+                                                             ps_mode="multinomial")))
     tracemalloc.start()
     try:
         system.meat()
