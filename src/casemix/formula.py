@@ -93,7 +93,8 @@ class ModelFormula:
             seen.add(t)
         if n_icpt > 1:
             raise ValueError("intercept listed more than once")
-        self.terms = tuple(terms)
+        self._terms = tuple(terms)
+        self._hash = hash(self._terms)     # design-cache keys hash formulas often
         self.response = response
 
     @classmethod
@@ -134,10 +135,14 @@ class ModelFormula:
         return f"ModelFormula({self.text()!r})"
 
     def __eq__(self, other):
-        return isinstance(other, ModelFormula) and self.terms == other.terms
+        return isinstance(other, ModelFormula) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(self.terms)
+        return self._hash
+
+    @property
+    def terms(self) -> tuple:
+        return self._terms
 
     @property
     def has_intercept(self) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg.lapack import dgeqp3
 from scipy.special import chdtrc, expit
 
 from .errors import (
@@ -37,14 +37,20 @@ def _drop_aliased(X: np.ndarray, names: Sequence[str]):
     n, p = X.shape
     if p == 0:
         raise RankDeficient("design matrix has no columns")
-    _, R, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
+    # LAPACK's pivoted QR as scipy.linalg.qr(pivoting=True) runs it, with the
+    # same optimal workspace, but without forming Q and without qr's wrapper,
+    # whose mode="r" also masks the whole n x p factor: R's diagonal and the
+    # 1-based pivots are all that rank detection reads
+    A = np.asarray_chkfinite(X)
+    qr, piv = dgeqp3(A, lwork=int(dgeqp3(A, lwork=-1)[-2][0]))[:2]
+    diag = np.abs(np.diag(qr))
     tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
     rank = int(np.sum(diag > tol))
     if rank == 0:
         raise RankDeficient("design matrix has rank 0", dropped=tuple(names))
-    kept = np.sort(piv[:rank])
-    dropped = [names[i] for i in range(p) if i not in set(kept.tolist())]
+    kept = np.sort(piv[:rank] - 1)
+    keep = set(kept.tolist())
+    dropped = [names[i] for i in range(p) if i not in keep]
     return kept, dropped
 
 
@@ -63,35 +69,33 @@ def nonref_probs(eta: np.ndarray) -> np.ndarray:
     return e / (np.exp(-m) + e.sum(axis=1))[:, None]
 
 
-def multinomial_information(X: np.ndarray, P: np.ndarray,
-                            w: Optional[np.ndarray] = None) -> np.ndarray:
-    """Information X' diag(w P_a (1[a=b] - P_b)) X of the multinomial logit,
+def multinomial_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Information X' diag(P_a (1[a=b] - P_b)) X of the multinomial logit,
     (C p) x (C p) in category-major blocks.
 
-    Assembled as blockdiag_a(X' diag(w P_a) X) - V'V with the n x Cp matrix
-    V = sqrt(w) P_a x: one GEMM in place of C^2 weighted products, and no
+    Assembled as blockdiag_a(X' diag(P_a) X) - V'V with the n x Cp matrix
+    V = P_a x: one GEMM in place of C^2 weighted products, and no
     n x C x C array."""
     n, p = X.shape
     C = P.shape[1]
-    WP = P if w is None else P * w[:, None]
-    S = P if w is None else P * np.sqrt(w)[:, None]
-    V = (S[:, :, None] * X[:, None, :]).reshape(n, C * p)
+    V = (P[:, :, None] * X[:, None, :]).reshape(n, C * p)
     H = -(V.T @ V)
     for a in range(C):
-        H[a * p:(a + 1) * p, a * p:(a + 1) * p] += (X * WP[:, a, None]).T @ X
+        H[a * p:(a + 1) * p, a * p:(a + 1) * p] += (X * P[:, a, None]).T @ X
     return H
 
 
-def _bernoulli_deviance(eta, y, w):
-    # -2 loglik; log(1+e^eta) via logaddexp for stability
-    return 2.0 * float(np.sum(w * (np.logaddexp(0.0, eta) - y * eta)))
+def _bernoulli_deviance(eta, y):
+    # -2 loglik; log(1+e^eta) as max(eta, 0) + log1p(e^-|eta|), stable at any eta
+    return 2.0 * float(np.sum(np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+                              - y * eta))
 
 
-def _multinomial_deviance(eta, Y, w):
+def _multinomial_deviance(eta, Y):
     # -2 loglik from the n x C non-reference predictors (reference eta = 0)
     m = np.maximum(eta.max(axis=1), 0.0)
     lse = m + np.log(np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1))
-    return 2.0 * float(np.sum(w * (lse - (Y * eta).sum(axis=1))))
+    return 2.0 * float(np.sum(lse - (Y * eta).sum(axis=1)))
 
 
 def _newton(coef, evaluate, score_info, tol, max_iter) -> tuple:
@@ -198,7 +202,7 @@ class FittedMultinomial:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, weights: Optional[np.ndarray] = None,
+def fit_logistic(X: np.ndarray, y: np.ndarray,
                  *, tol: float = 1e-8, max_iter: int = 100,
                  column_names: Optional[Sequence[str]] = None,
                  formula: Optional[ModelFormula] = None) -> FittedLogistic:
@@ -211,7 +215,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, weights: Optional[np.ndarray] = N
         raise DimensionMismatch("response length does not match design")
     if np.all(y == y[0]):
         raise AllSameResponse("response is constant; the MLE does not exist")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     names = tuple(column_names) if column_names is not None else tuple(
         f"x{i}" for i in range(p))
 
@@ -221,12 +224,11 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, weights: Optional[np.ndarray] = N
 
     def evaluate(beta):
         eta = Xk @ beta
-        return eta, _bernoulli_deviance(eta, y, w)
+        return eta, _bernoulli_deviance(eta, y)
 
     def score_info(eta):
         mu = expit(eta)
-        wt = w * mu * (1.0 - mu)
-        return Xk.T @ (w * (y - mu)), (Xk * wt[:, None]).T @ Xk
+        return Xk.T @ (y - mu), (Xk * (mu * (1.0 - mu))[:, None]).T @ Xk
 
     beta, eta, dev, converged, it, cov = _newton(np.zeros(pk), evaluate, score_info,
                                                  tol, max_iter)
@@ -247,7 +249,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, weights: Optional[np.ndarray] = N
 
 def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
                     *, tol: float = 1e-8, max_iter: int = 100,
-                    weights: Optional[np.ndarray] = None,
                     column_names: Optional[Sequence[str]] = None,
                     formula: Optional[ModelFormula] = None) -> FittedMultinomial:
     X = np.asarray(X, dtype=float)
@@ -260,7 +261,6 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
         raise AllSameResponse("need at least two observed categories")
     if reference not in uniq:
         raise UnknownReference(f"reference {reference!r} not among observed categories")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     names = tuple(column_names) if column_names is not None else tuple(
         f"x{i}" for i in range(p))
 
@@ -273,11 +273,11 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
 
     def evaluate(B):
         eta = Xk @ B.T                          # n x C, reference eta = 0
-        return eta, _multinomial_deviance(eta, Y, w)
+        return eta, _multinomial_deviance(eta, Y)
 
     def score_info(eta):
         P = nonref_probs(eta)
-        return (Xk.T @ ((Y - P) * w[:, None])).T.ravel(), multinomial_information(Xk, P, w)
+        return (Xk.T @ (Y - P)).T.ravel(), multinomial_information(Xk, P)
 
     B, eta, dev, converged, it, cov = _newton(np.zeros((C, pk)), evaluate, score_info,
                                               tol, max_iter)

@@ -89,6 +89,10 @@ class IpdDataset:
         self.cov = np.array(cov, dtype=float)
         self._validate()
         self._number = {label: i for i, label in enumerate(self.study_labels)}
+        self._index()
+
+    def _index(self):
+        """Cache each study's mask and rows, and freeze every array."""
         self._masks = self.study_idx == np.arange(self.K)[:, None]
         self.study_rows = tuple(np.flatnonzero(m) for m in self._masks)
         for a in (self.study_idx, self.treat, self.outcome, self.cov, self._masks,
@@ -111,6 +115,12 @@ class IpdDataset:
             raise NonBinaryValue("outcome outside {0,1}")
         if len(set(self.study_labels)) != len(self.study_labels):
             raise ValueError("duplicate study labels")
+        self._validate_rows()
+
+    def _validate_rows(self):
+        """The checks that a row selection of a valid dataset can fail."""
+        if len(self.study_idx) == 0:
+            raise EmptyDataset("dataset has no records")
         K = len(self.study_labels)
         arms = np.bincount(self.study_idx * 2 + self.treat, minlength=2 * K)
         for label, (n_control, n_treated) in zip(self.study_labels, arms.reshape(K, 2)):
@@ -171,9 +181,17 @@ class IpdDataset:
         return {name: self.cov[:, i][rows] for i, name in enumerate(self.schema.names)}
 
     def subset(self, row_mask: np.ndarray) -> "IpdDataset":
-        """Row subset keeping the full study label set (used by resampling)."""
-        return IpdDataset(self.schema, self.study_labels, self.study_idx[row_mask],
-                          self.treat[row_mask], self.outcome[row_mask], self.cov[row_mask])
+        """Row subset keeping the full study label set (used by resampling).
+
+        The selected rows of a valid dataset are valid, so only the checks a
+        selection can fail run: no rows, or a study left without both arms."""
+        sub = object.__new__(IpdDataset)
+        sub.schema, sub.study_labels, sub._number = self.schema, self.study_labels, self._number
+        sub.study_idx, sub.treat = self.study_idx[row_mask], self.treat[row_mask]
+        sub.outcome, sub.cov = self.outcome[row_mask], self.cov[row_mask]
+        sub._validate_rows()
+        sub._index()
+        return sub
 
 
 def arm_counts(ds: IpdDataset, k) -> tuple:

@@ -133,6 +133,13 @@ class WeightDiagnostics:
                    n_over_threshold=int(np.sum(w > threshold)),
                    threshold=threshold, truncated_at=truncated_at)
 
+    @classmethod
+    def unit(cls, n: int, threshold: float = POSITIVITY_THRESHOLD) -> "WeightDiagnostics":
+        """`of(np.ones(n), threshold)` in closed form: n unit weights."""
+        s = float(n)
+        return cls(max=1.0, p95=1.0, ess=s * s / s,
+                   n_over_threshold=n if 1.0 > threshold else 0, threshold=threshold)
+
 
 @dataclass
 class StandardizedEstimate:
@@ -432,27 +439,30 @@ def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
 
     if out.ps_mode == "multinomial":
         out.multinomial_fit = _multinomial_fit(ds, ps_formula)
+    # per source trial: outcomes, arm indicators and arm shares pi_x
+    source = {}
+    for k in labels:
+        mk = ds.mask(k)
+        yk, xk = ds.outcome[mk].astype(float), ds.treat[mk]
+        n_t, n_c = arm_counts(ds, k)
+        source[k] = (yk, [(xk == x).astype(float) for x in (0, 1)],
+                     [n_c / (n_t + n_c), n_t / (n_t + n_c)] if method == IPW else [None, None])
     for j in labels:
-        n_j = int(ds.mask(j).sum())
+        n_j = len(source[j][0])
         for k in labels:
-            mk = ds.mask(k)
+            yk, arms, pis = source[k]
             if j == k:
                 # self-transport: the membership model of a trial vs itself is
                 # degenerate, so the weights are 1 and the cell is the crude contrast
-                w = np.ones(int(mk.sum()))
-                diag = WeightDiagnostics.of(w, threshold=settings.positivity_threshold)
+                w = np.ones(len(yk))
+                diag = WeightDiagnostics.unit(len(yk), threshold=settings.positivity_threshold)
             else:
                 key = frozenset((j, k))
                 if out.ps_mode == "pairwise" and key not in out.pair_fits:
                     out.pair_fits[key] = (j, _pair_fit(ds, j, k, ps_formula))
                 w, diag = _cell_weights(out, j, k)
-            yk, xk = ds.outcome[mk].astype(float), ds.treat[mk]
-            n_t, n_c = arm_counts(ds, k)
             for x in (0, 1):
-                pi_x = None
-                if method == IPW:
-                    pi_x = (n_t if x == 1 else n_c) / (n_t + n_c)
-                p, oob = _ipw_prob(k, x, w, yk, (xk == x).astype(float), pi_x, n_j)
+                p, oob = _ipw_prob(k, x, w, yk, arms[x], pis[x], n_j)
                 out[(j, k, x)] = StandardizedEstimate(
                     source_k=str(k), target_j=str(j), arm_x=x, prob=p, method=method,
                     weights_summary=diag, out_of_bounds=oob)

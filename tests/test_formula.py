@@ -109,3 +109,13 @@ def test_design_matrix_length_mismatch():
     f = parse("y ~ 1 + L + M")
     with pytest.raises(DimensionMismatch, match="unequal"):
         f.design_matrix({"L": np.zeros(3), "M": np.zeros(4)})
+
+
+def test_formula_hash_is_stable_and_equal_for_equal_formulas():
+    f = parse("y ~ 1 + treat + L + L^2 + treat:L")
+    assert hash(f) == hash(f) == hash(parse("y ~ treat + L + L^2 + treat:L"))
+    assert hash(f) == hash(parse(f.text())) == hash(ModelFormula(f.terms))
+    assert f == parse(f.text()) and len({f, parse(f.text())}) == 1
+    with pytest.raises(AttributeError):
+        f.terms = ()
+    assert isinstance(f.terms, tuple)

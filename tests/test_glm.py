@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import qr
 from scipy.special import expit, logit
 
 from casemix import glm
@@ -12,6 +14,7 @@ from casemix.errors import (
     AllSameResponse,
     DimensionMismatch,
     NoConvergence,
+    RankDeficient,
     SeparationWarning,
     UnknownReference,
 )
@@ -238,7 +241,7 @@ def _multinomial_fixture(separated=False):
 def _multinomial_fit_deviance(fit, X, cats):
     Y = np.column_stack([(cats == c).astype(float)
                          for c in fit.categories if c != fit.reference])
-    return glm._multinomial_deviance(X[:, fit.kept] @ fit.coef.T, Y, np.ones(len(cats)))
+    return glm._multinomial_deviance(X[:, fit.kept] @ fit.coef.T, Y)
 
 
 @pytest.mark.parametrize("separated", [False, True])
@@ -256,8 +259,7 @@ def test_fit_deviance_is_the_deviance_at_the_coefficients(separated):
         lfit = fit_logistic(X, y)
         mfit = fit_multinomial(Xm, cats, reference=0)
     assert lfit.separation_flag == mfit.separation_flag == separated
-    assert lfit.deviance == glm._bernoulli_deviance(X[:, lfit.kept] @ lfit.coef, y,
-                                                   np.ones(len(y)))
+    assert lfit.deviance == glm._bernoulli_deviance(X[:, lfit.kept] @ lfit.coef, y)
     assert mfit.deviance == _multinomial_fit_deviance(mfit, Xm, cats)
 
 
@@ -285,5 +287,75 @@ def test_every_halving_failed_recomputes_the_deviance(monkeypatch, multinomial):
     if multinomial:
         want = _multinomial_fit_deviance(fit, X, y)
     else:
-        want = real(X[:, fit.kept] @ fit.coef, y, np.ones(len(y)))
+        want = real(X[:, fit.kept] @ fit.coef, y)
     assert np.isfinite(fit.deviance) and fit.deviance == want
+
+
+_ETAS = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 800.0, -800.0]
+
+
+@pytest.mark.parametrize("eta", _ETAS)
+def test_bernoulli_log_partition_matches_logaddexp(eta):
+    # y = 0 leaves 2 log(1 + e^eta), which logaddexp(0, eta) computes directly
+    e = np.array([eta])
+    got = glm._bernoulli_deviance(e, np.zeros(1))
+    np.testing.assert_allclose(got, 2.0 * np.logaddexp(0.0, e)[0], rtol=1e-15, atol=0)
+
+
+def test_bernoulli_deviance_matches_logaddexp_on_random_predictors():
+    rng = np.random.default_rng(11)
+    eta = rng.normal(scale=3.0, size=500)
+    y = (rng.random(500) < 0.4).astype(float)
+    want = 2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta)
+    np.testing.assert_allclose(glm._bernoulli_deviance(eta, y), want, rtol=1e-15, atol=0)
+
+
+def _qr_oracle(X, names):
+    """`_drop_aliased` on scipy.linalg.qr(pivoting=True)."""
+    n, p = X.shape
+    R, piv = qr(X, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
+    rank = int(np.sum(diag > tol))
+    if rank == 0:
+        return None
+    kept = np.sort(piv[:rank])
+    return kept, [names[i] for i in range(p) if i not in set(kept.tolist())]
+
+
+@st.composite
+def _designs(draw):
+    """Designs mixing random columns with aliased, duplicate, zero and constant
+    ones, n < p included."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["random", "binary", "combo", "duplicate",
+                                               "zero", "constant"]), min_size=1, max_size=8)):
+        if kind == "random" or (kind in ("combo", "duplicate") and not cols):
+            cols.append(rng.normal(size=n))
+        elif kind == "binary":
+            cols.append((rng.random(n) < 0.5).astype(float))
+        elif kind == "combo":
+            cols.append(sum(rng.normal() * c for c in cols))
+        elif kind == "duplicate":
+            cols.append(cols[rng.integers(0, len(cols))].copy())
+        elif kind == "zero":
+            cols.append(np.zeros(n))
+        else:
+            cols.append(np.full(n, rng.normal()))
+    return np.column_stack(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=_designs())
+def test_drop_aliased_matches_scipy_pivoted_qr(X):
+    names = [f"x{i}" for i in range(X.shape[1])]
+    want = _qr_oracle(X, names)
+    if want is None:
+        with pytest.raises(RankDeficient):
+            glm._drop_aliased(X, names)
+        return
+    kept, dropped = glm._drop_aliased(X, names)
+    assert kept.dtype == want[0].dtype and np.array_equal(kept, want[0])
+    assert dropped == want[1]

@@ -300,3 +300,57 @@ def test_save_load_round_trip_property(labels, data):
     assert np.array_equal(back.outcome, ds.outcome)
     assert back.cov.tobytes() == ds.cov.tobytes()     # bit-identical, -0.0 included
     assert back.schema == ds.schema
+
+
+def _resample(ds, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
+                           for rows in ds.study_rows])
+
+
+@pytest.mark.parametrize("select", ["indices", "mask"])
+def test_subset_equals_the_dataset_built_from_the_same_rows(three_trial_ds, select):
+    ds = three_trial_ds
+    idx = _resample(ds) if select == "indices" else np.arange(ds.n) % 3 != 0
+    sub = ds.subset(idx)
+    built = IpdDataset(ds.schema, ds.study_labels, ds.study_idx[idx], ds.treat[idx],
+                       ds.outcome[idx], ds.cov[idx])
+    # an attribute the constructor gains and subset misses fails here
+    assert vars(sub).keys() == vars(built).keys()
+    assert sub.schema == built.schema and sub.study_labels == built.study_labels
+    assert sub.studies == built.studies and sub.n == built.n
+    for name in ("study_idx", "treat", "outcome", "cov", "_masks"):
+        a, b = getattr(sub, name), getattr(built, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+        assert not a.flags.writeable, name
+    assert len(sub.study_rows) == len(built.study_rows)
+    for a, b in zip(sub.study_rows, built.study_rows):
+        assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+    for label in ds.studies:
+        assert np.array_equal(sub.mask(label), built.mask(label))
+        assert sub.study_number(label) == built.study_number(label)
+        assert arm_counts(sub, label) == arm_counts(built, label)
+    assert idx.flags.writeable
+
+
+def _rows_error(make):
+    with pytest.raises(Exception) as exc:
+        make()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("drop", ["arm", "study", "all"])
+def test_subset_raises_what_the_constructor_raises(drop):
+    ds = small_ds()
+    if drop == "arm":           # study "b" keeps only its treated rows
+        idx = np.flatnonzero((ds.study_idx == 0) | (ds.treat == 1))
+    elif drop == "study":
+        idx = np.flatnonzero(ds.study_idx == 0)
+    else:
+        idx = np.array([], dtype=np.intp)
+    got = _rows_error(lambda: ds.subset(idx))
+    want = _rows_error(lambda: IpdDataset(ds.schema, ds.study_labels, ds.study_idx[idx],
+                                          ds.treat[idx], ds.outcome[idx], ds.cov[idx]))
+    assert got == want
+    assert got[0] is {"arm": SingleArmStudy, "study": EmptyDataset,
+                      "all": EmptyDataset}[drop]

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 
 from casemix.errors import (DivisionByZero, InvalidFormula, PositivityWarning,
                             UndefinedMeasure)
+from casemix import glm
 from casemix.formula import parse
 from casemix.transport import (
     IPW, IPW_STABILIZED, OCR, GridSettings, StandardizedEstimate, WeightDiagnostics,
     common_control_check, effect, effect_matrix, effect_transform, membership_columns,
     membership_eta, standardized_grid, transport_weight)
 
-from conftest import ENUM_GRID, ENUM_OR, ENUM_RD, ENUM_RR, cell, dataset_from_cells
+from conftest import (ENUM_GRID, ENUM_OR, ENUM_RD, ENUM_RR, cell, continuous_ds,
+                      dataset_from_cells)
 
 OUTCOME = parse("y ~ 1 + treat + L + treat:L")
 PS = parse("study ~ 1 + L")
@@ -318,6 +321,20 @@ def test_common_control_divergent_rejects(enum_ds):
     assert rep.p_value < 1e-6
 
 
+@pytest.mark.parametrize("make", ["enum", "continuous"])
+def test_common_control_statistic_matches_a_logaddexp_deviance(monkeypatch, enum_ds, make):
+    # the LR statistic is a difference of fit deviances: it must agree with
+    # the statistic computed from logaddexp deviances at the same fits
+    ds = enum_ds if make == "enum" else continuous_ds(seed=3, n=600)
+    control = parse("y ~ 1 + L")
+    got = common_control_check(ds, control).statistic
+    monkeypatch.setattr(glm, "_bernoulli_deviance",
+                        lambda eta, y: 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta)))
+    want = common_control_check(ds, control).statistic
+    assert want > 1.0
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 def test_common_control_validation(enum_ds):
     with pytest.raises(ValueError, match="cannot reference treat"):
         common_control_check(enum_ds, parse("y ~ 1 + treat + L"))
@@ -325,3 +342,22 @@ def test_common_control_validation(enum_ds):
         cell("1", 0, 1, 50, 20), cell("1", 0, 0, 50, 10)])
     with pytest.raises(ValueError, match="at least two studies"):
         common_control_check(single, parse("y ~ 1 + L"))
+
+
+@pytest.mark.parametrize("threshold", [0.5, 200.0])
+@pytest.mark.parametrize("n", [1, 2, 19, 20, 800])
+def test_unit_weight_diagnostics_match_the_general_form(n, threshold):
+    assert WeightDiagnostics.unit(n, threshold) == WeightDiagnostics.of(np.ones(n), threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 200.0])
+def test_diagonal_cells_carry_unit_weight_diagnostics(three_trial_ds, threshold):
+    settings = GridSettings(IPW_STABILIZED, ps_formula=PS, positivity_threshold=threshold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PositivityWarning)
+        grid = standardized_grid(three_trial_ds, settings)
+    for k in three_trial_ds.studies:
+        n_k = int(three_trial_ds.mask(k).sum())
+        for x in (0, 1):
+            assert grid[(k, k, x)].weights_summary == WeightDiagnostics.of(np.ones(n_k),
+                                                                           threshold)
