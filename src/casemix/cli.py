@@ -326,6 +326,7 @@ def cmd_analyze(args) -> int:
             msr: [int(v) for v in counts]
             for msr, counts in covres.excluded.items()}
         diagnostics["bootstrap_replicates"] = covres.replicates
+        diagnostics["bootstrap_failures"] = covres.failures
     path = os.path.join(outdir, "diagnostics.json")
     with open(path, "w") as fh:
         json.dump(diagnostics, fh, indent=1)

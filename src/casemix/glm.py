@@ -30,11 +30,16 @@ from .formula import Interaction, ModelFormula
 
 SEPARATION_LP = 30.0
 SEPARATION_DEV = 1e-6
+FULL_RANK_RATIO = 1e-8      # eigenvalue ratio of a Gram matrix that is surely of full rank
+LOGISTIC_SEPARATION = "fitted probabilities numerically 0/1: possible separation"
+MULTINOMIAL_SEPARATION = "category probabilities numerically 0/1: possible separation"
 
 
-def _drop_aliased(X: np.ndarray, names: Sequence[str]):
-    """Pivoted-QR rank detection; returns kept column indices (original order)."""
-    n, p = X.shape
+def _drop_aliased(X: np.ndarray, names: Sequence[str], n: Optional[int] = None):
+    """Pivoted-QR rank detection; returns kept column indices (original order).
+    `n` is the row count the tolerance scales with, X's own by default."""
+    p = X.shape[1]
+    n = X.shape[0] if n is None else n
     if p == 0:
         raise RankDeficient("design matrix has no columns")
     # LAPACK's pivoted QR as scipy.linalg.qr(pivoting=True) runs it, with the
@@ -240,8 +245,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
                          dropped_columns=tuple(dropped), kept=kept, p_original=p, n=n,
                          formula=formula)
     if separated:
-        warnings.warn("fitted probabilities numerically 0/1: possible separation",
-                      SeparationWarning, stacklevel=2)
+        warnings.warn(LOGISTIC_SEPARATION, SeparationWarning, stacklevel=2)
     if not converged and not separated:
         raise NoConvergence(f"no convergence in {max_iter} iterations", last_fit=fit)
     return fit
@@ -290,11 +294,185 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
                             dropped_columns=tuple(dropped), kept=kept, p_original=p,
                             n=n, formula=formula)
     if separated:
-        warnings.warn("category probabilities numerically 0/1: possible separation",
-                      SeparationWarning, stacklevel=2)
+        warnings.warn(MULTINOMIAL_SEPARATION, SeparationWarning, stacklevel=2)
     if not converged and not separated:
         raise NoConvergence(f"no convergence in {max_iter} iterations", last_fit=fit)
     return fit
+
+
+@dataclass
+class CountFits:
+    """One model fitted once per row of a count matrix, by `fit_counts`."""
+
+    coef: np.ndarray                 # B x C x p, 0 at a replicate's aliased columns
+    failure: list                    # per replicate: None, or the CasemixError subclass
+    converged: np.ndarray            # B flags
+    separated: np.ndarray            # B flags
+    kept: list                       # per replicate: retained columns (None when failed)
+
+
+def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
+    """Fit the logit of the n x C non-reference indicators `Y` on the design
+    `X` once per row of the B x n frequency weights `counts`: replicate b is
+    the fit to X's rows each repeated counts[b] times, the reference category
+    being the rows with no indicator set. C = 1 is the logistic model.
+
+    Each replicate fails or not as `fit_logistic` (C = 1) or `fit_multinomial`
+    would on its expanded rows: fewer than two observed categories is
+    `AllSameResponse`, rank 0 `RankDeficient`, and a fit that neither
+    converged nor separated `NoConvergence`. Rank detection runs on the rows
+    the replicate holds, scaled by the root of their counts so that pivoting
+    sees the expanded rows' column norms, unless the replicate's weighted Gram
+    matrix is so well conditioned that every column is surely kept; replicates
+    that keep the same columns share one batched Newton loop. Every replicate
+    with two observed categories must observe all C + 1 of them. No
+    information matrix is inverted and nothing warns: `separated` tells the
+    caller.
+    """
+    W = np.asarray(counts, dtype=float)
+    B, p = W.shape[0], X.shape[1]
+    observed = np.column_stack([W @ (1.0 - Y.sum(axis=1)), W @ Y]) > 0
+    n_observed = observed.sum(axis=1)
+    if np.any((n_observed >= 2) & (n_observed <= Y.shape[1])):
+        raise ValueError("a replicate leaves a category unobserved")
+    out = CountFits(coef=np.zeros((B, Y.shape[1], p)), failure=[None] * B,
+                    converged=np.zeros(B, bool), separated=np.zeros(B, bool), kept=[None] * B)
+    # pivoted QR keeps every column when each |R_ii|, at least the smallest
+    # singular value, clears its tolerance of n eps times the largest: a
+    # well-conditioned weighted Gram matrix certifies that
+    gram = (W @ (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)).reshape(B, p, p)
+    lam = np.linalg.eigvalsh(gram)
+    full_rank = lam[:, 0] > FULL_RANK_RATIO * lam[:, -1]
+    groups: dict = {}
+    for b in range(B):
+        if n_observed[b] < 2:
+            out.failure[b] = AllSameResponse
+            continue
+        held = W[b] > 0
+        try:
+            kept = np.arange(p) if full_rank[b] else _drop_aliased(
+                np.sqrt(W[b, held])[:, None] * X[held], range(p), n=int(W[b].sum()))[0]
+        except RankDeficient:
+            out.failure[b] = RankDeficient
+            continue
+        out.kept[b] = kept
+        groups.setdefault(tuple(kept), []).append(b)
+    for kept, reps in groups.items():
+        reps = np.array(reps)
+        coef, converged, separated = _newton_counts(X[:, kept], Y, W[reps])
+        out.coef[np.ix_(reps, range(Y.shape[1]), kept)] = coef
+        out.converged[reps], out.separated[reps] = converged, separated
+        for b in reps[~(converged | separated)]:
+            out.failure[b] = NoConvergence
+    return out
+
+
+def _count_evaluate(coef, X, Yt, W) -> tuple:
+    """Count-weighted deviances (A) and non-reference probabilities (A x C x n)
+    of A coefficient sets (A x C x p), in `fit_multinomial`'s forms, or
+    `fit_logistic`'s when C = 1."""
+    A, C, p = coef.shape
+    eta = (coef.reshape(A * C, p) @ X.T).reshape(A, C, -1)
+    fit = np.einsum("cn,acn->an", Yt, eta)
+    if C == 1:
+        e = np.exp(-np.abs(eta))
+        lse = np.log1p(e)
+        lse += np.maximum(eta, 0.0)
+        P = np.where(eta >= 0.0, 1.0, e)
+        e += 1.0
+        P /= e
+    else:
+        m = np.maximum(eta.max(axis=1, keepdims=True), 0.0)
+        P = np.exp(np.subtract(eta, m, out=eta), out=eta)
+        den = P.sum(axis=1, keepdims=True)
+        den += np.exp(-m)
+        lse = np.log(den)
+        lse += m
+        P /= den
+    lse = lse[:, 0]
+    lse -= fit
+    return 2.0 * np.einsum("an,an->a", W, lse), P
+
+
+def _newton_counts(X, Y, W, tol=1e-8, max_iter=100) -> tuple:
+    """`_newton` from zero, with the fitters' default `tol` and `max_iter`, for
+    each row of the counts W at once -> (B x C x p coefficients, converged
+    flags, separated flags). Each replicate halves its own step by `_newton`'s
+    rules and leaves the loop when its step falls below `tol`; the working
+    arrays hold the replicates still iterating."""
+    B, n = W.shape
+    p, C = X.shape[1], Y.shape[1]
+    Yt = np.ascontiguousarray(Y.T)
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    out = np.zeros((B, C, p))
+    converged, separated = np.zeros(B, bool), np.zeros(B, bool)
+    reps = np.arange(B)
+    coef = out.copy()
+    # at zero every category has probability 1 / (C + 1)
+    dev = 2.0 * np.log1p(C) * W.sum(axis=1)
+    P = np.full((B, C, n), 1.0 / (C + 1))
+    for it in range(1, max_iter + 1):
+        A = len(reps)
+        g = ((W[:, None, :] * (Yt - P)).reshape(A * C, n) @ X).reshape(A, C * p)
+        # information block (a, c): sum over rows of W P_a (1[a=c] - P_c) x x'
+        WP = W[:, None, :] * P
+        H = np.empty((A, C, p, C, p))
+        for a in range(C):
+            for c in range(a, C):
+                H[:, a, :, c, :] = ((WP[:, a] * (float(a == c) - P[:, c])) @ XX).reshape(A, p, p)
+                H[:, c, :, a, :] = H[:, a, :, c, :]
+        del WP, P
+        step = _solve_each(H.reshape(A, C * p, C * p), g).reshape(A, C, p)
+
+        coef_new = coef + step
+        dev_new, P = _count_evaluate(coef_new, X, Yt, W)
+        scale = np.ones(A)
+        rise = np.flatnonzero(~(dev_new <= dev + 1e-10))
+        for halving in range(1, 31):
+            if not rise.size:
+                break
+            scale[rise] *= 0.5
+            cand = coef[rise] + scale[rise, None, None] * step[rise]
+            coef_new[rise] = cand
+            dev_new[rise], P[rise] = _count_evaluate(cand, X, Yt, W[rise])
+            if halving < 30:
+                rise = rise[~(dev_new[rise] <= dev[rise] + 1e-10)]
+        coef, dev = coef_new, dev_new
+
+        small = np.abs(scale[:, None, None] * step).max(axis=(1, 2)) < tol
+        leave = small | (it == max_iter)
+        if leave.any():
+            gone = reps[leave]
+            converged[gone], out[gone] = small[leave], coef[leave]
+            eta = np.abs(coef[leave].reshape(-1, p) @ X.T).reshape(len(gone), -1, n)
+            lp = np.where(W[leave, None, :] > 0, eta, 0.0).max(axis=(1, 2))
+            separated[gone] = ((~small[leave] & (lp > SEPARATION_LP))
+                               | (dev[leave] < SEPARATION_DEV))
+            stay = ~leave
+            reps, coef, dev, P, W = reps[stay], coef[stay], dev[stay], P[stay], W[stay]
+            if not reps.size:
+                break
+    return out, converged, separated
+
+
+def _solve_each(H, g) -> np.ndarray:
+    """Newton steps H^-1 g of a stack of systems; a singular system falls back
+    to least squares on its own, as in `_newton`, and one that least squares
+    cannot solve either gets a NaN step, so its fit ends unconverged."""
+    try:
+        return np.linalg.solve(H, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    step = np.empty_like(g)
+    for a in range(len(g)):
+        try:
+            step[a] = np.linalg.solve(H[a], g[a])
+        except np.linalg.LinAlgError:
+            try:
+                step[a] = np.linalg.lstsq(H[a], g[a], rcond=None)[0]
+            except np.linalg.LinAlgError:
+                step[a] = np.nan
+    return step
 
 
 def predict_prob(fit, rows: np.ndarray) -> np.ndarray:

@@ -279,14 +279,19 @@ def _cell_weights(grid: "FittedGrid", j, k) -> tuple:
     if settings.truncation is not None:
         truncated_at = float(np.percentile(w, settings.truncation))
         w = np.minimum(w, truncated_at)
-    threshold = settings.positivity_threshold
-    diag = WeightDiagnostics.of(w, threshold=threshold, truncated_at=truncated_at)
+    diag = WeightDiagnostics.of(w, threshold=settings.positivity_threshold,
+                                truncated_at=truncated_at)
     if diag.n_over_threshold > 0:
-        warnings.warn(
-            f"{diag.n_over_threshold} transport weight(s) exceed {threshold:g} "
-            f"(max {diag.max:.3g}): possible positivity violation",
-            PositivityWarning, stacklevel=2)
+        warn_positivity(diag.n_over_threshold, diag.max, diag.threshold)
     return w, diag
+
+
+def warn_positivity(n_over: int, w_max: float, threshold: float) -> None:
+    """The `PositivityWarning` of a cell with `n_over` weights above the
+    threshold, the largest `w_max`."""
+    warnings.warn(f"{n_over} transport weight(s) exceed {threshold:g} "
+                  f"(max {w_max:.3g}): possible positivity violation",
+                  PositivityWarning, stacklevel=3)
 
 
 def _ipw_prob(k, x: int, w: np.ndarray, y: np.ndarray, arm: np.ndarray,
@@ -371,7 +376,8 @@ class FittedGrid(dict):
     grid, so the points and their covariance come from one set of fits and
     one set of designs: `design` builds each retained-column design once,
     and the sandwich evaluates the very arrays the cells were computed from.
-    Bootstrap replicates are rebuilt with this very `settings` object.
+    Bootstrap replicates refit its models on these designs with this very
+    `settings` object.
     `ps_mode` is the settings' membership mode resolved for this dataset.
     """
 

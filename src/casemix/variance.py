@@ -22,18 +22,38 @@ Weight truncation caps are held fixed at their estimated values inside the
 sandwich; capped subjects (weight strictly above the cap) contribute no
 weight derivative, and a weight exactly at the cap counts as uncapped, as in
 the grid.
+
+A bootstrap replicate is a multinomial reweighting of the rows (Efron &
+Tibshirani 1993), so the bootstrap never builds a replicate's dataset or
+grid: it turns each draw into per-row counts and recomputes the grid's
+models and cells as count-weighted sums over the grid's own designs, for a
+block of replicates at a time.
 """
 
 from __future__ import annotations
 
+import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import CasemixError, SingularBread, TooManyFailedReplicates
-from .glm import multinomial_information, nonref_probs
+from .errors import (
+    CasemixError,
+    DivisionByZero,
+    SeparationWarning,
+    SingularBread,
+    TooManyFailedReplicates,
+)
+from .glm import (
+    LOGISTIC_SEPARATION,
+    MULTINOMIAL_SEPARATION,
+    fit_counts,
+    multinomial_information,
+    nonref_probs,
+)
 from .transport import (
     IPW_STABILIZED,
     MEASURES,
@@ -42,8 +62,8 @@ from .transport import (
     effect_transform,
     membership_columns,
     membership_eta,
-    standardized_grid,
     transport_weight,
+    warn_positivity,
 )
 
 COND_LIMIT = 1e12
@@ -264,6 +284,7 @@ class CovarianceResult:
     labels: tuple
     excluded: Optional[dict] = None     # bootstrap: measure -> per-cell exclusion counts
     replicates: Optional[int] = None
+    failures: Optional[dict] = None     # bootstrap: exception name -> replicates it excluded
 
     def cell_order(self):
         return _cell_order(self.labels)
@@ -378,12 +399,21 @@ def sandwich_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES) -> Covari
     return CovarianceResult(sigma=sigma, se=se, method="sandwich", labels=labels)
 
 
+# replicates x rows x categories of one replicate block (128 KB per array):
+# smaller blocks pay more per-block overhead, larger ones gain no speed and
+# raise peak memory
+_BLOCK_CELLS = 1 << 14
+
+
 def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int = 200,
                   seed=0, _indices=None) -> CovarianceResult:
-    """Stratified bootstrap: each trial resampled to its own size, the whole
-    grid rebuilt per replicate with `grid.settings`, covariance taken
-    across replicates. Replicates where a cell is undefined are excluded for
-    that cell (pairwise-complete covariance) and counted."""
+    """Stratified bootstrap: each trial resampled to its own size, the grid
+    recomputed per replicate with `grid.settings`, covariance taken across
+    replicates. A replicate is the parent's rows weighted by how often its
+    draw holds them (`_CountReplicates`). A replicate whose draw or refit
+    fails is excluded everywhere and counted by reason in `failures`;
+    replicates where a cell is undefined are excluded for that cell
+    (pairwise-complete covariance) and counted in `excluded`."""
     if B < 2:
         raise ValueError("need at least two bootstrap replicates")
     for msr in measures:                # unknown measures fail before any replicate
@@ -392,46 +422,209 @@ def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int =
     labels = ds.studies
     K = len(labels)
     order = _cell_order(labels)
+    replicates = _CountReplicates(grid)
 
     probs = np.full((B, K * K, 2), np.nan)  # [replicate, cell, arm]
-    for b in range(B):
-        rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed) + [b]))
-        if _indices is not None:
-            idx = _indices(b, rng, ds.study_rows)
-        else:
-            idx = np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
-                                  for rows in ds.study_rows])
-        try:
-            rep = standardized_grid(ds.subset(np.asarray(idx)), grid.settings)
-        except (CasemixError, np.linalg.LinAlgError):
-            continue                    # whole-replicate failure: excluded everywhere
-        probs[b] = [[rep[(j, k, x)].prob for x in (0, 1)] for j, k in order]
+    failures: Counter = Counter()
+    counts = np.empty((min(B, replicates.block), ds.n))
+    for start in range(0, B, replicates.block):
+        drawn = []
+        for b in range(start, min(B, start + replicates.block)):
+            rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed) + [b]))
+            if _indices is not None:
+                idx = np.asarray(_indices(b, rng, ds.study_rows))
+            else:
+                idx = np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
+                                      for rows in ds.study_rows])
+            try:
+                ds.subset(idx)          # an empty trial or a lost arm fails the replicate
+            except CasemixError as e:
+                failures[type(e).__name__] += 1
+                continue
+            counts[len(drawn)] = np.bincount(idx, minlength=ds.n)
+            drawn.append(b)
+        if drawn:
+            probs[drawn] = replicates.probs(counts[:len(drawn)], failures)
 
     sigma, se, excluded = {}, {}, {}
     for msr in measures:
         msr = msr.lower()
         D = effect_transform(msr, probs[..., 1], probs[..., 0])[0]
-        valid = np.isfinite(D)
-        n_valid = valid.sum(axis=0)
+        n_valid = np.isfinite(D).sum(axis=0)
         excluded[msr] = (B - n_valid).astype(int)
         if np.any(n_valid < B / 2):
             worst = order[int(np.argmin(n_valid))]
             raise TooManyFailedReplicates(
                 f"{msr.upper()}{worst}: {B - int(n_valid.min())} of {B} bootstrap "
                 "replicates undefined")
-        M = np.full((K * K, K * K), np.nan)
-        for a in range(K * K):
-            for bcol in range(a, K * K):
-                both = valid[:, a] & valid[:, bcol]
-                nb = int(both.sum())
-                if nb >= 2:
-                    da = D[both, a] - D[both, a].mean()
-                    db = D[both, bcol] - D[both, bcol].mean()
-                    M[a, bcol] = M[bcol, a] = float(da @ db) / (nb - 1)
-        sigma[msr] = M
-        se[msr] = _se_from_sigma(M)
+        sigma[msr] = _pairwise_cov(D)
+        se[msr] = _se_from_sigma(sigma[msr])
     return CovarianceResult(sigma=sigma, se=se, method="bootstrap", labels=labels,
-                            excluded=excluded, replicates=B)
+                            excluded=excluded, replicates=B,
+                            failures=dict(sorted(failures.items())))
+
+
+def _pairwise_cov(D: np.ndarray) -> np.ndarray:
+    """Covariance of D's columns, each pair over the rows where both are finite;
+    NaN where fewer than two are. The columns are first centred at their own
+    means, so the masked sums carry no large common offset."""
+    V = np.isfinite(D)
+    Vf = V.astype(float)
+    n = Vf.sum(axis=0)
+    Dz = np.where(V, D, 0.0)
+    Dc = np.where(V, Dz - Dz.sum(axis=0) / np.maximum(n, 1.0), 0.0)
+    N = Vf.T @ Vf                       # rows where both are finite
+    S = Dc.T @ Vf                       # S[a, b]: sum of column a over those rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = (Dc.T @ Dc - S * S.T / N) / (N - 1.0)
+    M[N < 2] = np.nan
+    return np.triu(M) + np.triu(M, 1).T
+
+
+class _CountReplicates:
+    """The models and cells of a grid, recomputed for a block of bootstrap
+    replicates given as per-row counts on the grid's dataset.
+
+    Each model is refitted for every replicate at once (`glm.fit_counts`) on
+    the design the grid holds, and each cell is a count-weighted sum over the
+    grid's designs, so nothing is rebuilt. The steps run in the order
+    `standardized_grid` takes them; a replicate that fails a step (as the
+    step would raise on the resampled rows) takes no further step, and only
+    the steps a replicate takes warn for it. A block holds at most
+    `_BLOCK_CELLS` replicate x row x category cells, or one replicate: its
+    size is fixed by the data's shape."""
+
+    def __init__(self, grid: FittedGrid):
+        self.grid, ds = grid, grid.ds
+        self.rows = dict(zip(ds.studies, ds.study_rows))
+        # per trial: arm indicators (rows x arm) and the outcomes of each arm
+        self.arms = {}
+        for lab, rows in self.rows.items():
+            arms = (ds.treat[rows][:, None] == np.arange(2)).astype(float)
+            self.arms[lab] = (arms, arms * ds.outcome[rows][:, None])
+        C = ds.K - 1 if grid.settings.method != OCR and grid.ps_mode == "multinomial" else 1
+        self.block = max(1, _BLOCK_CELLS // (ds.n * C))
+
+    def probs(self, counts: np.ndarray, failures: Counter) -> np.ndarray:
+        """[replicate, cell, arm] probabilities of the replicates with these
+        counts (replicates x rows, as floats); NaN for a replicate that fails,
+        counted by reason in `failures`."""
+        self.W = counts
+        self.alive = np.ones(len(counts), bool)
+        self.failures = failures
+        K = self.grid.ds.K
+        out = np.full((len(counts), K * K, 2), np.nan)
+        if self.grid.settings.method == OCR:
+            self._ocr(out)
+        else:
+            self._ipw(out)
+        out[~self.alive] = np.nan
+        return out
+
+    def _fail(self, b, error) -> None:
+        self.alive[b] = False
+        self.failures[error.__name__] += 1
+
+    def _fit(self, X, Y, rows, message) -> np.ndarray:
+        """Coefficients (replicates x C x p) of one model refitted for the live
+        replicates on the design X of `rows`, responses Y; a replicate whose
+        fit fails leaves the block, one that separates warns `message`."""
+        live = np.flatnonzero(self.alive)
+        fits = fit_counts(X, Y, self.W[np.ix_(live, rows)])
+        coef = np.zeros((len(self.alive),) + fits.coef.shape[1:])
+        coef[live] = fits.coef
+        for b, error, separated in zip(live, fits.failure, fits.separated):
+            if error is not None:
+                self._fail(b, error)
+            elif separated:
+                warnings.warn(message, SeparationWarning, stacklevel=2)
+        return coef
+
+    def _ocr(self, out) -> None:
+        grid, ds = self.grid, self.grid.ds
+        beta = {}
+        for (k, form), fit in grid.outcome_fits.items():    # in order of first use
+            y = ds.outcome[self.rows[k]].astype(float)[:, None]
+            beta[(k, form)] = self._fit(grid.design(form, k, fit.kept), y, self.rows[k],
+                                        LOGISTIC_SEPARATION)[:, 0]
+        live = np.flatnonzero(self.alive)
+        for c, (j, k) in enumerate(_cell_order(ds.studies)):
+            form = grid.outcome_formula_for(j, k)
+            kept = grid.outcome_fits[(k, form)].kept
+            Wj = self.W[np.ix_(live, self.rows[j])]
+            for x in (0, 1):
+                with np.errstate(over="ignore"):    # exp overflow is a probability of 0
+                    mu = 1.0 / (1.0 + np.exp(-grid.design(form, j, kept, x)
+                                             @ beta[(k, form)][live].T))
+                out[live, c, x] = np.einsum("an,na->a", Wj, mu) / Wj.sum(axis=1)
+
+    def _ipw(self, out) -> None:
+        grid, ds, settings = self.grid, self.grid.ds, self.grid.settings
+        ps = settings.ps_formula
+        gamma = {}                      # id of a parent membership fit -> replicate coefficients
+        if grid.ps_mode == "multinomial":
+            fit = grid.multinomial_fit
+            rows = np.concatenate(ds.study_rows)
+            nonref = [c for c in fit.categories if c != fit.reference]
+            Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)
+            Z = np.vstack([grid.design(ps, lab, fit.kept) for lab in ds.studies])
+            gamma[id(fit)] = self._fit(Z, Y, rows, MULTINOMIAL_SEPARATION)
+        for c, (j, k) in enumerate(_cell_order(ds.studies)):
+            w = None
+            if j != k:
+                fit = grid.membership_fit(j, k)
+                kept, j_col, k_col = membership_columns(fit, ds, j, k)[1:]
+                if id(fit) not in gamma:    # a pair's fit, at its first cell
+                    pair = (fit[0], k if fit[0] == j else j)     # trial fitted as 1 first
+                    rows = np.concatenate([self.rows[lab] for lab in pair])
+                    y = (np.arange(len(rows)) < len(self.rows[pair[0]])).astype(float)
+                    Z = np.vstack([grid.design(ps, lab, kept) for lab in pair])
+                    gamma[id(fit)] = self._fit(Z, y[:, None], rows, LOGISTIC_SEPARATION)
+                if not self.alive.any():    # every replicate of the block has failed
+                    return
+                w = self._weights(gamma[id(fit)], grid.design(ps, k, kept), k, j_col, k_col)
+            self._cell(out, c, j, k, w)
+
+    def _weights(self, gamma, Z, k, j_col, k_col) -> np.ndarray:
+        """Transport weights (live replicates x trial k's rows) at each live
+        replicate's membership coefficients, capped at the percentile of its
+        own draw; warns as `transport._cell_weights` does on the draw."""
+        settings = self.grid.settings
+        live = np.flatnonzero(self.alive)
+        A, C, p = len(live), gamma.shape[1], gamma.shape[2]
+        eta = (gamma[live].reshape(A * C, p) @ Z.T).reshape(A, C, -1)
+        w = transport_weight(eta.transpose(0, 2, 1).reshape(-1, C), j_col, k_col,
+                             settings.expit_weight)[0].reshape(A, -1)
+        counts = self.W[np.ix_(live, self.rows[k])]
+        if settings.truncation is not None:
+            for a in range(A):
+                cap = np.percentile(np.repeat(w[a], counts[a].astype(np.intp)),
+                                    settings.truncation)
+                w[a] = np.minimum(w[a], cap)
+        threshold = settings.positivity_threshold
+        n_over = ((w > threshold) * counts).sum(axis=1)
+        for a in np.flatnonzero(n_over):
+            warn_positivity(int(n_over[a]), float(w[a][counts[a] > 0].max()), threshold)
+        return w
+
+    def _cell(self, out, c, j, k, w) -> None:
+        """Both arm probabilities of cell (j, k) for the live replicates, from
+        trial k's weights `w` (None on the diagonal: all 1), as
+        `transport._ipw_prob` computes them on the draw."""
+        live = np.flatnonzero(self.alive)
+        arms, arm_y = self.arms[k]
+        Wk = self.W[np.ix_(live, self.rows[k])]
+        Ww = Wk if w is None else Wk * w
+        num = Ww @ arm_y
+        if self.grid.settings.method == IPW_STABILIZED:
+            den = Ww @ arms
+            for b in live[(den == 0.0).any(axis=1)]:
+                self._fail(b, DivisionByZero)
+        else:                           # pi_x n_j
+            n_j = self.W[np.ix_(live, self.rows[j])].sum(axis=1)
+            den = (Wk @ arms) / Wk.sum(axis=1)[:, None] * n_j[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[live, c] = num / den
 
 
 def _entropy(seed) -> list:

@@ -14,6 +14,7 @@ from casemix.transport import (IPW, IPW_STABILIZED, OCR, GridSettings, effect_ma
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
+from bootstrap_oracle import oracle_bootstrap
 from conftest import continuous_ds, separated_dataset
 
 OUTCOME = parse("y ~ 1 + treat + L + treat:L")
@@ -195,22 +196,19 @@ def test_bootstrap_excludes_replicate_that_raises_casemix_error(enum_ds):
 
 
 def test_every_bootstrap_replicate_gets_the_grid_settings(enum_ds, monkeypatch):
-    # each replicate is a resample through `IpdDataset.subset`, rebuilt by
-    # `standardized_grid` with the very settings object of the parent grid
+    # each replicate's draw is validated through `IpdDataset.subset`, and its
+    # covariance is that of grids rebuilt with the parent grid's settings
     grid = _grid(enum_ds, IPW, truncation=90.0)
-    seen, subsets = [], []
+    subsets = []
     subset = IpdDataset.subset
-
-    def recording_grid(ds, settings):
-        seen.append(settings)
-        return standardized_grid(ds, settings)
-
-    monkeypatch.setattr(variance, "standardized_grid", recording_grid)
     monkeypatch.setattr(IpdDataset, "subset",
                         lambda self, rows: subsets.append(rows) or subset(self, rows))
-    bootstrap_cov(grid, measures=("rr",), B=5, seed=0)
-    assert len(seen) == len(subsets) == 5
-    assert all(s is grid.settings for s in seen)
+    res = bootstrap_cov(grid, measures=("rr",), B=5, seed=0)
+    assert len(subsets) == 5
+    monkeypatch.undo()
+    ref = oracle_bootstrap(grid, ("rr",), B=5, seed=0, settings=grid.settings)
+    scale = np.max(np.diag(ref["sigma"]["rr"]))
+    assert np.max(np.abs(res.sigma["rr"] - ref["sigma"]["rr"])) <= 1e-10 * scale
 
 
 def test_bootstrap_surfaces_programming_errors(enum_ds, monkeypatch):
@@ -218,7 +216,7 @@ def test_bootstrap_surfaces_programming_errors(enum_ds, monkeypatch):
         raise TypeError("a programming error")
 
     grid = _grid(enum_ds, IPW)
-    monkeypatch.setattr(variance, "standardized_grid", broken)
+    monkeypatch.setattr(variance, "fit_counts", broken)
     with pytest.raises(TypeError, match="programming error"):
         bootstrap_cov(grid, measures=("rr",), B=4, seed=0)
 
