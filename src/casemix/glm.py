@@ -66,12 +66,19 @@ def _separated(converged: bool, eta: np.ndarray, dev: float) -> bool:
                 or dev < SEPARATION_DEV)
 
 
-def nonref_probs(eta: np.ndarray) -> np.ndarray:
-    """n x C probabilities of the non-reference categories from their linear
-    predictors (the reference category's predictor is 0)."""
+def nonref_softmax(eta: np.ndarray) -> tuple:
+    """Category probabilities of a multinomial logit from the n x C
+    non-reference linear predictors `eta` (the reference category's predictor
+    is 0), written over `eta`, and each row's log-partition
+    log(1 + sum_a e^eta_a): one exp per entry."""
     m = np.maximum(eta.max(axis=1), 0.0)
-    e = np.exp(eta - m[:, None])
-    return e / (np.exp(-m) + e.sum(axis=1))[:, None]
+    P = np.exp(np.subtract(eta, m[:, None], out=eta), out=eta)
+    den = P.sum(axis=1)
+    den += np.exp(-m)
+    P /= den[:, None]
+    lse = np.log(den, out=den)
+    lse += m
+    return P, lse
 
 
 def multinomial_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -79,14 +86,19 @@ def multinomial_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     (C p) x (C p) in category-major blocks.
 
     Assembled as blockdiag_a(X' diag(P_a) X) - V'V with the n x Cp matrix
-    V = P_a x: one GEMM in place of C^2 weighted products, and no
-    n x C x C array."""
+    V = [P_a x], filled one design column at a time (no n x C x p broadcast
+    temporary). Two GEMMs: V'V, and X'V, whose C column blocks are the
+    diagonal blocks X' diag(P_a) X. No n x C x C array."""
     n, p = X.shape
     C = P.shape[1]
-    V = (P[:, :, None] * X[:, None, :]).reshape(n, C * p)
+    V = np.empty((n, C, p))
+    for c in range(p):
+        np.multiply(P, X[:, c, None], out=V[:, :, c])
+    V = V.reshape(n, C * p)
     H = -(V.T @ V)
+    D = X.T @ V
     for a in range(C):
-        H[a * p:(a + 1) * p, a * p:(a + 1) * p] += (X * P[:, a, None]).T @ X
+        H[a * p:(a + 1) * p, a * p:(a + 1) * p] += D[:, a * p:(a + 1) * p]
     return H
 
 
@@ -96,43 +108,52 @@ def _bernoulli_deviance(eta, y):
                               - y * eta))
 
 
-def _multinomial_deviance(eta, Y):
-    # -2 loglik from the n x C non-reference predictors (reference eta = 0)
-    m = np.maximum(eta.max(axis=1), 0.0)
-    lse = m + np.log(np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1))
-    return 2.0 * float(np.sum(lse - (Y * eta).sum(axis=1)))
+def _multinomial_deviance(eta, observed):
+    """-2 loglik and the n x C non-reference probabilities from the n x C
+    non-reference predictors `eta` (reference eta = 0), which it overwrites
+    with those probabilities. `observed` holds the flat indices into `eta` of
+    each non-reference row's observed category; the fit term is the sum of
+    the predictors there."""
+    fit = np.take(eta, observed).sum()
+    P, lse = nonref_softmax(eta)
+    return 2.0 * float(lse.sum() - fit), P
 
 
 def _newton(coef, evaluate, score_info, tol, max_iter) -> tuple:
-    """Damped Newton from `coef` -> (coef, eta, deviance, converged, iterations,
-    inverse information). `evaluate(coef)` gives eta and the deviance, kept for
-    the accepted step; `score_info(eta)` the score (flattened like coef) and
-    the information. A step is halved while the deviance rises, 30 times at most."""
-    eta, dev = evaluate(coef)
+    """Damped Newton from `coef` -> (coef, state, deviance, converged,
+    iterations, inverse information). `evaluate(coef)` gives the fit's state
+    at coef and the deviance, kept for the accepted step; `score_info(state)`
+    the score (flattened like coef) and the information. A step is halved
+    while the deviance rises, 30 times at most; when every candidate raises
+    it, the loop ends at the current coefficients, converged only if the last
+    candidate's step is below `tol`."""
+    state, dev = evaluate(coef)
     converged, it = False, 0
     for it in range(1, max_iter + 1):
-        g, H = score_info(eta)
+        g, H = score_info(state)
         try:
             step = np.linalg.solve(H, g).reshape(coef.shape)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, g, rcond=None)[0].reshape(coef.shape)
-        scale = 1.0
         for halving in range(31):
+            scale = 0.5 ** halving
             cand = coef + scale * step
-            cand_eta, cand_dev = evaluate(cand)
-            if cand_dev <= dev + 1e-10 or halving == 30:
+            cand_state, cand_dev = evaluate(cand)
+            if cand_dev <= dev + 1e-10:
                 break
-            scale *= 0.5
-        coef, eta, dev = cand, cand_eta, cand_dev
+        else:                           # every candidate raised the deviance: no step
+            converged = bool(np.max(np.abs(scale * step)) < tol)
+            break
+        coef, state, dev = cand, cand_state, cand_dev
         if np.max(np.abs(scale * step)) < tol:
             converged = True
             break
-    H = score_info(eta)[1]
+    H = score_info(state)[1]
     try:
         cov = np.linalg.inv(H)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(H)
-    return coef, eta, dev, converged, it, cov
+    return coef, state, dev, converged, it, cov
 
 
 @dataclass
@@ -190,14 +211,9 @@ class FittedMultinomial:
         if rows.shape[1] != self.p_original:
             raise DimensionMismatch(
                 f"expected rows of width {self.p_original}, got {rows.shape[1]}")
-        Z = rows[:, self.kept]
-        eta = np.zeros((Z.shape[0], len(self.categories)))
-        r = 0
-        for c, cat in enumerate(self.categories):
-            if cat == self.reference:
-                continue
-            eta[:, c] = Z @ self.coef[r]
-            r += 1
+        eta = np.zeros((rows.shape[0], len(self.categories)))
+        nonref = [c for c, cat in enumerate(self.categories) if cat != self.reference]
+        eta[:, nonref] = rows[:, self.kept] @ self.coef.T
         return eta
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
@@ -273,19 +289,26 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
     pk = Xk.shape[1]
     others = [c for c in uniq if c != reference]
     C = len(others)
-    Y = np.column_stack([(cats_arr == c).astype(float) for c in others])  # n x C
+    col = np.full(n, -1)
+    for c, cat in enumerate(others):
+        col[cats_arr == cat] = c
+    observed = np.flatnonzero(col >= 0)
+    observed = observed * C + col[observed]     # flat indices into n x C
+    Y = np.zeros((n, C))
+    Y.flat[observed] = 1.0
+    XtY = Xk.T @ Y                              # p x C, the score's fixed part
+    del Y, col
 
     def evaluate(B):
-        eta = Xk @ B.T                          # n x C, reference eta = 0
-        return eta, _multinomial_deviance(eta, Y)
+        dev, P = _multinomial_deviance(Xk @ B.T, observed)   # reference eta = 0
+        return P, dev
 
-    def score_info(eta):
-        P = nonref_probs(eta)
-        return (Xk.T @ (Y - P)).T.ravel(), multinomial_information(Xk, P)
+    def score_info(P):
+        return (XtY - Xk.T @ P).T.ravel(), multinomial_information(Xk, P)
 
-    B, eta, dev, converged, it, cov = _newton(np.zeros((C, pk)), evaluate, score_info,
-                                              tol, max_iter)
-    separated = _separated(converged, eta, dev)
+    B, _, dev, converged, it, cov = _newton(np.zeros((C, pk)), evaluate, score_info,
+                                            tol, max_iter)
+    separated = _separated(converged, Xk @ B.T, dev)
 
     fit = FittedMultinomial(coef=B, categories=tuple(uniq), reference=reference,
                             fisher_cov=cov, converged=converged, iterations=it,
@@ -398,8 +421,9 @@ def _newton_counts(X, Y, W, tol=1e-8, max_iter=100) -> tuple:
     """`_newton` from zero, with the fitters' default `tol` and `max_iter`, for
     each row of the counts W at once -> (B x C x p coefficients, converged
     flags, separated flags). Each replicate halves its own step by `_newton`'s
-    rules and leaves the loop when its step falls below `tol`; the working
-    arrays hold the replicates still iterating."""
+    rules and leaves the loop when its step falls below `tol` or when every
+    candidate raised its deviance; the working arrays hold the replicates
+    still iterating."""
     B, n = W.shape
     p, C = X.shape[1], Y.shape[1]
     Yt = np.ascontiguousarray(Y.T)
@@ -435,12 +459,16 @@ def _newton_counts(X, Y, W, tol=1e-8, max_iter=100) -> tuple:
             cand = coef[rise] + scale[rise, None, None] * step[rise]
             coef_new[rise] = cand
             dev_new[rise], P[rise] = _count_evaluate(cand, X, Yt, W[rise])
-            if halving < 30:
-                rise = rise[~(dev_new[rise] <= dev[rise] + 1e-10)]
+            rise = rise[~(dev_new[rise] <= dev[rise] + 1e-10)]
+        # a replicate whose every candidate raised the deviance takes no step
+        # and leaves the loop
+        if rise.size:
+            coef_new[rise], dev_new[rise] = coef[rise], dev[rise]
         coef, dev = coef_new, dev_new
 
         small = np.abs(scale[:, None, None] * step).max(axis=(1, 2)) < tol
         leave = small | (it == max_iter)
+        leave[rise] = True
         if leave.any():
             gone = reps[leave]
             converged[gone], out[gone] = small[leave], coef[leave]

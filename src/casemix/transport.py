@@ -195,9 +195,9 @@ class EffectMatrix:
 
 def membership_eta(Z: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """n x C non-reference linear predictors of a membership model with
-    retained-column design `Z` and C x p coefficients, one `Z @ coef[c]` per
-    category, as `FittedMultinomial.linear_predictors` forms them."""
-    return np.column_stack([Z @ c for c in coef])
+    retained-column design `Z` and C x p coefficients, in one product, as
+    `FittedMultinomial.linear_predictors` forms them."""
+    return Z @ coef.T
 
 
 def transport_weight(eta: np.ndarray, j_col: Optional[int], k_col: Optional[int],

@@ -52,7 +52,7 @@ from .glm import (
     MULTINOMIAL_SEPARATION,
     fit_counts,
     multinomial_information,
-    nonref_probs,
+    nonref_softmax,
 )
 from .transport import (
     IPW_STABILIZED,
@@ -96,13 +96,16 @@ class _MembershipScore:
         self.Z, self.col, self.sl = Z, col, sl
 
     def _probs(self, theta):
-        return nonref_probs(membership_eta(self.Z, theta[self.sl].reshape(-1, self.Z.shape[1])))
+        eta = membership_eta(self.Z, theta[self.sl].reshape(-1, self.Z.shape[1]))
+        return nonref_softmax(eta)[0]
 
     def add_psi(self, theta, P, pos):
         R = -self._probs(theta)
         if self.col is not None:
             R[:, self.col] += 1.0
-        P[:, pos[self.sl]] = (R[:, :, None] * self.Z[:, None, :]).reshape(len(P), -1)
+        cols = pos[self.sl].reshape(-1, self.Z.shape[1])   # C x p, category-major
+        for c in range(self.Z.shape[1]):
+            P[:, cols[:, c]] = R * self.Z[:, c, None]
 
     def add_bread(self, theta, A, n):
         A[self.sl, self.sl] += multinomial_information(self.Z, self._probs(theta)) / n

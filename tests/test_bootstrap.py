@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casemix import cli, variance
+from casemix import cli, glm, variance
 from casemix.errors import CasemixError, NoConvergence, SeparationWarning
 from casemix.formula import parse
 from casemix.glm import fit_counts, fit_logistic, fit_multinomial
@@ -251,6 +251,73 @@ def test_each_count_weighted_fit_matches_the_fit_on_expanded_rows(seed, n, C, sl
                 coef = coef[[c - 1 for c in order]]
             scale = np.max(np.abs(ref.coef))
             assert np.max(np.abs(coef - ref.coef)) <= 1e-10 * max(scale, 1.0)
+
+
+def _separated_replicates():
+    """Design (with an aliased column), response and two bootstrap count
+    vectors whose expanded rows are completely separated: the fit's
+    information goes numerically singular as its coefficients grow."""
+    n = 25
+    rng = np.random.default_rng(5652387)
+    L = rng.normal(size=n)
+    X = np.column_stack([np.ones(n), L, rng.random(n) < 0.5, 2.0 * L]).astype(float)
+    P = np.exp(np.column_stack([np.zeros(n), -L]))
+    y = np.array([rng.choice(2, p=q / q.sum()) for q in P], dtype=float)
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(6)],
+                      dtype=float)
+    return X, y, counts[[1, 5]]
+
+
+def test_a_separated_fit_never_accepts_a_rising_deviance():
+    # every accepted Newton step keeps the deviance within its slack, so no
+    # row order of a separated fit can end converged at a deviance above the
+    # start's; before, 12 of these 80 fits took a 30th halving that raised it
+    # and ended converged at deviances of 1e8-1e210
+    X, y, counts = _separated_replicates()
+    fits = fit_counts(X, y[:, None], counts)
+    assert not fits.converged.any() and fits.separated.all()
+    order = np.random.default_rng(0)
+    for c in counts:
+        rows = np.repeat(np.arange(len(X)), c.astype(int))
+        start = 2.0 * len(rows) * np.log(2.0)
+        for _ in range(40):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SeparationWarning)
+                fit = fit_logistic(X[rows], y[rows])
+            assert fit.separation_flag and not fit.converged
+            assert fit.deviance <= start
+            rows = order.permutation(rows)
+
+
+def test_a_replicate_whose_every_halving_failed_keeps_its_coefficients(monkeypatch):
+    # rig replicate 0's 31 candidates of the first step to look worse: it
+    # takes no step and ends at zero, converged because its last candidate's
+    # step (2^-30 of the full one) is below tol; the other replicates iterate
+    # as if it were not there
+    rng = np.random.default_rng(3)
+    n = 80
+    L = rng.normal(size=n)
+    X = np.column_stack([np.ones(n), L])
+    Y = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.5 - L)))[:, None].astype(float)
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(4)],
+                      dtype=float)
+    real, calls = glm._count_evaluate, []
+
+    def rigged(coef, X, Yt, W):
+        calls.append(1)
+        dev, P = real(coef, X, Yt, W)
+        if len(calls) <= 31:
+            dev[(W == counts[0]).all(axis=1)] = np.inf
+        return dev, P
+
+    monkeypatch.setattr(glm, "_count_evaluate", rigged)
+    fits = fit_counts(X, Y, counts)
+    monkeypatch.undo()
+    ref = fit_counts(X, Y, counts[1:])
+    assert len(calls) > 31
+    assert np.all(fits.coef[0] == 0.0) and fits.converged[0] and not fits.separated[0]
+    assert fits.failure == [None] * 4 and fits.converged.all()
+    assert np.max(np.abs(fits.coef[1:] - ref.coef)) <= 1e-12 * np.max(np.abs(ref.coef))
 
 
 def _three_continuous_trials(seed=4, n=450):

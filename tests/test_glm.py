@@ -239,9 +239,10 @@ def _multinomial_fixture(separated=False):
 
 
 def _multinomial_fit_deviance(fit, X, cats):
-    Y = np.column_stack([(cats == c).astype(float)
-                         for c in fit.categories if c != fit.reference])
-    return glm._multinomial_deviance(X[:, fit.kept] @ fit.coef.T, Y)
+    nonref = [c for c in fit.categories if c != fit.reference]
+    rows = np.flatnonzero(cats != fit.reference)
+    observed = rows * len(nonref) + np.array([nonref.index(c) for c in cats[rows]])
+    return glm._multinomial_deviance(X[:, fit.kept] @ fit.coef.T, observed)[0]
 
 
 @pytest.mark.parametrize("separated", [False, True])
@@ -264,31 +265,81 @@ def test_fit_deviance_is_the_deviance_at_the_coefficients(separated):
 
 
 @pytest.mark.parametrize("multinomial", [False, True])
-def test_every_halving_failed_recomputes_the_deviance(monkeypatch, multinomial):
-    # rig the first step's 30 candidates to look worse: the loop leaves with
-    # the scale halved once more, whose deviance no candidate computed
+def test_every_halving_failed_stays_at_the_current_coefficients(monkeypatch, multinomial):
+    # rig the first step's 31 candidates to look worse: the loop takes no step
+    # and ends at the start, converged only if the last candidate's step,
+    # 2^-30 of the full one, is below tol
     name = "_multinomial_deviance" if multinomial else "_bernoulli_deviance"
     real = getattr(glm, name)
     calls = []
 
     def rigged(*args):
         calls.append(1)
-        return np.inf if 2 <= len(calls) <= 31 else real(*args)
+        out = real(*args)
+        if not 2 <= len(calls) <= 32:
+            return out
+        return (np.inf, out[1]) if multinomial else np.inf
 
     monkeypatch.setattr(glm, name, rigged)
     X, y = saturated_binary_fixture()
-    with pytest.raises(NoConvergence) as exc:
+    for tol in (1e-14, 1.0):
+        calls.clear()
+        try:
+            fit = (fit_multinomial(X, y, reference=0, tol=tol) if multinomial
+                   else fit_logistic(X, y, tol=tol))
+        except NoConvergence as exc:
+            fit = exc.last_fit
+        assert len(calls) == 32
+        assert fit.converged == (tol == 1.0) and fit.iterations == 1
+        assert np.all(fit.coef == 0.0)
         if multinomial:
-            fit_multinomial(X, y, reference=0, max_iter=1, tol=1e-14)
+            want = _multinomial_fit_deviance(fit, X, y)
         else:
-            fit_logistic(X, y, max_iter=1, tol=1e-14)
-    fit = exc.value.last_fit
-    assert len(calls) == 32
-    if multinomial:
-        want = _multinomial_fit_deviance(fit, X, y)
-    else:
-        want = real(X[:, fit.kept] @ fit.coef, y)
-    assert np.isfinite(fit.deviance) and fit.deviance == want
+            want = real(X[:, fit.kept] @ fit.coef, y)
+        assert fit.deviance == want
+
+
+def _literal_information(X, P):
+    """The multinomial information as its C^2 weighted products
+    X' diag(P_a (1[a=b] - P_b)) X, one block at a time."""
+    C, p = P.shape[1], X.shape[1]
+    H = np.empty((C * p, C * p))
+    for a in range(C):
+        for b in range(C):
+            w = P[:, a] * (float(a == b) - P[:, b])
+            H[a * p:(a + 1) * p, b * p:(b + 1) * p] = (X * w[:, None]).T @ X
+    return H
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), C=st.sampled_from([1, 2, 9]),
+       p=st.sampled_from([1, 3]), alias=st.booleans())
+def test_multinomial_information_matches_its_definition(seed, C, p, alias):
+    rng = np.random.default_rng(seed)
+    n = 80 * (C + 1)
+    X = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(p - 1)])
+    if alias:
+        X = np.column_stack([X, 2.0 * X[:, -1]])    # aliased with the last column
+    eta = X @ rng.normal(scale=0.3, size=(C, X.shape[1])).T
+    P = glm.nonref_softmax(eta.copy())[0]
+    want = _literal_information(X, P)
+    H = glm.multinomial_information(X, P)
+    assert np.max(np.abs(H - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # at the solution: fisher_cov inverts the information and the score vanishes
+    full = np.column_stack([np.ones(n), np.exp(eta)])
+    cats = (rng.random(n)[:, None] > (full / full.sum(axis=1, keepdims=True)).cumsum(axis=1)
+            ).sum(axis=1)
+    fit = fit_multinomial(X, cats, reference=0)
+    assert fit.converged and not fit.separation_flag
+    assert len(fit.kept) == X.shape[1] - alias
+    Xk = X[:, fit.kept]
+    nonref = np.array([c for c in fit.categories if c != 0])
+    Pf = glm.nonref_softmax(Xk @ fit.coef.T)[0]
+    info = _literal_information(Xk, Pf)
+    assert np.max(np.abs(fit.fisher_cov @ info - np.eye(len(info)))) <= 1e-8
+    score = Xk.T @ ((cats[:, None] == nonref).astype(float) - Pf)
+    assert np.max(np.abs(score)) <= 1e-8 * n
 
 
 _ETAS = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 800.0, -800.0]

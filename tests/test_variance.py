@@ -7,7 +7,7 @@ from casemix import variance
 from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplicates
 from casemix.formula import ModelFormula, parse
 from casemix.ipd import IpdDataset
-from casemix.simlab import generate_setting, preset_config
+from casemix.simlab import analysis_preset, generate_setting, preset_config
 from casemix.transport import (IPW, IPW_STABILIZED, OCR, GridSettings, effect_matrix,
                                membership_columns, membership_eta, standardized_grid,
                                transport_weight)
@@ -477,3 +477,24 @@ def test_meat_never_allocates_the_dense_psi():
     finally:
         tracemalloc.stop()
     assert peak < system.n * system.m * 8 / 4
+
+
+@pytest.mark.parametrize("preset", [1, 3])
+@pytest.mark.parametrize("method", [IPW, IPW_STABILIZED])
+def test_two_trial_pairwise_membership_equals_multinomial(preset, method):
+    # at K = 2 the multinomial membership logit is the pairwise logistic fit,
+    # fitted the other way round when the pair's label 1 is the reference: the
+    # grid and the sandwich must not depend on the membership mode
+    ds = generate_setting(preset_config(preset), 3)
+    ps = analysis_preset("IPW1", preset).settings.ps_formula
+    pair, multi = (standardized_grid(ds, GridSettings(method, ps_formula=ps, ps_mode=mode))
+                   for mode in ("pairwise", "multinomial"))
+    assert len(pair) == len(multi) == 8
+    for key, cell in multi.items():
+        assert abs(pair[key].prob - cell.prob) <= 1e-12 * abs(cell.prob), key
+    one, other = sandwich_cov(pair), sandwich_cov(multi)
+    for msr, sigma in other.sigma.items():
+        ok = np.isfinite(sigma)
+        assert np.array_equal(ok, np.isfinite(one.sigma[msr]))
+        scale = np.max(np.diag(sigma)[np.diag(ok)])
+        assert np.max(np.abs(one.sigma[msr][ok] - sigma[ok])) <= 1e-10 * scale, msr
