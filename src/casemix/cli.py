@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--bootstrap-b", type=int, dest="bootstrap_b")
-    sim.add_argument("--workers", type=int)
     sim.add_argument("--n-total", type=int, dest="n_total")
     sim.add_argument("--oracle-runs", type=int, dest="oracle_runs")
     sim.add_argument("--alpha", type=float)
@@ -164,7 +163,7 @@ def _setting_from(cfg: dict) -> SettingConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args, defaults={
-        "analyses": "OCR1,IPW1", "reps": 1000, "bootstrap_b": 50, "workers": 1,
+        "analyses": "OCR1,IPW1", "reps": 1000, "bootstrap_b": 50,
         "oracle_runs": 5000, "alpha": 0.05, "out": "casemix-out",
     })
     if cfg.get("seed") is None:
@@ -173,7 +172,6 @@ def cmd_simulate(args) -> int:
     analyses = [a.strip() for a in str(cfg["analyses"]).split(",") if a.strip()]
     report = run_study(setting, analyses, reps=int(cfg["reps"]),
                        seed=int(cfg["seed"]), bootstrap_b=int(cfg["bootstrap_b"]),
-                       workers=int(cfg["workers"]),
                        oracle_runs=int(cfg["oracle_runs"]),
                        alpha=float(cfg["alpha"]))
     written = report.write_tables(cfg["out"])

@@ -11,7 +11,7 @@ replications.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -198,29 +198,6 @@ class FittedMultinomial:
     p_original: int
     n: int
     formula: Optional[ModelFormula] = None
-
-    def category_index(self, cat) -> int:
-        try:
-            return self.categories.index(cat)
-        except ValueError:
-            raise UnknownReference(f"unknown category {cat!r}") from None
-
-    def linear_predictors(self, rows: np.ndarray) -> np.ndarray:
-        """n x C matrix of category linear predictors (reference column = 0)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self.p_original:
-            raise DimensionMismatch(
-                f"expected rows of width {self.p_original}, got {rows.shape[1]}")
-        eta = np.zeros((rows.shape[0], len(self.categories)))
-        nonref = [c for c, cat in enumerate(self.categories) if cat != self.reference]
-        eta[:, nonref] = rows[:, self.kept] @ self.coef.T
-        return eta
-
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        eta = self.linear_predictors(rows)
-        eta = eta - eta.max(axis=1, keepdims=True)
-        e = np.exp(eta)
-        return e / e.sum(axis=1, keepdims=True)
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray,
@@ -501,13 +478,6 @@ def _solve_each(H, g) -> np.ndarray:
             except np.linalg.LinAlgError:
                 step[a] = np.nan
     return step
-
-
-def predict_prob(fit, rows: np.ndarray) -> np.ndarray:
-    """Probability (logistic) or probability vector per row (multinomial)."""
-    single = np.asarray(rows).ndim == 1
-    out = fit.predict(rows)
-    return out[0] if single else out
 
 
 def backward_eliminate(ds, base: ModelFormula, candidates: Sequence[Interaction],

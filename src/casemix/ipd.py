@@ -1,4 +1,4 @@
-"""Individual patient data: schema, records, validation, CSV round-trip.
+"""Individual patient data: schema, validation, CSV round-trip.
 
 The on-disk format is UTF-8 CSV with a header row and columns
 ``study,treat,outcome,<cov1>,<cov2>,...``. ``treat`` and ``outcome`` are
@@ -15,7 +15,7 @@ import io
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,20 +53,6 @@ class CovariateSchema:
     def infer(cls, names: Sequence[str], columns: np.ndarray) -> "CovariateSchema":
         binary = np.all((columns == 0) | (columns == 1), axis=0)
         return cls(tuple(names), tuple("binary" if b else "continuous" for b in binary))
-
-
-@dataclass(frozen=True)
-class IpdRecord:
-    study: str
-    treat: int
-    outcome: int
-    covariates: tuple
-
-    def __post_init__(self):
-        if self.treat not in (0, 1):
-            raise NonBinaryValue(f"treat must be 0/1, got {self.treat!r}")
-        if self.outcome not in (0, 1):
-            raise NonBinaryValue(f"outcome must be 0/1, got {self.outcome!r}")
 
 
 class IpdDataset:
@@ -130,20 +116,6 @@ class IpdDataset:
                 raise SingleArmStudy(f"study {label!r} lacks one of the two arms")
 
     # --- constructors ---
-
-    @classmethod
-    def from_records(cls, schema: CovariateSchema, records: Iterable[IpdRecord]) -> "IpdDataset":
-        records = list(records)
-        if not records:
-            raise EmptyDataset("no records")
-        for r in records:
-            if len(r.covariates) != len(schema.names):
-                raise NonNumericCovariate(
-                    f"record has {len(r.covariates)} covariates, schema has {len(schema.names)}")
-        labels, idx = _first_appearance_index([r.study for r in records])
-        cov = np.array([r.covariates for r in records], dtype=float)
-        return cls(schema, labels, idx, np.array([r.treat for r in records]),
-                   np.array([r.outcome for r in records]), cov)
 
     @classmethod
     def from_arrays(cls, cov_names: Sequence[str], study_labels: Sequence[str],

@@ -17,7 +17,7 @@ from scipy.special import ndtri
 
 from .errors import NoEstimableInputs
 
-Z975 = ndtri(0.975)
+Z975 = float(ndtri(0.975))
 
 REML_MAX_ITER = 200
 REML_TOL = 1e-10

@@ -9,8 +9,8 @@ several covariates. Normal laws are parameterized as (mean, sd) throughout.
 A replication study draws independent datasets, runs every requested analysis
 on each, and aggregates bias, variance calibration (Monte-Carlo variance vs.
 mean sandwich and bootstrap estimates) and heterogeneity-test rejection rates.
-Per-replication RNG streams are preallocated from the master seed, so reports
-are byte-identical for any worker count.
+Replication r draws its data and bootstrap from streams keyed by (seed, r)
+alone, so a study of fewer reps reproduces the leading reps of a longer one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
@@ -349,8 +348,7 @@ def _resolve_analyses(analyses, cfg: SettingConfig) -> list:
 
 
 class _Raw:
-    """Per-replication slots for one analysis; aggregation reads them in
-    replication order regardless of which worker filled them."""
+    """Per-replication slots for one analysis, indexed by replication."""
 
     def __init__(self, reps: int, K: int, n_measures: int, n_tests: int):
         self.probs = np.full((reps, K * K, 2), np.nan)
@@ -362,8 +360,6 @@ class _Raw:
         self.feas = np.zeros((reps, 2, n_measures, n_tests), dtype=bool)
         self.ran = np.zeros((reps, 2, n_measures, n_tests), dtype=bool)
         self.oob = np.zeros(reps, dtype=int)
-        self.n_over = np.zeros(reps, dtype=int)
-        self.boot_excluded = np.zeros(reps, dtype=int)
         self.failed = np.zeros(reps, dtype=bool)
 
 
@@ -534,7 +530,7 @@ def write_csv(path, rows, meta: dict) -> None:
 
 def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
               reps: int = 1000, seed=0, bootstrap_b: int = 50,
-              workers: int = 1, truth: Optional[OracleTruth] = None,
+              truth: Optional[OracleTruth] = None,
               oracle_runs: int = 5000, alpha: float = 0.05,
               measures: Sequence[str] = ("rr", "or")) -> SimulationReport:
     """Replication study of one setting.
@@ -558,47 +554,37 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
     raws = {a.name: _Raw(reps, K, len(measures), len(test_names)) for a in analyses}
     failures = {a.name: [] for a in analyses}
 
-    def one_rep(r: int) -> None:
-        ds = generate_setting(cfg, _entropy(seed) + [1, r])
-        order = [(j, k) for j in labels for k in labels]
-        for an in analyses:
-            raw = raws[an.name]
-            try:
-                grid = standardized_grid(ds, an.settings)
-                for c, (j, k) in enumerate(order):
-                    for x in (0, 1):
-                        est = grid[(j, k, x)]
-                        raw.probs[r, c, x] = est.prob
-                        raw.oob[r] += int(est.out_of_bounds)
-                        if x == 1 and est.weights_summary is not None:
-                            raw.n_over[r] += est.weights_summary.n_over_threshold
-                matrices = {}
-                for mi, msr in enumerate(measures):
-                    m = effect_matrix(grid, msr, collect_errors=True)
-                    matrices[msr] = m
-                    raw.eff_log[r, mi] = m.transformed_vector()
-                    raw.eff_nat[r, mi] = m.point_vector()
-                sres = sandwich_cov(grid, measures)
-                _record_tests(raw, r, 0, measures, matrices, sres, raw.var_snd)
-                if bootstrap_b > 0:
-                    bres = bootstrap_cov(grid, measures, B=bootstrap_b,
-                                         seed=_entropy(seed) + [2, r])
-                    raw.boot_excluded[r] = max(int(v.max()) for v in bres.excluded.values())
-                    _record_tests(raw, r, 1, measures, matrices, bres, raw.var_boot)
-            except (CasemixError, np.linalg.LinAlgError) as e:
-                # a failed fit, grid or covariance fails this replication
-                # only; any other error is a programming error and propagates
-                raw.failed[r] = True
-                failures[an.name].append((r, f"{type(e).__name__}: {e}"))
-
+    order = [(j, k) for j in labels for k in labels]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                list(ex.map(one_rep, range(reps)))
-        else:
-            for r in range(reps):
-                one_rep(r)
+        for r in range(reps):
+            ds = generate_setting(cfg, _entropy(seed) + [1, r])
+            for an in analyses:
+                raw = raws[an.name]
+                try:
+                    grid = standardized_grid(ds, an.settings)
+                    for c, (j, k) in enumerate(order):
+                        for x in (0, 1):
+                            est = grid[(j, k, x)]
+                            raw.probs[r, c, x] = est.prob
+                            raw.oob[r] += int(est.out_of_bounds)
+                    matrices = {}
+                    for mi, msr in enumerate(measures):
+                        m = effect_matrix(grid, msr, collect_errors=True)
+                        matrices[msr] = m
+                        raw.eff_log[r, mi] = m.transformed_vector()
+                        raw.eff_nat[r, mi] = m.point_vector()
+                    sres = sandwich_cov(grid, measures)
+                    _record_tests(raw, r, 0, measures, matrices, sres, raw.var_snd)
+                    if bootstrap_b > 0:
+                        bres = bootstrap_cov(grid, measures, B=bootstrap_b,
+                                             seed=_entropy(seed) + [2, r])
+                        _record_tests(raw, r, 1, measures, matrices, bres, raw.var_boot)
+                except (CasemixError, np.linalg.LinAlgError) as e:
+                    # a failed fit, grid or covariance fails this replication
+                    # only; any other error is a programming error and propagates
+                    raw.failed[r] = True
+                    failures[an.name].append((r, f"{type(e).__name__}: {e}"))
 
     return SimulationReport(
         config=cfg.to_dict(), analyses=[a.describe() for a in analyses],

@@ -195,8 +195,7 @@ class EffectMatrix:
 
 def membership_eta(Z: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """n x C non-reference linear predictors of a membership model with
-    retained-column design `Z` and C x p coefficients, in one product, as
-    `FittedMultinomial.linear_predictors` forms them."""
+    retained-column design `Z` and C x p coefficients, in one product."""
     return Z @ coef.T
 
 

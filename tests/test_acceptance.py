@@ -433,15 +433,16 @@ def test_criterion_8_property_suites(tmp_path):
     if abs(s.tau2 - 0.4) > 1e-12:
         bad.append(f"tau2 {s.tau2} != 0.4")
 
-    # byte-identical results whatever the worker count
+    # replication r depends only on (seed, r): two reps equal the first two of three
     truth = true_values_oracle(preset_config(1), runs=5, seed=0)
-    kw = dict(reps=2, seed=11, bootstrap_b=4, truth=truth)
-    one = run_study(preset_config(1), ["IPW1"], workers=1, **kw)
-    two = run_study(preset_config(1), ["IPW1"], workers=4, **kw)
-    for field in ("probs", "eff_log", "var_boot", "pval"):
-        if not np.array_equal(getattr(one.raw["IPW1"], field),
-                              getattr(two.raw["IPW1"], field), equal_nan=True):
-            bad.append(f"worker count changed {field}")
+    kw = dict(seed=11, bootstrap_b=4, truth=truth)
+    two = run_study(preset_config(1), ["OCR1", "IPW1"], reps=2, **kw)
+    three = run_study(preset_config(1), ["OCR1", "IPW1"], reps=3, **kw)
+    for name in ("OCR1", "IPW1"):
+        for field in ("probs", "eff_log", "var_snd", "var_boot", "pval"):
+            if not np.array_equal(getattr(two.raw[name], field),
+                                  getattr(three.raw[name], field)[:2], equal_nan=True):
+                bad.append(f"{name} {field} of the first two reps changed with reps")
 
     # the full pipeline runs end to end on a synthetic CSV
     csv_path = str(tmp_path / "enum.csv")
@@ -463,5 +464,5 @@ def test_criterion_8_property_suites(tmp_path):
 
     _report(8, not bad,
             "score-zero, bread, enumeration, bounds, Wald invariance, "
-            "tau2, worker determinism, pipeline all hold"
+            "tau2, replication-prefix determinism, pipeline all hold"
             if not bad else "; ".join(bad))

@@ -179,6 +179,48 @@ def test_simulate_tiny_study(tmp_path, capsys):
     assert "replications failed" not in captured.out
 
 
+# the label, flag and note columns; every other CSV column is numeric
+TEXT_COLUMNS = {"analysis", "variance", "measure", "test", "kind", "target", "source",
+                "target_j", "source_k", "defined", "note", "hypothesis", "scale",
+                "feasible"}
+
+
+def _numeric_fields(outdir):
+    """(file, column, text) of every numeric field in the CSVs of `outdir`."""
+    import csv as csvmod
+    fields = []
+    for name in sorted(os.listdir(outdir)):
+        if name.endswith(".csv"):
+            with open(os.path.join(outdir, name)) as fh:
+                assert fh.readline().startswith("# ")
+                for row in csvmod.DictReader(fh):
+                    fields += [(name, k, v) for k, v in row.items() if k not in TEXT_COLUMNS]
+    return fields
+
+
+def test_every_numeric_csv_field_parses_as_a_float(enum_csv, tmp_path, capsys):
+    runs = {}                                   # output directory -> columns it must hold
+    for measure in ("rr", "rd"):
+        out = str(tmp_path / measure)
+        assert cli.main(["analyze", enum_csv, *OCR_ARGS, "--measure", measure,
+                         "--out", out]) == 0
+        runs[out] = {"ci_lower", "ci_upper", "p_value"}
+    out = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--preset", "1", "--reps", "2", "--seed", "1",
+                     "--bootstrap-b", "4", "--oracle-runs", "20", "--n-total", "300",
+                     "--analyses", "OCR1,IPW1", "--out", out]) == 0
+    capsys.readouterr()
+    runs[out] = {"bias", "mcv", "btv", "reject_pct"}
+    for out, columns in runs.items():
+        fields = _numeric_fields(out)
+        assert columns <= {column for _, column, _ in fields}
+        for name, column, text in fields:
+            try:
+                float(text)
+            except ValueError:
+                pytest.fail(f"{name} {column}: {text!r}")
+
+
 def test_simulate_requires_seed(capsys):
     rc = cli.main(["simulate", "--preset", "1", "--reps", "2"])
     captured = capsys.readouterr()
@@ -203,12 +245,11 @@ def test_config_file_merging(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"preset": 1, "seed": 1, "repz": 5}))
+    conf.write_text(json.dumps({"preset": 1, "seed": 1, "repz": 5, "workers": 2}))
     rc = cli.main(["simulate", "--config", str(conf)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "unknown config keys" in captured.err
-    assert "repz" in captured.err
+    assert "unknown config keys: ['repz', 'workers']" in captured.err
 
 
 def test_simulate_failure_threshold(tmp_path, capsys, monkeypatch):
@@ -238,6 +279,13 @@ def test_bad_choice_exits_via_argparse(enum_csv):
 def test_analyze_has_no_workers_option(enum_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", enum_csv, *OCR_ARGS, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+def test_simulate_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--preset", "1", "--seed", "1", "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 

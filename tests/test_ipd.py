@@ -19,7 +19,6 @@ from casemix.errors import (
 from casemix.ipd import (
     CovariateSchema,
     IpdDataset,
-    IpdRecord,
     arm_counts,
     load_ipd,
     save_ipd,
@@ -62,8 +61,6 @@ def test_single_arm_study_rejected():
 
 def test_nonbinary_treat_rejected():
     with pytest.raises(NonBinaryValue):
-        IpdRecord("a", 2, 0, (0.0,))
-    with pytest.raises(NonBinaryValue):
         IpdDataset.from_arrays(["L"], ["a"], np.zeros(4, int),
                                np.array([0, 1, 0, 3]), np.zeros(4, int),
                                np.zeros((4, 1)))
@@ -78,7 +75,8 @@ def test_nonfinite_covariate_rejected():
 
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
-        IpdDataset.from_records(CovariateSchema(("L",), ("continuous",)), [])
+        IpdDataset.from_arrays(["L"], [], np.zeros(0, int), np.zeros(0, int),
+                               np.zeros(0, int), np.zeros((0, 1)))
 
 
 def test_schema_validation():

@@ -9,7 +9,10 @@ import casemix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REMOVED = ("ocr_standardized_prob", "ipw_standardized_prob", "density_ratio_weights",
-           "EmptyArm", "EmptyTarget", "ConditionNumberWarning")
+           "EmptyArm", "EmptyTarget", "ConditionNumberWarning", "IpdRecord", "predict_prob")
+REMOVED_MEMBERS = {casemix.IpdDataset: ("from_records",),
+                   casemix.FittedMultinomial: ("predict", "linear_predictors",
+                                               "category_index")}
 
 
 def test_every_export_resolves_once():
@@ -19,6 +22,12 @@ def test_every_export_resolves_once():
     for name in REMOVED:
         assert name not in casemix.__all__
         assert not hasattr(casemix, name), name
+
+
+def test_removed_members_stay_gone():
+    for cls, names in REMOVED_MEMBERS.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
 def test_cli_import_leaves_scipy_stats_out():

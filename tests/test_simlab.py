@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -162,16 +163,24 @@ def test_rejection_rate_lookup(tiny_run):
         tiny_run.rejection_rate("NOPE", "conventional")
 
 
-def test_run_study_worker_count_invariance(tiny_truth):
+def test_run_study_replication_prefix_determinism(tiny_truth):
+    # replication r depends only on (seed, r): two reps equal the first two of three
     cfg = preset_config(1)
-    kw = dict(reps=2, seed=11, bootstrap_b=4, truth=tiny_truth)
-    one = run_study(cfg, ["IPW1"], workers=1, **kw)
-    two = run_study(cfg, ["IPW1"], workers=3, **kw)
-    a, b = one.raw["IPW1"], two.raw["IPW1"]
-    assert np.array_equal(a.probs, b.probs, equal_nan=True)
-    assert np.array_equal(a.eff_log, b.eff_log, equal_nan=True)
-    assert np.array_equal(a.var_boot, b.var_boot, equal_nan=True)
-    assert np.array_equal(a.pval, b.pval, equal_nan=True)
+    bad = Analysis(name="BAD", settings=GridSettings(IPW, ps_formula=parse("study ~ 1 + Z")))
+    kw = dict(seed=11, bootstrap_b=4, truth=tiny_truth)
+    two = run_study(cfg, ["OCR1", "IPW1", bad], reps=2, **kw)
+    three = run_study(cfg, ["OCR1", "IPW1", bad], reps=3, **kw)
+    for name in ("OCR1", "IPW1"):
+        a, b = two.raw[name], three.raw[name]
+        for slot in ("probs", "eff_log", "var_snd", "var_boot", "pval"):
+            assert np.array_equal(getattr(a, slot), getattr(b, slot)[:2],
+                                  equal_nan=True), (name, slot)
+    assert [r for r, _ in three.failures["BAD"]] == [0, 1, 2]
+    assert two.failures["BAD"] == three.failures["BAD"][:2]
+
+
+def test_run_study_has_no_workers_parameter():
+    assert "workers" not in inspect.signature(run_study).parameters
 
 
 def test_run_study_records_failures(tiny_truth):
