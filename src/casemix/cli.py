@@ -52,6 +52,13 @@ FAILURE_RATE_LIMIT = 0.10
 
 
 def main(argv=None) -> int:
+    # glibc gives the top of the heap back to the OS whenever more than its
+    # trim threshold (128 KiB by default) lies free there, so the batched
+    # bootstrap's multi-MiB temporaries would fault their pages in again on
+    # every Newton iteration. Freeing one 16 MiB block, which glibc serves by
+    # mmap, raises its dynamic mmap threshold to 16 MiB and its trim threshold
+    # to 32 MiB (mallopt(3)), and those temporaries then reuse heap pages.
+    np.empty(1 << 21)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):

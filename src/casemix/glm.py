@@ -2,8 +2,9 @@
 
 These fitters serve both the outcome models and the trial-membership
 (propensity) models. They accept plain design matrices; formula binding
-happens at the call site. Aliased columns are dropped by pivoted QR and
-recorded on the fit, quasi-separation is flagged (and warned) rather than
+happens at the call site. Aliased columns are dropped by pivoted QR, which
+runs only on a design whose Gram matrix does not certify full rank, and
+recorded on the fit; quasi-separation is flagged (and warned) rather than
 raised, because downstream simulation studies must keep reporting such
 replications.
 """
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3
-from scipy.special import chdtrc, expit
 
+from ._special import chi2_sf, expit
 from .errors import (
     AllSameResponse,
     DimensionMismatch,
@@ -35,18 +35,32 @@ LOGISTIC_SEPARATION = "fitted probabilities numerically 0/1: possible separation
 MULTINOMIAL_SEPARATION = "category probabilities numerically 0/1: possible separation"
 
 
+def _surely_full_rank(gram: np.ndarray) -> np.ndarray:
+    """Whether pivoted QR of the design behind each Gram matrix X'X of the
+    stack `gram` (... x p x p) surely keeps every column: each |R_ii| is at
+    least the smallest singular value, and a well-conditioned Gram matrix puts
+    that far above the tolerance of n eps times the largest."""
+    lam = np.linalg.eigvalsh(gram)
+    return lam[..., 0] > FULL_RANK_RATIO * lam[..., -1]
+
+
 def _drop_aliased(X: np.ndarray, names: Sequence[str], n: Optional[int] = None):
-    """Pivoted-QR rank detection; returns kept column indices (original order).
-    `n` is the row count the tolerance scales with, X's own by default."""
+    """Pivoted-QR rank detection; returns kept column indices (original order,
+    int32 as LAPACK's pivots) and dropped names. `n` is the row count the
+    tolerance scales with, X's own by default."""
     p = X.shape[1]
     n = X.shape[0] if n is None else n
     if p == 0:
         raise RankDeficient("design matrix has no columns")
-    # LAPACK's pivoted QR as scipy.linalg.qr(pivoting=True) runs it, with the
-    # same optimal workspace, but without forming Q and without qr's wrapper,
-    # whose mode="r" also masks the whole n x p factor: R's diagonal and the
-    # 1-based pivots are all that rank detection reads
     A = np.asarray_chkfinite(X)
+    if _surely_full_rank(A.T @ A):
+        return np.arange(p, dtype=np.int32), []
+    # only a design that fails the certificate pays for importing LAPACK's
+    # pivoted QR, run as scipy.linalg.qr(pivoting=True) runs it, with the same
+    # optimal workspace, but without forming Q and without qr's wrapper, whose
+    # mode="r" also masks the whole n x p factor: R's diagonal and the 1-based
+    # pivots are all that rank detection reads
+    from scipy.linalg.lapack import dgeqp3
     qr, piv = dgeqp3(A, lwork=int(dgeqp3(A, lwork=-1)[-2][0]))[:2]
     diag = np.abs(np.diag(qr))
     tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
@@ -337,12 +351,11 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
         raise ValueError("a replicate leaves a category unobserved")
     out = CountFits(coef=np.zeros((B, Y.shape[1], p)), failure=[None] * B,
                     converged=np.zeros(B, bool), separated=np.zeros(B, bool), kept=[None] * B)
-    # pivoted QR keeps every column when each |R_ii|, at least the smallest
-    # singular value, clears its tolerance of n eps times the largest: a
-    # well-conditioned weighted Gram matrix certifies that
+    # the weighted Gram matrices certify every replicate at once; one that
+    # fails runs `_drop_aliased` on its rows
     gram = (W @ (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)).reshape(B, p, p)
-    lam = np.linalg.eigvalsh(gram)
-    full_rank = lam[:, 0] > FULL_RANK_RATIO * lam[:, -1]
+    full_rank = _surely_full_rank(gram)
+    all_columns = np.arange(p, dtype=np.int32)
     groups: dict = {}
     for b in range(B):
         if n_observed[b] < 2:
@@ -350,7 +363,7 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
             continue
         held = W[b] > 0
         try:
-            kept = np.arange(p) if full_rank[b] else _drop_aliased(
+            kept = all_columns if full_rank[b] else _drop_aliased(
                 np.sqrt(W[b, held])[:, None] * X[held], range(p), n=int(W[b].sum()))[0]
         except RankDeficient:
             out.failure[b] = RankDeficient
@@ -536,7 +549,7 @@ def _term_pvalues_logistic(fit: FittedLogistic, terms) -> list:
             out.append(1.0)
             continue
         stat = fit.coef[j] ** 2 / se2
-        out.append(float(chdtrc(1, stat)))
+        out.append(chi2_sf(1, stat))
     return out
 
 
@@ -559,5 +572,5 @@ def _term_pvalues_multinomial(fit: FittedMultinomial, terms) -> list:
         except np.linalg.LinAlgError:
             out.append(1.0)
             continue
-        out.append(float(chdtrc(C, max(stat, 0.0))))    # chdtrc is NaN below 0
+        out.append(chi2_sf(C, stat))
     return out

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
+from ._special import chi2_sf
 from .errors import SingularContrastCovariance
 
 TRANSFORMED = "transformed"
@@ -90,7 +90,7 @@ def wald_test(estimates: Sequence[float], sigma: np.ndarray, M: np.ndarray,
     T = max(T, 0.0)
     return WaldTestResult(
         hypothesis=hypothesis, contrast_rows=contrast_rows or [],
-        statistic=T, df=df, p_value=float(chdtrc(df, T)), scale=scale,
+        statistic=T, df=df, p_value=chi2_sf(df, T), scale=scale,
         condition_number=cond)
 
 

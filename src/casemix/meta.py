@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NoEstimableInputs
 
-Z975 = float(ndtri(0.975))
+Z975 = 1.959963984540054           # ndtri(0.975), the normal 97.5% quantile
 
 REML_MAX_ITER = 200
 REML_TOL = 1e-10

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import expit
 
 from . import het
+from ._special import expit
 from .errors import CasemixError
 from .formula import parse
 from .ipd import IpdDataset

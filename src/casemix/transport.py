@@ -36,8 +36,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import chdtrc, expit
 
+from ._special import chi2_sf, expit
 from .errors import DivisionByZero, InvalidFormula, PositivityWarning, UndefinedMeasure
 from .formula import ModelFormula
 from .glm import FittedLogistic, FittedMultinomial, fit_logistic, fit_multinomial
@@ -538,6 +538,6 @@ def common_control_check(ds: IpdDataset, control_formula: ModelFormula,
     df = len(fit_b.column_names) - len(fit_a.column_names)
     if df <= 0:
         raise ValueError("no study terms could be added (aliased design)")
-    p = float(chdtrc(df, stat))
+    p = chi2_sf(df, stat)
     return CommonControlReport(statistic=float(stat), df=int(df), p_value=p,
                                alpha=alpha, reject=bool(p < alpha))

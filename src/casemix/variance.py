@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .errors import (
     CasemixError,
     DivisionByZero,
@@ -556,9 +556,7 @@ class _CountReplicates:
             kept = grid.outcome_fits[(k, form)].kept
             Wj = self.W[np.ix_(live, self.rows[j])]
             for x in (0, 1):
-                with np.errstate(over="ignore"):    # exp overflow is a probability of 0
-                    mu = 1.0 / (1.0 + np.exp(-grid.design(form, j, kept, x)
-                                             @ beta[(k, form)][live].T))
+                mu = expit(grid.design(form, j, kept, x) @ beta[(k, form)][live].T)
                 out[live, c, x] = np.einsum("an,na->a", Wj, mu) / Wj.sum(axis=1)
 
     def _ipw(self, out) -> None:

@@ -31,8 +31,8 @@ def test_removed_members_stay_gone():
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats roughly doubles start-up time; the package needs only
-    # scipy.special's chdtrc and ndtri from it
+    # scipy.stats roughly doubles start-up time; the package now imports no
+    # scipy module at all (test_cli_import_loads_no_scipy), this included
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -41,3 +41,55 @@ def test_cli_import_leaves_scipy_stats_out():
                        text=True, timeout=120)
     assert r.returncode == 0, r.stderr[-2000:]
     assert r.stdout.strip() == "False"
+
+
+def _run_python(code: str, cwd=None) -> str:
+    """stdout of `code` run by a fresh interpreter on this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                       text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    return r.stdout.strip().splitlines()[-1]
+
+
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_import_loads_no_scipy():
+    assert _run_python("import sys, casemix.cli; " + _SCIPY_LOADED) == "[]"
+
+
+_WELL_POSED_RUNS = """
+import sys
+import numpy as np
+from casemix import cli
+from casemix.ipd import IpdDataset, save_ipd
+
+rng = np.random.default_rng(3)
+n = 2000
+study = np.repeat([0, 1, 2], [500, 700, 800])
+L = rng.normal(size=(n, 2)) + 0.3 * study[:, None]
+treat = rng.integers(0, 2, n)
+lp = -0.5 + 0.4 * treat + 0.6 * L[:, 0] - 0.3 * L[:, 1] + 0.2 * treat * L[:, 0]
+y = (rng.random(n) < 1.0 / (1.0 + np.exp(-lp))).astype(int)
+save_ipd(IpdDataset.from_arrays(["L1", "L2"], ["1", "2", "3"], study, treat, y, L), "in.csv")
+runs = [
+    ["analyze", "in.csv", "--method", "ocr",
+     "--outcome-formula", "y ~ 1 + treat + L1 + L2 + treat:L1", "--out", "ocr"],
+    ["analyze", "in.csv", "--method", "ipw-stabilized", "--ps-mode", "multinomial",
+     "--ps-formula", "study ~ 1 + L1 + L2", "--out", "ipw"],
+    ["simulate", "--preset", "1", "--analyses", "OCR1,IPW1", "--n-total", "400",
+     "--bootstrap-b", "4", "--oracle-runs", "20", "--reps", "2", "--seed", "0",
+     "--out", "sim"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_well_posed_runs_load_no_scipy(tmp_path):
+    # every design of these runs passes the Gram rank certificate, so pivoted
+    # QR, the package's one use of scipy, is never imported
+    assert _run_python(_WELL_POSED_RUNS + _SCIPY_LOADED, cwd=tmp_path) == "[]"
