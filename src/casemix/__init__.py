@@ -7,6 +7,8 @@ population with random-effects meta-analysis, and tests whether heterogeneity
 survives after case-mix differences are removed.
 """
 
+import numpy as _np
+
 from .errors import (
     AllSameResponse,
     CasemixError,
@@ -103,6 +105,16 @@ from .variance import (
 )
 
 __version__ = "0.1.0"
+
+# glibc gives the top of the heap back to the OS whenever more than its trim
+# threshold (128 KiB by default) lies free there, so the multi-MiB
+# temporaries of the CSV load, the sandwich and the batched bootstrap would
+# fault their pages in again on every use. Freeing one 16 MiB block, which
+# glibc serves by mmap, raises its dynamic mmap threshold to 16 MiB and its
+# trim threshold to 32 MiB for the rest of the process (mallopt(3)), and
+# those temporaries then reuse heap pages: done once, on import, so the CLI
+# and every library caller get it.
+_np.empty(1 << 21)
 
 __all__ = [
     "AllSameResponse",

@@ -52,13 +52,6 @@ FAILURE_RATE_LIMIT = 0.10
 
 
 def main(argv=None) -> int:
-    # glibc gives the top of the heap back to the OS whenever more than its
-    # trim threshold (128 KiB by default) lies free there, so the batched
-    # bootstrap's multi-MiB temporaries would fault their pages in again on
-    # every Newton iteration. Freeing one 16 MiB block, which glibc serves by
-    # mmap, raises its dynamic mmap threshold to 16 MiB and its trim threshold
-    # to 32 MiB (mallopt(3)), and those temporaries then reuse heap pages.
-    np.empty(1 << 21)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
@@ -123,7 +116,9 @@ def _add_model_args(parser: argparse.ArgumentParser, input_help: str):
     parser.add_argument("--method", choices=sorted(METHODS))
     parser.add_argument("--outcome-formula", dest="outcome_formula")
     parser.add_argument("--ps-formula", dest="ps_formula")
-    parser.add_argument("--ps-mode", dest="ps_mode", choices=["pairwise", "multinomial"])
+    parser.add_argument("--ps-mode", dest="ps_mode", choices=["pairwise", "multinomial"],
+                        help="membership logit over all trials (multinomial, the "
+                             "default) or one per pair of trials; the same fit at K=2")
     parser.add_argument("--expit-weight", dest="expit_weight", action="store_const", const=True)
     parser.add_argument("--truncate-percentile", type=float, dest="truncate_percentile")
     parser.add_argument("--positivity-threshold", type=float, dest="positivity_threshold")
@@ -363,8 +358,8 @@ def cmd_transport(args) -> int:
     ds.study_number(j)
     ds.study_number(k)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         grid = standardized_grid(ds, settings)
         est = grid[(j, k, x)]
         se = float("nan")
@@ -377,6 +372,8 @@ def cmd_transport(args) -> int:
             se = float(np.sqrt(v)) if v >= 0 else float("nan")
         except CasemixError as e:
             se_note = f" (no sandwich SE: {e})"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
 
     print(f"P(Y({x}_{k})=1 | S={j}) = {est.prob:.6f}  se={se:.6f}{se_note}")
     if est.out_of_bounds:

@@ -512,19 +512,12 @@ def backward_eliminate(ds, base: ModelFormula, candidates: Sequence[Interaction]
             X = form.design_matrix(covs, treat=ds.treat)
             fit = fit_logistic(X, ds.outcome.astype(float), column_names=labels,
                                formula=form)
-            pvals = _term_pvalues_logistic(fit, remaining)
         else:
             if form.requires_treat:
                 raise ValueError("membership models cannot reference treat")
-            X = form.design_matrix(covs)
-            if ds.K == 2:
-                resp = (ds.study_idx == 1).astype(float)
-                fit = fit_logistic(X, resp, column_names=labels, formula=form)
-                pvals = _term_pvalues_logistic(fit, remaining)
-            else:
-                fit = fit_multinomial(X, ds.study_idx, reference=0,
-                                      column_names=labels, formula=form)
-                pvals = _term_pvalues_multinomial(fit, remaining)
+            fit = fit_multinomial(form.design_matrix(covs), ds.study_idx, reference=0,
+                                  column_names=labels, formula=form)
+        pvals = _term_pvalues(fit, remaining)
         worst_i, worst_p = 0, -1.0
         for i, pv in enumerate(pvals):
             if pv >= worst_p:          # >= so the latest tied candidate wins
@@ -535,28 +528,14 @@ def backward_eliminate(ds, base: ModelFormula, candidates: Sequence[Interaction]
     return base.with_terms(remaining)
 
 
-def _term_pvalues_logistic(fit: FittedLogistic, terms) -> list:
-    kept_labels = list(fit.column_names)
-    out = []
-    for t in terms:
-        lab = t.label()
-        if lab not in kept_labels:
-            out.append(1.0)            # aliased away: no evidence to keep it
-            continue
-        j = kept_labels.index(lab)
-        se2 = fit.fisher_cov[j, j]
-        if se2 <= 0:
-            out.append(1.0)
-            continue
-        stat = fit.coef[j] ** 2 / se2
-        out.append(chi2_sf(1, stat))
-    return out
-
-
-def _term_pvalues_multinomial(fit: FittedMultinomial, terms) -> list:
+def _term_pvalues(fit, terms) -> list:
+    """Wald p-value of each term's coefficients, one per non-reference
+    category (a logistic fit has one); 1.0 for a term aliased away or one
+    whose covariance is singular: no evidence to keep it."""
     kept_labels = list(fit.column_names)
     pk = len(kept_labels)
-    C = fit.coef.shape[0]
+    coef = fit.coef.reshape(-1, pk)
+    C = coef.shape[0]
     out = []
     for t in terms:
         lab = t.label()
@@ -565,7 +544,7 @@ def _term_pvalues_multinomial(fit: FittedMultinomial, terms) -> list:
             continue
         j = kept_labels.index(lab)
         idx = [a * pk + j for a in range(C)]
-        c = fit.coef[:, j]
+        c = coef[:, j]
         V = fit.fisher_cov[np.ix_(idx, idx)]
         try:
             stat = float(c @ np.linalg.solve(V, c))

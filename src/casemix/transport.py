@@ -14,15 +14,16 @@ once, computes every cell from those fits and returns them all in a
 `FittedGrid`, which keeps the settings and owns every design the cells and
 the sandwich (`variance.build_system`) evaluate.
 
-One function, `transport_weight`, turns a membership fit into weights: it
-takes the fit's non-reference linear predictors on trial k's rows (formed by
-`membership_eta`) and returns the weights and their derivative. A pairwise
-logistic fit is its one-column case, whose density ratio is the odds of the
-fitted membership probability. The grid calls it at the fitted coefficients;
-the sandwich calls it at theta, on the same design, so both see
-bit-identical weights. `expit_weight=True` instead uses the membership
-probability itself as the weight; that variant is kept for comparison only
-and does not recover the estimand.
+Every membership model is a multinomial logit over a set of trials, its
+lowest-numbered trial the reference: all K trials, or the two trials of a
+cell in pairwise mode, the two-category case. One function,
+`transport_weight`, turns a membership fit into weights: it takes the fit's
+non-reference linear predictors on trial k's rows (formed by
+`membership_eta`) and returns the weights and their derivative. The grid
+calls it at the fitted coefficients; the sandwich calls it at theta, on the
+same design, so both see bit-identical weights. `expit_weight=True` instead
+uses the membership probability itself as the weight; that variant is kept
+for comparison only and does not recover the estimand.
 
 Truncation caps weights at a percentile of the cell's weights. A weight
 exactly at the cap counts as uncapped, in the grid and in the sandwich alike.
@@ -61,10 +62,10 @@ class GridSettings:
     formulas for those cells (OCR only); it is kept as a read-only copy.
     `truncation` is a percentile in (0, 100]: each off-diagonal cell's
     weights above that percentile of the cell's weights are reset to it
-    (IPW only; 100 is the identity). `ps_mode` is "pairwise" or
-    "multinomial"; None picks pairwise for two trials and multinomial
-    otherwise. An OCR grid ignores the IPW-only settings, but they must
-    still be valid.
+    (IPW only; 100 is the identity). `ps_mode` is "pairwise" (one
+    membership model per pair of trials) or "multinomial" (one over all
+    trials, also when None); at two trials both are the same fit. An OCR
+    grid ignores the IPW-only settings, but they must still be valid.
     """
 
     method: str
@@ -234,14 +235,9 @@ def transport_weight(eta: np.ndarray, j_col: Optional[int], k_col: Optional[int]
     return w, dw
 
 
-def membership_columns(fit, ds: IpdDataset, j, k) -> tuple:
+def membership_columns(fit: FittedMultinomial, ds: IpdDataset, j, k) -> tuple:
     """(C x p coefficients, retained design columns, eta column of j, eta
-    column of k) of a membership fit: the multinomial fit, or (label fitted
-    as 1, fit) for the pair {j, k}, its one-column case."""
-    if isinstance(fit, tuple):
-        fitted_for, fit = fit
-        return (fit.coef[None, :], fit.kept, 0 if j == fitted_for else None,
-                0 if k == fitted_for else None)
+    column of k) of a membership fit; a column is None for the reference."""
     nonref = [c for c in fit.categories if c != fit.reference]
 
     def col(label):
@@ -249,21 +245,6 @@ def membership_columns(fit, ds: IpdDataset, j, k) -> tuple:
         return None if s == fit.reference else nonref.index(s)
 
     return fit.coef, fit.kept, col(j), col(k)
-
-
-def _pair_fit(ds: IpdDataset, j, k, ps_formula: ModelFormula) -> FittedLogistic:
-    """Membership model of trial j (response 1) against trial k, on their rows."""
-    pool = ds.mask(j) | ds.mask(k)
-    Xp = ps_formula.design_matrix(ds.covariate_columns(pool))
-    return fit_logistic(Xp, (ds.study_idx[pool] == ds.study_number(j)).astype(float),
-                        column_names=ps_formula.column_names(), formula=ps_formula)
-
-
-def _multinomial_fit(ds: IpdDataset, ps_formula: ModelFormula) -> FittedMultinomial:
-    """Membership model of all trials, trial 0 the reference, on all rows."""
-    return fit_multinomial(ps_formula.design_matrix(ds.covariate_columns()), ds.study_idx,
-                           reference=0, column_names=ps_formula.column_names(),
-                           formula=ps_formula)
 
 
 def _cell_weights(grid: "FittedGrid", j, k) -> tuple:
@@ -377,27 +358,34 @@ class FittedGrid(dict):
     and the sandwich evaluates the very arrays the cells were computed from.
     Bootstrap replicates refit its models on these designs with this very
     `settings` object.
-    `ps_mode` is the settings' membership mode resolved for this dataset.
     """
 
     def __init__(self, ds: IpdDataset, settings: GridSettings):
         super().__init__()
         self.ds, self.settings = ds, settings
-        self.ps_mode = settings.ps_mode or ("pairwise" if ds.K == 2 else "multinomial")
         self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
-        self.pair_fits: dict = {}       # frozenset{j, k} -> (label fitted as 1, FittedLogistic)
-        self.multinomial_fit: Optional[FittedMultinomial] = None
+        self.membership_fits: dict = {}  # trial numbers, ascending -> FittedMultinomial
         self._designs: dict = {}        # (formula, label, x, kept) -> design
 
     def outcome_formula_for(self, j, k) -> ModelFormula:
         return self.settings.overrides.get((j, k), self.settings.outcome_formula)
 
-    def membership_fit(self, j, k):
-        """The membership fit behind off-diagonal cell (j, k): the multinomial
-        fit, or (label fitted as 1, fit) for the pair {j, k}."""
-        if self.ps_mode == "pairwise":
-            return self.pair_fits[frozenset((j, k))]
-        return self.multinomial_fit
+    def membership_fit(self, j, k) -> FittedMultinomial:
+        """The membership fit behind off-diagonal cell (j, k), fitted on first
+        use: the multinomial logit over all trials, or over j and k alone in
+        pairwise mode, its lowest-numbered trial the reference."""
+        ds = self.ds
+        if self.settings.ps_mode == "pairwise":
+            trials = tuple(sorted((ds.study_number(j), ds.study_number(k))))
+        else:
+            trials = tuple(range(ds.K))
+        if trials not in self.membership_fits:
+            form = self.settings.ps_formula
+            rows = np.isin(ds.study_idx, trials)
+            self.membership_fits[trials] = fit_multinomial(
+                form.design_matrix(ds.covariate_columns(rows)), ds.study_idx[rows],
+                reference=trials[0], column_names=form.column_names(), formula=form)
+        return self.membership_fits[trials]
 
     def design(self, form: ModelFormula, label, kept, x: Optional[int] = None) -> np.ndarray:
         """Design of `form` on trial `label`'s rows at treat=x (the observed
@@ -430,7 +418,7 @@ def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
         raise ValueError("transport needs at least two studies")
     labels = ds.studies
     out = FittedGrid(ds, settings)
-    method, ps_formula = settings.method, settings.ps_formula
+    method = settings.method
     if method == OCR:
         for j in labels:
             for k in labels:
@@ -442,8 +430,6 @@ def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
                                                           arm_x=x, prob=p, method=OCR)
         return out
 
-    if out.ps_mode == "multinomial":
-        out.multinomial_fit = _multinomial_fit(ds, ps_formula)
     # per source trial: outcomes, arm indicators and arm shares pi_x
     source = {}
     for k in labels:
@@ -462,9 +448,6 @@ def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
                 w = np.ones(len(yk))
                 diag = WeightDiagnostics.unit(len(yk), threshold=settings.positivity_threshold)
             else:
-                key = frozenset((j, k))
-                if out.ps_mode == "pairwise" and key not in out.pair_fits:
-                    out.pair_fits[key] = (j, _pair_fit(ds, j, k, ps_formula))
                 w, diag = _cell_weights(out, j, k)
             for x in (0, 1):
                 p, oob = _ipw_prob(k, x, w, yk, arms[x], pis[x], n_j)

@@ -5,10 +5,12 @@ one M-estimator: outcome-model scores, membership-model scores, arm
 proportions (unstabilized IPW divides by them) and one moment equation per
 standardized probability. Sigma_p = A^-1 B A^-T / n with A the bread
 (Jacobian of the averaged estimating function, assembled analytically) and B
-the meat. Each measure's covariance is then D Sigma_p D^T by the delta
-method, with D from `transport.effect_transform`. Cells whose effect measure
-is undefined (e.g. an out-of-bounds unstabilized probability feeding an odds
-ratio) get NaN rows rather than silent drops.
+the meat. Every model's score is one logit score, indicator minus fitted
+probability times the design; an outcome model is its one-category case.
+Each measure's covariance is then D Sigma_p D^T by the delta method, with D
+from `transport.effect_transform`. Cells whose effect measure is undefined
+(e.g. an out-of-bounds unstabilized probability feeding an odds ratio) get
+NaN rows rather than silent drops.
 
 Every component of the stacked system acts on one trial's rows only, so
 psi is zero outside the trial blocks: trial t's rows touch only the columns
@@ -69,46 +71,31 @@ from .transport import (
 COND_LIMIT = 1e12
 
 
-class _LogisticScore:
-    """Score of an outcome fit on its trial's rows."""
+class _LogitScore:
+    """Score of a logit fit on one trial's rows: the trial's indicator of
+    each non-reference category, times `y`, minus the fitted probabilities,
+    times the design X, in one block per category. `col` is the trial's
+    category (None for the reference). A membership fit has y = 1; an outcome
+    fit is the one-category case, col 0 and y its outcomes."""
 
-    def __init__(self, trial, rows, X, y, sl):
+    def __init__(self, trial, rows, X, sl, col, y=1.0):
         self.trial, self.rows, self.cols = trial, rows, range(sl.start, sl.stop)
-        self.X, self.y, self.sl = X, y, sl
-
-    def add_psi(self, theta, P, pos):
-        mu = expit(self.X @ theta[self.sl])
-        P[:, pos[self.sl]] = (self.y - mu)[:, None] * self.X
-
-    def add_bread(self, theta, A, n):
-        mu = expit(self.X @ theta[self.sl])
-        A[self.sl, self.sl] += (self.X * (mu * (1 - mu))[:, None]).T @ self.X / n
-
-
-class _MembershipScore:
-    """Score of a membership fit on one trial's rows: the trial's category
-    indicator minus the fitted probabilities, times the design, in one block
-    per non-reference category. A pairwise fit is the one-category case;
-    `col` is the trial's category (None for the reference)."""
-
-    def __init__(self, trial, rows, Z, col, sl):
-        self.trial, self.rows, self.cols = trial, rows, range(sl.start, sl.stop)
-        self.Z, self.col, self.sl = Z, col, sl
+        self.X, self.sl, self.col, self.y = X, sl, col, y
 
     def _probs(self, theta):
-        eta = membership_eta(self.Z, theta[self.sl].reshape(-1, self.Z.shape[1]))
+        eta = membership_eta(self.X, theta[self.sl].reshape(-1, self.X.shape[1]))
         return nonref_softmax(eta)[0]
 
     def add_psi(self, theta, P, pos):
         R = -self._probs(theta)
         if self.col is not None:
-            R[:, self.col] += 1.0
-        cols = pos[self.sl].reshape(-1, self.Z.shape[1])   # C x p, category-major
-        for c in range(self.Z.shape[1]):
-            P[:, cols[:, c]] = R * self.Z[:, c, None]
+            R[:, self.col] += self.y
+        cols = pos[self.sl].reshape(-1, self.X.shape[1])   # C x p, category-major
+        for c in range(self.X.shape[1]):
+            P[:, cols[:, c]] = R * self.X[:, c, None]
 
     def add_bread(self, theta, A, n):
-        A[self.sl, self.sl] += multinomial_information(self.Z, self._probs(theta)) / n
+        A[self.sl, self.sl] += multinomial_information(self.X, self._probs(theta)) / n
 
 
 class _Centering:
@@ -321,8 +308,8 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         fit_slices: dict = {}
         for (k, form), fit in grid.outcome_fits.items():
             fit_slices[(k, form)] = push(fit.coef)
-            components.append(_LogisticScore(k, rows[k], grid.design(form, k, fit.kept),
-                                             y[k], fit_slices[(k, form)]))
+            components.append(_LogitScore(k, rows[k], grid.design(form, k, fit.kept),
+                                          fit_slices[(k, form)], 0, y[k]))
         for j in labels:
             for k in labels:
                 form = grid.outcome_formula_for(j, k)
@@ -334,17 +321,12 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
     else:
         stabilized = method == IPW_STABILIZED
         gamma: dict = {}                # id of a membership fit -> its theta slice
-        for j in labels:
-            for k in labels:
-                fit = None if j == k else grid.membership_fit(j, k)
-                if fit is None or id(fit) in gamma:
-                    continue
-                coef, kept = membership_columns(fit, ds, j, k)[:2]
-                gamma[id(fit)] = sl = push(coef.ravel())
-                for lab in ((j, k) if grid.ps_mode == "pairwise" else labels):
-                    col = membership_columns(fit, ds, lab, lab)[2]
-                    components.append(_MembershipScore(
-                        lab, rows[lab], grid.design(ps_formula, lab, kept), col, sl))
+        for fit in grid.membership_fits.values():
+            gamma[id(fit)] = sl = push(fit.coef.ravel())
+            for lab in (labels[s] for s in sorted(fit.categories)):
+                col = membership_columns(fit, ds, lab, lab)[2]
+                components.append(_LogitScore(
+                    lab, rows[lab], grid.design(ps_formula, lab, fit.kept), sl, col))
 
         pi_rows = {} if stabilized else {k: push(np.mean(treat[k])).start for k in labels}
         components += [_Centering(k, rows[k], [r], treat[k]) for k, r in pi_rows.items()]
@@ -505,7 +487,7 @@ class _CountReplicates:
         for lab, rows in self.rows.items():
             arms = (ds.treat[rows][:, None] == np.arange(2)).astype(float)
             self.arms[lab] = (arms, arms * ds.outcome[rows][:, None])
-        C = ds.K - 1 if grid.settings.method != OCR and grid.ps_mode == "multinomial" else 1
+        C = max([len(fit.categories) - 1 for fit in grid.membership_fits.values()], default=1)
         self.block = max(1, _BLOCK_CELLS // (ds.n * C))
 
     def probs(self, counts: np.ndarray, failures: Counter) -> np.ndarray:
@@ -563,24 +545,18 @@ class _CountReplicates:
         grid, ds, settings = self.grid, self.grid.ds, self.grid.settings
         ps = settings.ps_formula
         gamma = {}                      # id of a parent membership fit -> replicate coefficients
-        if grid.ps_mode == "multinomial":
-            fit = grid.multinomial_fit
-            rows = np.concatenate(ds.study_rows)
-            nonref = [c for c in fit.categories if c != fit.reference]
-            Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)
-            Z = np.vstack([grid.design(ps, lab, fit.kept) for lab in ds.studies])
-            gamma[id(fit)] = self._fit(Z, Y, rows, MULTINOMIAL_SEPARATION)
         for c, (j, k) in enumerate(_cell_order(ds.studies)):
             w = None
             if j != k:
                 fit = grid.membership_fit(j, k)
                 kept, j_col, k_col = membership_columns(fit, ds, j, k)[1:]
-                if id(fit) not in gamma:    # a pair's fit, at its first cell
-                    pair = (fit[0], k if fit[0] == j else j)     # trial fitted as 1 first
-                    rows = np.concatenate([self.rows[lab] for lab in pair])
-                    y = (np.arange(len(rows)) < len(self.rows[pair[0]])).astype(float)
-                    Z = np.vstack([grid.design(ps, lab, kept) for lab in pair])
-                    gamma[id(fit)] = self._fit(Z, y[:, None], rows, LOGISTIC_SEPARATION)
+                if id(fit) not in gamma:    # at the fit's first cell
+                    trials = [ds.studies[s] for s in sorted(fit.categories)]
+                    rows = np.concatenate([self.rows[lab] for lab in trials])
+                    nonref = [s for s in fit.categories if s != fit.reference]
+                    Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)
+                    Z = np.vstack([grid.design(ps, lab, kept) for lab in trials])
+                    gamma[id(fit)] = self._fit(Z, Y, rows, MULTINOMIAL_SEPARATION)
                 if not self.alive.any():    # every replicate of the block has failed
                     return
                 w = self._weights(gamma[id(fit)], grid.design(ps, k, kept), k, j_col, k_col)

@@ -359,6 +359,20 @@ def test_transport_without_sandwich_se_on_separated_outcome(tmp_path, capsys):
            "condition number" in captured.out
 
 
+def test_transport_prints_each_distinct_warning(tmp_path, capsys):
+    # the separated outcome fit warns once per fit; transport prints the
+    # message once, on stderr, and stdout keeps only the report
+    path = str(tmp_path / "separated.csv")
+    save_ipd(separated_dataset(), path)
+    rc = cli.main(["transport", path, *OCR_ARGS, "--target", "1", "--source", "2",
+                   "--arm", "1"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err.splitlines() == [
+        "warning: fitted probabilities numerically 0/1: possible separation"]
+    assert "warning" not in captured.out
+
+
 def test_no_subcommand_prints_help(capsys):
     rc = cli.main([])
     captured = capsys.readouterr()

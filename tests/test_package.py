@@ -93,3 +93,30 @@ def test_well_posed_runs_load_no_scipy(tmp_path):
     # every design of these runs passes the Gram rank certificate, so pivoted
     # QR, the package's one use of scipy, is never imported
     assert _run_python(_WELL_POSED_RUNS + _SCIPY_LOADED, cwd=tmp_path) == "[]"
+
+
+_BOOTSTRAP_FAULTS = """
+import resource, sys
+from casemix.simlab import analysis_preset, generate_setting, preset_config
+from casemix.transport import standardized_grid
+from casemix.variance import bootstrap_cov
+
+ds = generate_setting(preset_config(1), 0)
+faults = []
+for name in ("OCR1", "IPW1"):
+    grid = standardized_grid(ds, analysis_preset(name, 1).settings)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    bootstrap_cov(grid, B=50, seed=1)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), max(faults))
+"""
+
+
+def test_library_bootstrap_reuses_its_heap_pages():
+    # without scipy loaded, glibc keeps its default 128 KiB trim threshold
+    # unless importing casemix raises it, and a library caller's bootstrap
+    # would fault its temporaries in again on every Newton iteration (900 to
+    # 3,600 faults per model without the step, at most about 180 with it)
+    loaded, faults = _run_python(_BOOTSTRAP_FAULTS).rsplit(" ", 1)
+    assert loaded == "[]"
+    assert int(faults) < 300

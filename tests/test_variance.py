@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from casemix import variance
+from casemix import het, variance
 from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplicates
 from casemix.formula import ModelFormula, parse
 from casemix.ipd import IpdDataset
@@ -293,9 +293,9 @@ def test_bread_drops_weight_derivative_exactly_where_the_grid_caps(ps_mode):
     A = system.bread()
     p = len(PS.column_names())
     offsets, start = {}, 0              # membership blocks lead theta, in fit order
-    for key, (_, fit) in grid.pair_fits.items():
-        offsets[key] = start
-        start += len(fit.coef)
+    for fit in grid.membership_fits.values():
+        offsets[id(fit)] = start
+        start += fit.coef.size
     at_cap = 0
     for j in ds.studies:
         for k in ds.studies:
@@ -303,18 +303,16 @@ def test_bread_drops_weight_derivative_exactly_where_the_grid_caps(ps_mode):
                 continue
             rows = ds.study_rows[ds.study_number(k)]
             Z = PS.design_matrix(ds.covariate_columns(rows))
-            coef, kept, j_col, k_col = membership_columns(grid.membership_fit(j, k), ds, j, k)
+            fit = grid.membership_fit(j, k)
+            coef, kept, j_col, k_col = membership_columns(fit, ds, j, k)
             w_raw = transport_weight(membership_eta(grid.design(PS, k, kept), coef),
                                      j_col, k_col)[0]
             cap = grid[(j, k, 1)].weights_summary.truncated_at
             at_cap += int(np.sum(w_raw == cap))
             dw = np.where(w_raw > cap, 0.0, w_raw)     # d exp(eta_j - eta_k) / d eta_j
-            if ps_mode == "multinomial":        # trial "a" is the reference category
-                sides = [(ds.study_number(j) - 1, 1.0), (ds.study_number(k) - 1, -1.0)]
-                blocks = [(c * p, sign) for c, sign in sides if c >= 0]
-            else:
-                key = frozenset((j, k))
-                blocks = [(offsets[key], 1.0 if grid.pair_fits[key][0] == j else -1.0)]
+            # eta_j enters with +1 and eta_k with -1; the reference has none
+            blocks = [(offsets[id(fit)] + col * p, sign)
+                      for col, sign in ((j_col, 1.0), (k_col, -1.0)) if col is not None]
             for x in (0, 1):
                 row = system.prob_rows[(j, k, x)]
                 arm = (ds.treat[rows] == x).astype(float)
@@ -482,19 +480,62 @@ def test_meat_never_allocates_the_dense_psi():
 @pytest.mark.parametrize("preset", [1, 3])
 @pytest.mark.parametrize("method", [IPW, IPW_STABILIZED])
 def test_two_trial_pairwise_membership_equals_multinomial(preset, method):
-    # at K = 2 the multinomial membership logit is the pairwise logistic fit,
-    # fitted the other way round when the pair's label 1 is the reference: the
-    # grid and the sandwich must not depend on the membership mode
+    # at K = 2 a pair's membership fit is the multinomial fit over both
+    # trials, so the membership mode changes nothing: one fit, and the grid
+    # and the sandwich equal to the bit
     ds = generate_setting(preset_config(preset), 3)
     ps = analysis_preset("IPW1", preset).settings.ps_formula
     pair, multi = (standardized_grid(ds, GridSettings(method, ps_formula=ps, ps_mode=mode))
                    for mode in ("pairwise", "multinomial"))
+    a, b = ds.studies
+    assert pair.membership_fit(a, b) is pair.membership_fit(b, a)
+    assert list(pair.membership_fits) == list(multi.membership_fits) == [(0, 1)]
+    assert np.array_equal(pair.membership_fit(a, b).coef, multi.membership_fit(a, b).coef)
     assert len(pair) == len(multi) == 8
     for key, cell in multi.items():
-        assert abs(pair[key].prob - cell.prob) <= 1e-12 * abs(cell.prob), key
+        assert pair[key].prob == cell.prob, key
     one, other = sandwich_cov(pair), sandwich_cov(multi)
     for msr, sigma in other.sigma.items():
-        ok = np.isfinite(sigma)
-        assert np.array_equal(ok, np.isfinite(one.sigma[msr]))
-        scale = np.max(np.diag(sigma)[np.diag(ok)])
-        assert np.max(np.abs(one.sigma[msr][ok] - sigma[ok])) <= 1e-10 * scale, msr
+        assert np.array_equal(one.sigma[msr], sigma, equal_nan=True), msr
+
+
+def _relabelled(ds, order) -> IpdDataset:
+    """`ds` with its trials numbered in the label order `order`, rows as they are."""
+    number = np.array([order.index(lab) for lab in ds.studies])
+    return IpdDataset.from_arrays(list(ds.schema.names), list(order), number[ds.study_idx],
+                                  ds.treat, ds.outcome, ds.cov)
+
+
+@pytest.mark.parametrize("method,kw", [
+    (IPW, {"ps_formula": PS, "ps_mode": "pairwise"}),
+    (IPW, {"ps_formula": PS, "ps_mode": "multinomial"}),
+    (OCR, {"outcome_formula": OUTCOME}),
+])
+def test_permuting_trial_labels_permutes_grid_sigma_and_tests(method, kw):
+    # the trials' numbering picks each membership fit's reference and the
+    # order of its categories, but no estimate may depend on it; the rows of
+    # _three_trial_continuous run a, b, c, a, ..., so under ("b", "c", "a")
+    # the first category seen is not the first numbered
+    ds = _three_trial_continuous()
+    settings = GridSettings(method, **kw)
+
+    def analyse(data):
+        grid = standardized_grid(data, settings)
+        matrix = effect_matrix(grid, "rr")
+        attach_covariance(matrix, sandwich_cov(grid, measures=("rr",)))
+        return grid, matrix, {t.hypothesis: t for t in het.all_tests(matrix)}
+
+    grid, matrix, tests = analyse(ds)
+    scale = np.max(np.diag(matrix.sigma))
+    for order in (("b", "c", "a"), ("c", "a", "b"), ("c", "b", "a")):
+        pgrid, pmatrix, ptests = analyse(_relabelled(ds, order))
+        assert pmatrix.labels == order
+        for key, cell in grid.items():
+            assert abs(pgrid[key].prob - cell.prob) <= 1e-12 * abs(cell.prob), (order, key)
+        idx = [pmatrix.cell_index(j, k) for j, k in matrix.cell_order()]
+        diff = np.abs(pmatrix.sigma[np.ix_(idx, idx)] - matrix.sigma)
+        assert np.max(diff) <= 1e-10 * scale, order
+        assert set(ptests) == set(tests)
+        for name, t in tests.items():
+            assert ptests[name].df == t.df, (order, name)
+            assert abs(ptests[name].statistic - t.statistic) <= 1e-10 * t.statistic, (order, name)
