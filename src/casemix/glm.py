@@ -1,18 +1,24 @@
-"""Logistic and multinomial maximum likelihood via Newton iterations.
+"""Logit maximum likelihood via Newton iterations.
 
 These fitters serve both the outcome models and the trial-membership
 (propensity) models. They accept plain design matrices; formula binding
-happens at the call site. Aliased columns are dropped by pivoted QR, which
-runs only on a design whose Gram matrix does not certify full rank, and
-recorded on the fit; quasi-separation is flagged (and warned) rather than
-raised, because downstream simulation studies must keep reporting such
-replications.
+happens at the call site. Every fit is one multinomial logit of C
+non-reference categories against a reference whose linear predictor is 0:
+the logistic fit of a binary response is its C = 1 case, with reference
+y = 0, and it needs a 0/1 response. `nonref_softmax` is the one place that
+turns linear predictors into probabilities and log-partitions, and
+`multinomial_information` the one information matrix. Aliased columns are
+dropped by pivoted QR, which runs only on a design whose Gram matrix does not
+certify full rank, and recorded on the fit; quasi-separation is flagged (and
+warned) rather than raised, because downstream simulation studies must keep
+reporting such replications.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +28,7 @@ from .errors import (
     AllSameResponse,
     DimensionMismatch,
     NoConvergence,
+    NonBinaryValue,
     RankDeficient,
     SeparationWarning,
     UnknownReference,
@@ -73,38 +80,44 @@ def _drop_aliased(X: np.ndarray, names: Sequence[str], n: Optional[int] = None):
     return kept, dropped
 
 
-def _separated(converged: bool, eta: np.ndarray, dev: float) -> bool:
-    """A fit that stopped short with numerically 0/1 probabilities, or one that
-    fits the data perfectly. A converged fit with steep tails is not separated."""
-    return bool((not converged and np.max(np.abs(eta)) > SEPARATION_LP)
-                or dev < SEPARATION_DEV)
-
-
 def nonref_softmax(eta: np.ndarray) -> tuple:
-    """Category probabilities of a multinomial logit from the n x C
-    non-reference linear predictors `eta` (the reference category's predictor
-    is 0), written over `eta`, and each row's log-partition
-    log(1 + sum_a e^eta_a): one exp per entry."""
-    m = np.maximum(eta.max(axis=1), 0.0)
-    P = np.exp(np.subtract(eta, m[:, None], out=eta), out=eta)
-    den = P.sum(axis=1)
-    den += np.exp(-m)
-    P /= den[:, None]
-    lse = np.log(den, out=den)
-    lse += m
-    return P, lse
+    """Category probabilities of a logit model and each row's log-partition
+    log(1 + sum_a e^eta_a) from the non-reference linear predictors `eta`
+    (the reference category's predictor is 0), categories on axis 1: n x C,
+    or A x C x n for A coefficient sets, which give n, or A x n,
+    log-partitions. The probabilities are written over `eta`. C > 1 takes
+    one exp per entry; the logistic model, C = 1, one e^-|eta| per entry."""
+    if eta.shape[1] == 1:
+        e = np.exp(-np.abs(eta))
+        lse = np.log1p(e)
+        lse += np.maximum(eta, 0.0)
+        P = np.where(eta >= 0.0, 1.0, e)
+        e += 1.0
+        P = np.divide(P, e, out=eta)
+    else:
+        m = np.maximum(eta.max(axis=1, keepdims=True), 0.0)
+        P = np.exp(np.subtract(eta, m, out=eta), out=eta)
+        den = P.sum(axis=1, keepdims=True)
+        den += np.exp(-m)
+        P /= den
+        lse = np.log(den, out=den)
+        lse += m
+    return P, lse[:, 0]
 
 
 def multinomial_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Information X' diag(P_a (1[a=b] - P_b)) X of the multinomial logit,
-    (C p) x (C p) in category-major blocks.
+    """Information X' diag(P_a (1[a=b] - P_b)) X of the logit model with
+    n x C non-reference probabilities P, (C p) x (C p) in category-major
+    blocks. C = 1 is one weighted Gram matrix.
 
-    Assembled as blockdiag_a(X' diag(P_a) X) - V'V with the n x Cp matrix
-    V = [P_a x], filled one design column at a time (no n x C x p broadcast
-    temporary). Two GEMMs: V'V, and X'V, whose C column blocks are the
-    diagonal blocks X' diag(P_a) X. No n x C x C array."""
+    For C > 1 it is assembled as blockdiag_a(X' diag(P_a) X) - V'V with the
+    n x Cp matrix V = [P_a x], filled one design column at a time (no
+    n x C x p broadcast temporary). Two GEMMs: V'V, and X'V, whose C column
+    blocks are the diagonal blocks X' diag(P_a) X. No n x C x C array."""
     n, p = X.shape
     C = P.shape[1]
+    if C == 1:
+        return (X * (P[:, 0] * (1.0 - P[:, 0]))[:, None]).T @ X
     V = np.empty((n, C, p))
     for c in range(p):
         np.multiply(P, X[:, c, None], out=V[:, :, c])
@@ -116,21 +129,17 @@ def multinomial_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     return H
 
 
-def _bernoulli_deviance(eta, y):
-    # -2 loglik; log(1+e^eta) as max(eta, 0) + log1p(e^-|eta|), stable at any eta
-    return 2.0 * float(np.sum(np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-                              - y * eta))
-
-
-def _multinomial_deviance(eta, observed):
-    """-2 loglik and the n x C non-reference probabilities from the n x C
-    non-reference predictors `eta` (reference eta = 0), which it overwrites
-    with those probabilities. `observed` holds the flat indices into `eta` of
-    each non-reference row's observed category; the fit term is the sum of
-    the predictors there."""
-    fit = np.take(eta, observed).sum()
+def _logit_deviance(eta: np.ndarray, observed: np.ndarray) -> tuple:
+    """The non-reference probabilities and -2 loglik of a logit model at the
+    n x C non-reference predictors `eta` (overwritten as `nonref_softmax`
+    overwrites it). `observed` holds the flat indices into `eta` of each
+    non-reference row's observed category. The deviance is the sum over rows
+    of log-partition minus the observed category's predictor (0 for the
+    reference)."""
+    fit = np.take(eta, observed)
     P, lse = nonref_softmax(eta)
-    return 2.0 * float(lse.sum() - fit), P
+    lse[observed // eta.shape[1]] -= fit
+    return P, 2.0 * float(lse.sum())
 
 
 def _newton(coef, evaluate, score_info, tol, max_iter) -> tuple:
@@ -214,48 +223,68 @@ class FittedMultinomial:
     formula: Optional[ModelFormula] = None
 
 
+def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: str,
+               tol: float, max_iter: int, column_names, formula):
+    """The Newton fit of the logit of C non-reference categories on the
+    design X, shared by `fit_logistic` (C = 1) and `fit_multinomial`.
+    `observed` holds the flat indices into an n x C array of each
+    non-reference row's observed category. `fitted(**fields)` builds the
+    returned fit from the C x p coefficients and the other shared fields; a
+    separated fit warns `separation`, and one that neither converged nor
+    separated raises `NoConvergence` carrying it."""
+    n, p = X.shape
+    names = tuple(column_names) if column_names is not None else tuple(
+        f"x{i}" for i in range(p))
+    kept, dropped = _drop_aliased(X, names)
+    Xk = X[:, kept]
+    Y = np.zeros((n, C), dtype=bool)
+    np.put(Y, observed, True)
+
+    def evaluate(B):
+        return _logit_deviance(Xk @ B.T, observed)    # reference eta = 0
+
+    def score_info(P):
+        return (Xk.T @ (Y - P)).T.ravel(), multinomial_information(Xk, P)
+
+    B, _, dev, converged, it, cov = _newton(np.zeros((C, Xk.shape[1])), evaluate,
+                                            score_info, tol, max_iter)
+    # stopped short with numerically 0/1 probabilities, or fits the data
+    # perfectly; a converged fit with steep tails is not separated
+    separated = bool(dev < SEPARATION_DEV
+                     or (not converged and np.max(np.abs(Xk @ B.T)) > SEPARATION_LP))
+
+    fit = fitted(coef=B, fisher_cov=cov, converged=converged, iterations=it, deviance=dev,
+                 separation_flag=separated, column_names=tuple(names[i] for i in kept),
+                 dropped_columns=tuple(dropped), kept=kept, p_original=p, n=n,
+                 formula=formula)
+    if separated:
+        warnings.warn(separation, SeparationWarning, stacklevel=3)
+    if not converged and not separated:
+        raise NoConvergence(f"no convergence in {max_iter} iterations", last_fit=fit)
+    return fit
+
+
 def fit_logistic(X: np.ndarray, y: np.ndarray,
                  *, tol: float = 1e-8, max_iter: int = 100,
                  column_names: Optional[Sequence[str]] = None,
                  formula: Optional[ModelFormula] = None) -> FittedLogistic:
+    """Logistic regression of the 0/1 response `y` on the design X: the
+    one-category case of `fit_multinomial`, y = 0 the reference. A `y` with
+    any other value raises `NonBinaryValue`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
+    n = X.shape[0]
     if n == 0:
         raise AllSameResponse("no rows to fit")
     if len(y) != n:
         raise DimensionMismatch("response length does not match design")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise NonBinaryValue("the logistic response must be 0 or 1")
     if np.all(y == y[0]):
         raise AllSameResponse("response is constant; the MLE does not exist")
-    names = tuple(column_names) if column_names is not None else tuple(
-        f"x{i}" for i in range(p))
-
-    kept, dropped = _drop_aliased(X, names)
-    Xk = X[:, kept]
-    pk = Xk.shape[1]
-
-    def evaluate(beta):
-        eta = Xk @ beta
-        return eta, _bernoulli_deviance(eta, y)
-
-    def score_info(eta):
-        mu = expit(eta)
-        return Xk.T @ (y - mu), (Xk * (mu * (1.0 - mu))[:, None]).T @ Xk
-
-    beta, eta, dev, converged, it, cov = _newton(np.zeros(pk), evaluate, score_info,
-                                                 tol, max_iter)
-    separated = _separated(converged, eta, dev)
-
-    fit = FittedLogistic(coef=beta, fisher_cov=cov, converged=converged, iterations=it,
-                         deviance=dev, separation_flag=separated,
-                         column_names=tuple(names[i] for i in kept),
-                         dropped_columns=tuple(dropped), kept=kept, p_original=p, n=n,
-                         formula=formula)
-    if separated:
-        warnings.warn(LOGISTIC_SEPARATION, SeparationWarning, stacklevel=2)
-    if not converged and not separated:
-        raise NoConvergence(f"no convergence in {max_iter} iterations", last_fit=fit)
-    return fit
+    return _fit_logit(X, np.flatnonzero(y == 1.0), 1,
+                      lambda coef, **fields: FittedLogistic(coef=coef[0], **fields),
+                      LOGISTIC_SEPARATION, tol, max_iter, column_names, formula)
 
 
 def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
@@ -263,7 +292,7 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
                     column_names: Optional[Sequence[str]] = None,
                     formula: Optional[ModelFormula] = None) -> FittedMultinomial:
     X = np.asarray(X, dtype=float)
-    n, p = X.shape
+    n = X.shape[0]
     cats_arr = np.asarray(categories)
     if len(cats_arr) != n:
         raise DimensionMismatch("category length does not match design")
@@ -272,46 +301,10 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
         raise AllSameResponse("need at least two observed categories")
     if reference not in uniq:
         raise UnknownReference(f"reference {reference!r} not among observed categories")
-    names = tuple(column_names) if column_names is not None else tuple(
-        f"x{i}" for i in range(p))
-
-    kept, dropped = _drop_aliased(X, names)
-    Xk = X[:, kept]
-    pk = Xk.shape[1]
-    others = [c for c in uniq if c != reference]
-    C = len(others)
-    col = np.full(n, -1)
-    for c, cat in enumerate(others):
-        col[cats_arr == cat] = c
-    observed = np.flatnonzero(col >= 0)
-    observed = observed * C + col[observed]     # flat indices into n x C
-    Y = np.zeros((n, C))
-    Y.flat[observed] = 1.0
-    XtY = Xk.T @ Y                              # p x C, the score's fixed part
-    del Y, col
-
-    def evaluate(B):
-        dev, P = _multinomial_deviance(Xk @ B.T, observed)   # reference eta = 0
-        return P, dev
-
-    def score_info(P):
-        return (XtY - Xk.T @ P).T.ravel(), multinomial_information(Xk, P)
-
-    B, _, dev, converged, it, cov = _newton(np.zeros((C, pk)), evaluate, score_info,
-                                            tol, max_iter)
-    separated = _separated(converged, Xk @ B.T, dev)
-
-    fit = FittedMultinomial(coef=B, categories=tuple(uniq), reference=reference,
-                            fisher_cov=cov, converged=converged, iterations=it,
-                            deviance=dev, separation_flag=separated,
-                            column_names=tuple(names[i] for i in kept),
-                            dropped_columns=tuple(dropped), kept=kept, p_original=p,
-                            n=n, formula=formula)
-    if separated:
-        warnings.warn(MULTINOMIAL_SEPARATION, SeparationWarning, stacklevel=2)
-    if not converged and not separated:
-        raise NoConvergence(f"no convergence in {max_iter} iterations", last_fit=fit)
-    return fit
+    others = np.array([c for c in uniq if c != reference])
+    return _fit_logit(X, np.flatnonzero(cats_arr[:, None] == others), len(others),
+                      partial(FittedMultinomial, categories=tuple(uniq), reference=reference),
+                      MULTINOMIAL_SEPARATION, tol, max_iter, column_names, formula)
 
 
 @dataclass
@@ -382,27 +375,11 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
 
 def _count_evaluate(coef, X, Yt, W) -> tuple:
     """Count-weighted deviances (A) and non-reference probabilities (A x C x n)
-    of A coefficient sets (A x C x p), in `fit_multinomial`'s forms, or
-    `fit_logistic`'s when C = 1."""
+    of A coefficient sets (A x C x p), in `_logit_deviance`'s form."""
     A, C, p = coef.shape
     eta = (coef.reshape(A * C, p) @ X.T).reshape(A, C, -1)
     fit = np.einsum("cn,acn->an", Yt, eta)
-    if C == 1:
-        e = np.exp(-np.abs(eta))
-        lse = np.log1p(e)
-        lse += np.maximum(eta, 0.0)
-        P = np.where(eta >= 0.0, 1.0, e)
-        e += 1.0
-        P /= e
-    else:
-        m = np.maximum(eta.max(axis=1, keepdims=True), 0.0)
-        P = np.exp(np.subtract(eta, m, out=eta), out=eta)
-        den = P.sum(axis=1, keepdims=True)
-        den += np.exp(-m)
-        lse = np.log(den)
-        lse += m
-        P /= den
-    lse = lse[:, 0]
+    P, lse = nonref_softmax(eta)
     lse -= fit
     return 2.0 * np.einsum("an,an->a", W, lse), P
 

@@ -41,7 +41,7 @@ import numpy as np
 from ._special import chi2_sf, expit
 from .errors import DivisionByZero, InvalidFormula, PositivityWarning, UndefinedMeasure
 from .formula import ModelFormula
-from .glm import FittedLogistic, FittedMultinomial, fit_logistic, fit_multinomial
+from .glm import FittedLogistic, FittedMultinomial, fit_logistic, fit_multinomial, nonref_softmax
 from .ipd import IpdDataset, arm_counts
 
 OCR = "ocr"
@@ -212,12 +212,8 @@ def transport_weight(eta: np.ndarray, j_col: Optional[int], k_col: Optional[int]
     reset to it and lose their derivative; one exactly at the cap keeps both.
     """
     if expit_weight:
-        m = np.maximum(eta.max(axis=1), 0.0)
-        e = np.exp(eta - m[:, None])
-        ref = np.exp(-m)
-        den = ref + e.sum(axis=1)
-        P = e / den[:, None]
-        w = (ref if j_col is None else e[:, j_col]) / den
+        P, lse = nonref_softmax(eta.copy())
+        w = np.exp(-lse) if j_col is None else P[:, j_col]
         dw = -w[:, None] * P
         if j_col is not None:
             dw[:, j_col] += w

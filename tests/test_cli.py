@@ -198,17 +198,32 @@ def _numeric_fields(outdir):
     return fields
 
 
-def test_every_numeric_csv_field_parses_as_a_float(enum_csv, tmp_path, capsys):
+def test_every_numeric_csv_field_parses_as_a_float(enum_csv, three_trial_ds, tmp_path,
+                                                   capsys):
     runs = {}                                   # output directory -> columns it must hold
     for measure in ("rr", "rd"):
         out = str(tmp_path / measure)
         assert cli.main(["analyze", enum_csv, *OCR_ARGS, "--measure", measure,
                          "--out", out]) == 0
         runs[out] = {"ci_lower", "ci_upper", "p_value"}
+    # three trials, both IPW methods and membership modes, bootstrap variance
+    three = str(tmp_path / "three.csv")
+    save_ipd(three_trial_ds, three)
+    ps = ["--ps-formula", "study ~ 1 + L"]
+    boot = ["--variance", "bootstrap", "--bootstrap-b", "4"]
+    for name, args in (("ipw", ["--method", "ipw", *ps, "--ps-mode", "pairwise",
+                                "--measure", "or"]),
+                       ("ipw-s", ["--method", "ipw-stabilized", *ps, "--ps-mode",
+                                  "multinomial", *boot, "--measure", "rd"]),
+                       ("ocr", ["--method", "ocr", "--outcome-formula", "y ~ 1 + treat + L",
+                                *boot])):
+        out = str(tmp_path / name)
+        assert cli.main(["analyze", three, *args, "--out", out]) == 0
+        runs[out] = {"se_transformed", "ci_lower", "p_value"}
     out = str(tmp_path / "sim")
     assert cli.main(["simulate", "--preset", "1", "--reps", "2", "--seed", "1",
                      "--bootstrap-b", "4", "--oracle-runs", "20", "--n-total", "300",
-                     "--analyses", "OCR1,IPW1", "--out", out]) == 0
+                     "--analyses", "OCR1,IPW1,IPW1S,IPW2", "--out", out]) == 0
     capsys.readouterr()
     runs[out] = {"bias", "mcv", "btv", "reject_pct"}
     for out, columns in runs.items():

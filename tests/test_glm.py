@@ -14,6 +14,7 @@ from casemix.errors import (
     AllSameResponse,
     DimensionMismatch,
     NoConvergence,
+    NonBinaryValue,
     RankDeficient,
     SeparationWarning,
     UnknownReference,
@@ -73,6 +74,16 @@ def test_constant_response_raises():
         fit_logistic(X, np.ones(10))
     with pytest.raises(AllSameResponse):
         fit_logistic(np.ones((0, 1)), np.zeros(0))
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+def test_logistic_response_must_be_binary(value):
+    # the logistic fit is the one-category logit of y = 1 against y = 0: any
+    # other response value has no category to be
+    X, y = saturated_binary_fixture()
+    y[[3, 350]] = value
+    with pytest.raises(NonBinaryValue):
+        fit_logistic(X, y)
 
 
 def test_separation_is_flagged_not_raised():
@@ -161,10 +172,11 @@ def test_multinomial_reference_validation():
 
 
 def test_multinomial_two_categories_agrees_with_logistic():
+    # the logistic fit is the one-category multinomial fit: bit for bit
     X, y = saturated_binary_fixture()
     mfit = fit_multinomial(X, y.astype(int), reference=0)
     lfit = fit_logistic(X, y)
-    np.testing.assert_allclose(mfit.coef[0], lfit.coef, atol=1e-8)
+    assert np.array_equal(mfit.coef[0], lfit.coef)
 
 
 def test_backward_eliminate_drops_null_interaction():
@@ -233,11 +245,14 @@ def _multinomial_fixture(separated=False):
     return X, (rng.random(600)[:, None] > P.cumsum(axis=1)).sum(axis=1)
 
 
-def _multinomial_fit_deviance(fit, X, cats):
-    nonref = [c for c in fit.categories if c != fit.reference]
-    rows = np.flatnonzero(cats != fit.reference)
-    observed = rows * len(nonref) + np.array([nonref.index(c) for c in cats[rows]])
-    return glm._multinomial_deviance(X[:, fit.kept] @ fit.coef.T, observed)[0]
+def _fit_deviance(fit, X, cats):
+    """The deviance at a fit's coefficients, its linear predictors formed as
+    the fit forms them (a logistic fit's coefficients as one category)."""
+    reference = getattr(fit, "reference", 0)
+    nonref = [c for c in getattr(fit, "categories", (0, 1)) if c != reference]
+    observed = np.flatnonzero(cats[:, None] == np.array(nonref))
+    coef = fit.coef.reshape(len(nonref), -1)
+    return glm._logit_deviance(X[:, fit.kept] @ coef.T, observed)[1]
 
 
 @pytest.mark.parametrize("separated", [False, True])
@@ -255,8 +270,8 @@ def test_fit_deviance_is_the_deviance_at_the_coefficients(separated):
         lfit = fit_logistic(X, y)
         mfit = fit_multinomial(Xm, cats, reference=0)
     assert lfit.separation_flag == mfit.separation_flag == separated
-    assert lfit.deviance == glm._bernoulli_deviance(X[:, lfit.kept] @ lfit.coef, y)
-    assert mfit.deviance == _multinomial_fit_deviance(mfit, Xm, cats)
+    assert lfit.deviance == _fit_deviance(lfit, X, y)
+    assert mfit.deviance == _fit_deviance(mfit, Xm, cats)
 
 
 @pytest.mark.parametrize("multinomial", [False, True])
@@ -264,18 +279,15 @@ def test_every_halving_failed_stays_at_the_current_coefficients(monkeypatch, mul
     # rig the first step's 31 candidates to look worse: the loop takes no step
     # and ends at the start, converged only if the last candidate's step,
     # 2^-30 of the full one, is below tol
-    name = "_multinomial_deviance" if multinomial else "_bernoulli_deviance"
-    real = getattr(glm, name)
+    real = glm._logit_deviance
     calls = []
 
     def rigged(*args):
         calls.append(1)
         out = real(*args)
-        if not 2 <= len(calls) <= 32:
-            return out
-        return (np.inf, out[1]) if multinomial else np.inf
+        return out if not 2 <= len(calls) <= 32 else (out[0], np.inf)
 
-    monkeypatch.setattr(glm, name, rigged)
+    monkeypatch.setattr(glm, "_logit_deviance", rigged)
     X, y = saturated_binary_fixture()
     for tol in (1e-14, 1.0):
         calls.clear()
@@ -287,11 +299,7 @@ def test_every_halving_failed_stays_at_the_current_coefficients(monkeypatch, mul
         assert len(calls) == 32
         assert fit.converged == (tol == 1.0) and fit.iterations == 1
         assert np.all(fit.coef == 0.0)
-        if multinomial:
-            want = _multinomial_fit_deviance(fit, X, y)
-        else:
-            want = real(X[:, fit.kept] @ fit.coef, y)
-        assert fit.deviance == want
+        assert fit.deviance == _fit_deviance(fit, X, y)     # past the rigged calls
 
 
 def _literal_information(X, P):
@@ -342,10 +350,13 @@ _ETAS = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 800.0, -800.0]
 
 @pytest.mark.parametrize("eta", _ETAS)
 def test_bernoulli_log_partition_matches_logaddexp(eta):
-    # y = 0 leaves 2 log(1 + e^eta), which logaddexp(0, eta) computes directly
-    e = np.array([eta])
-    got = glm._bernoulli_deviance(e, np.zeros(1))
-    np.testing.assert_allclose(got, 2.0 * np.logaddexp(0.0, e)[0], rtol=1e-15, atol=0)
+    # the one-category log-partition log(1 + e^eta), which logaddexp(0, eta)
+    # computes directly; y = 0 leaves it as the row's half deviance
+    e = np.array([[eta]])
+    want = np.logaddexp(0.0, e)[0]
+    np.testing.assert_allclose(glm.nonref_softmax(e.copy())[1], want, rtol=1e-15, atol=0)
+    got = glm._logit_deviance(e, np.array([], dtype=int))[1]
+    np.testing.assert_allclose(got, 2.0 * want[0], rtol=1e-15, atol=0)
 
 
 def test_bernoulli_deviance_matches_logaddexp_on_random_predictors():
@@ -353,7 +364,8 @@ def test_bernoulli_deviance_matches_logaddexp_on_random_predictors():
     eta = rng.normal(scale=3.0, size=500)
     y = (rng.random(500) < 0.4).astype(float)
     want = 2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta)
-    np.testing.assert_allclose(glm._bernoulli_deviance(eta, y), want, rtol=1e-15, atol=0)
+    got = glm._logit_deviance(eta[:, None], np.flatnonzero(y))[1]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def _qr_oracle(X, names):

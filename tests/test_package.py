@@ -120,3 +120,43 @@ def test_library_bootstrap_reuses_its_heap_pages():
     loaded, faults = _run_python(_BOOTSTRAP_FAULTS).rsplit(" ", 1)
     assert loaded == "[]"
     assert int(faults) < 300
+
+
+_TRACED_OCR = """
+import importlib, sys
+from collections import Counter
+import numpy as np
+sys.path.insert(0, {perfbench!r})
+import casemix.cli
+from casemix.ipd import IpdDataset, save_ipd
+from spantrace import TARGETS, Tracer
+
+for modname, path, _ in TARGETS:
+    owner = importlib.import_module(modname)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+tracer = Tracer(0)
+tracer.install()
+assert tracer.missed_bindings() == [], tracer.missed_bindings()
+
+rng = np.random.default_rng(5)
+n = 600
+study = np.repeat([0, 1, 2], [150, 200, 250])
+L = rng.normal(size=(n, 1)) + 0.3 * study[:, None]
+treat = rng.integers(0, 2, n)
+y = (rng.random(n) < 1.0 / (1.0 + np.exp(0.3 - 0.5 * L[:, 0] - 0.4 * treat))).astype(int)
+save_ipd(IpdDataset.from_arrays(["L"], ["1", "2", "3"], study, treat, y, L), "in.csv")
+assert casemix.cli.main(["analyze", "in.csv", "--method", "ocr", "--outcome-formula",
+                         "y ~ 1 + treat + L", "--out", "ocr"]) == 0
+calls = Counter(span[0] for span in tracer.spans)
+print(calls["glm.logistic"], calls["glm.multinomial"])
+"""
+
+
+def test_span_tracer_binds_every_target_and_counts_each_outcome_fit_once(tmp_path):
+    # the benchmark's tracer wraps public functions by name: every target
+    # must resolve and be rebound everywhere casemix holds it, and an OCR
+    # analysis (three outcome fits and the control check's two) is logistic
+    # fits only, so no fit is counted twice through the multinomial fitter
+    code = _TRACED_OCR.format(perfbench=str(ROOT / "perfbench"))
+    assert _run_python(code, cwd=tmp_path) == "5 0"

@@ -328,8 +328,14 @@ def test_common_control_statistic_matches_a_logaddexp_deviance(monkeypatch, enum
     ds = enum_ds if make == "enum" else continuous_ds(seed=3, n=600)
     control = parse("y ~ 1 + L")
     got = common_control_check(ds, control).statistic
-    monkeypatch.setattr(glm, "_bernoulli_deviance",
-                        lambda eta, y: 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta)))
+
+    def logaddexp_deviance(eta, observed):      # one category: the logistic fits
+        y = np.zeros(len(eta))
+        y[observed] = 1.0
+        dev = 2.0 * float(np.sum(np.logaddexp(0.0, eta[:, 0]) - y * eta[:, 0]))
+        return glm.nonref_softmax(eta)[0], dev
+
+    monkeypatch.setattr(glm, "_logit_deviance", logaddexp_deviance)
     want = common_control_check(ds, control).statistic
     assert want > 1.0
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

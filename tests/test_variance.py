@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casemix import het, variance
 from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplicates
@@ -539,3 +540,47 @@ def test_permuting_trial_labels_permutes_grid_sigma_and_tests(method, kw):
         for name, t in tests.items():
             assert ptests[name].df == t.df, (order, name)
             assert abs(ptests[name].statistic - t.statistic) <= 1e-10 * t.statistic, (order, name)
+
+
+def _rows_shuffled_within_trials(ds, seed) -> IpdDataset:
+    """`ds` with each trial's rows in a random order, each trial keeping the
+    positions its rows held."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(ds.n)
+    for rows in ds.study_rows:
+        idx[rows] = rng.permutation(rows)
+    return ds.subset(idx)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("method,kw", [
+    (IPW, {"ps_formula": PS, "ps_mode": "pairwise"}),
+    (IPW, {"ps_formula": PS, "ps_mode": "multinomial"}),
+    (OCR, {"outcome_formula": OUTCOME}),
+])
+def test_permuting_rows_within_trials_changes_nothing_beyond_rounding(method, kw, seed):
+    # every estimate is a sum over each trial's rows, so the rows' order may
+    # move the grid, Sigma and the het statistics by rounding only; every fit
+    # here is well posed, so where Newton stops does not hinge on rounding
+    ds = _three_trial_continuous()
+    grid_settings = GridSettings(method, **kw)
+
+    def analyse(data):
+        grid = standardized_grid(data, grid_settings)
+        matrix = effect_matrix(grid, "rr")
+        attach_covariance(matrix, sandwich_cov(grid, measures=("rr",)))
+        return grid, matrix, {t.hypothesis: t for t in het.all_tests(matrix)}
+
+    grid, matrix, tests = analyse(ds)
+    pgrid, pmatrix, ptests = analyse(_rows_shuffled_within_trials(ds, seed))
+    assert all(not fit.separation_flag for fit in
+               [*grid.outcome_fits.values(), *grid.membership_fits.values()])
+    for key, cell in grid.items():
+        assert abs(pgrid[key].prob - cell.prob) <= 1e-12 * abs(cell.prob), key
+    scale = np.max(np.diag(matrix.sigma))
+    assert np.max(np.abs(pmatrix.sigma - matrix.sigma)) <= 1e-10 * scale
+    assert set(ptests) == set(tests)
+    for name, t in tests.items():
+        assert ptests[name].df == t.df, name
+        assert abs(ptests[name].statistic - t.statistic) <= 1e-10 * t.statistic, name
