@@ -105,28 +105,59 @@ def nonref_softmax(eta: np.ndarray) -> tuple:
     return P, lse[:, 0]
 
 
-def multinomial_information(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+# rows x categories x columns of one row block of the information's V = [P_a x]
+# (256 KiB): a block stays in cache between its fill and its two GEMMs, and no
+# fit holds an n x C x p or n x p temporary
+_BLOCK_CELLS = 1 << 15
+
+
+def keep_columns(X: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The retained columns `kept` (sorted, as a fit's `kept`) of X: X itself
+    when every column is kept, a copy only when a column was dropped."""
+    return X if len(kept) == X.shape[1] else X[:, kept]
+
+
+def multinomial_information(X: np.ndarray, P: np.ndarray, Y: Optional[np.ndarray] = None):
     """Information X' diag(P_a (1[a=b] - P_b)) X of the logit model with
     n x C non-reference probabilities P, (C p) x (C p) in category-major
-    blocks. C = 1 is one weighted Gram matrix.
+    blocks. Given the n x C 0/1 indicators Y of each row's observed
+    non-reference category, the score X'(Y - P), flattened like the C x p
+    coefficients, comes first: (score, information).
 
-    For C > 1 it is assembled as blockdiag_a(X' diag(P_a) X) - V'V with the
-    n x Cp matrix V = [P_a x], filled one design column at a time (no
-    n x C x p broadcast temporary). Two GEMMs: V'V, and X'V, whose C column
-    blocks are the diagonal blocks X' diag(P_a) X. No n x C x C array."""
+    Both are sums over row blocks of `_BLOCK_CELLS` cells, each block's
+    terms written into one block-sized buffer reused across blocks. For C > 1
+    the buffer holds the block's V = [P_a x], and the information is
+    blockdiag_a(X' diag(P_a) X) - V'V summed over blocks: two GEMMs a block,
+    V'V, and X'V, whose C column blocks are the diagonal blocks
+    X' diag(P_a) X. C = 1 is one weighted Gram matrix: the buffer holds the
+    block's design weighted by P (1 - P), and X'V is the information. No
+    n x p, n x C x p or n x C x C array."""
     n, p = X.shape
     C = P.shape[1]
-    if C == 1:
-        return (X * (P[:, 0] * (1.0 - P[:, 0]))[:, None]).T @ X
-    V = np.empty((n, C, p))
-    for c in range(p):
-        np.multiply(P, X[:, c, None], out=V[:, :, c])
-    V = V.reshape(n, C * p)
-    H = -(V.T @ V)
-    D = X.T @ V
+    rows = max(1, min(n, _BLOCK_CELLS // (C * p)))
+    V = np.empty((rows, C, p))
+    H = np.zeros((C * p, C * p))
+    D = np.zeros((p, C * p))
+    if Y is not None:
+        R = np.empty((rows, C))
+        G = np.zeros((p, C))
+    for start in range(0, n, rows):
+        Xb, Pb = X[start:start + rows], P[start:start + rows]
+        m = len(Xb)
+        Vb = V[:m].reshape(m, C * p)
+        if C == 1:                      # V = P (1 - P) x: D is the information
+            np.multiply(Xb, Pb * (1.0 - Pb), out=Vb)
+        else:
+            for c in range(p):          # by column: C-long inner loops, not p-long ones
+                np.multiply(Pb, Xb[:, c, None], out=V[:m, :, c])
+            H -= Vb.T @ Vb
+        D += Xb.T @ Vb
+        if Y is not None:
+            Rb = np.subtract(Y[start:start + rows], Pb, out=R[:m])
+            G += Xb.T @ Rb
     for a in range(C):
         H[a * p:(a + 1) * p, a * p:(a + 1) * p] += D[:, a * p:(a + 1) * p]
-    return H
+    return H if Y is None else (G.T.ravel(), H)
 
 
 def _logit_deviance(eta: np.ndarray, observed: np.ndarray) -> tuple:
@@ -231,12 +262,16 @@ def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: 
     non-reference row's observed category. `fitted(**fields)` builds the
     returned fit from the C x p coefficients and the other shared fields; a
     separated fit warns `separation`, and one that neither converged nor
-    separated raises `NoConvergence` carrying it."""
+    separated raises `NoConvergence` carrying it.
+
+    The fit reads X itself when the rank certificate keeps every column, and
+    its score and information come from `multinomial_information`'s row
+    blocks, so beyond the caller's design it holds n x C arrays only."""
     n, p = X.shape
     names = tuple(column_names) if column_names is not None else tuple(
         f"x{i}" for i in range(p))
     kept, dropped = _drop_aliased(X, names)
-    Xk = X[:, kept]
+    Xk = keep_columns(X, kept)
     Y = np.zeros((n, C), dtype=bool)
     np.put(Y, observed, True)
 
@@ -244,7 +279,7 @@ def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: 
         return _logit_deviance(Xk @ B.T, observed)    # reference eta = 0
 
     def score_info(P):
-        return (Xk.T @ (Y - P)).T.ravel(), multinomial_information(Xk, P)
+        return multinomial_information(Xk, P, Y)
 
     B, _, dev, converged, it, cov = _newton(np.zeros((C, Xk.shape[1])), evaluate,
                                             score_info, tol, max_iter)

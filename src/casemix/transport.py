@@ -41,7 +41,14 @@ import numpy as np
 from ._special import chi2_sf, expit
 from .errors import DivisionByZero, InvalidFormula, PositivityWarning, UndefinedMeasure
 from .formula import ModelFormula
-from .glm import FittedLogistic, FittedMultinomial, fit_logistic, fit_multinomial, nonref_softmax
+from .glm import (
+    FittedLogistic,
+    FittedMultinomial,
+    fit_logistic,
+    fit_multinomial,
+    keep_columns,
+    nonref_softmax,
+)
 from .ipd import IpdDataset, arm_counts
 
 OCR = "ocr"
@@ -390,8 +397,8 @@ class FittedGrid(dict):
         if key not in self._designs:
             m = self.ds.mask(label)
             treat = self.ds.treat[m] if x is None else np.full(int(m.sum()), float(x))
-            self._designs[key] = form.design_matrix(self.ds.covariate_columns(m),
-                                                    treat=treat)[:, kept]
+            self._designs[key] = keep_columns(
+                form.design_matrix(self.ds.covariate_columns(m), treat=treat), kept)
         return self._designs[key]
 
     def _outcome_fit(self, k, form: ModelFormula) -> FittedLogistic:
@@ -402,7 +409,7 @@ class FittedGrid(dict):
             X = form.design_matrix(ds.covariate_columns(m), treat=ds.treat[m])
             fit = fit_logistic(X, ds.outcome[m].astype(float),
                                column_names=form.column_names(), formula=form)
-            self._designs[(form, k, None, tuple(fit.kept))] = X[:, fit.kept]
+            self._designs[(form, k, None, tuple(fit.kept))] = keep_columns(X, fit.kept)
             self.outcome_fits[(k, form)] = fit
         return self.outcome_fits[(k, form)]
 
@@ -487,7 +494,9 @@ def common_control_check(ds: IpdDataset, control_formula: ModelFormula,
                          alpha: float = 0.05) -> CommonControlReport:
     """Likelihood-ratio check that control-arm outcomes are exchangeable across
     trials given L: compares the control-arm outcome model with and without
-    study indicators and study-by-covariate interactions."""
+    study indicators and study-by-covariate interactions. Both fits read one
+    array: the second model's design, written in place, whose first columns
+    are the first model's."""
     if ds.K < 2:
         raise ValueError("common-control check needs at least two studies")
     if control_formula.requires_treat:
@@ -495,22 +504,23 @@ def common_control_check(ds: IpdDataset, control_formula: ModelFormula,
     m = ds.treat == 0
     covs = ds.covariate_columns(m)
     y = ds.outcome[m].astype(float)
-    X_a = control_formula.design_matrix(covs)
     names_a = control_formula.column_names()
-    fit_a = fit_logistic(X_a, y, column_names=names_a, formula=control_formula)
-
     cov_mains = control_formula.covariate_names()
-    cols = [X_a]
+    p_a = len(names_a)
+    X_b = np.empty((len(y), p_a + (ds.K - 1) * (1 + len(cov_mains))))
+    X_b[:, :p_a] = control_formula.design_matrix(covs)
+    fit_a = fit_logistic(X_b[:, :p_a], y, column_names=names_a, formula=control_formula)
+
     names_b = list(names_a)
     sidx = ds.study_idx[m]
+    col = p_a
     for s in range(1, ds.K):
-        d = (sidx == s).astype(float)
-        cols.append(d[:, None])
+        d = np.equal(sidx, s, out=X_b[:, col])
         names_b.append(f"study[{ds.study_labels[s]}]")
-        for name in cov_mains:
-            cols.append((d * covs[name])[:, None])
+        for i, name in enumerate(cov_mains, start=col + 1):
+            np.multiply(d, covs[name], out=X_b[:, i])
             names_b.append(f"study[{ds.study_labels[s]}]:{name}")
-    X_b = np.hstack(cols)
+        col += 1 + len(cov_mains)
     fit_b = fit_logistic(X_b, y, column_names=names_b)
 
     stat = max(0.0, fit_a.deviance - fit_b.deviance)

@@ -130,15 +130,15 @@ class _OcrProb:
 
 class _IpwCell:
     """Both IPW probability moments (theta indices `cols`, arm 0 then 1) of a
-    cell on source trial k's rows; unstabilized, with the arm proportion at
-    `pi_row`, a `_Centering` completes them. `weight` is None on the diagonal
+    cell on source trial k's rows, whose arm indicators `arms` (0 then 1) the
+    trial's cells share; unstabilized, with the arm proportion at `pi_row`, a
+    `_Centering` completes them. `weight` is None on the diagonal
     or (Z, membership slice, j_col, k_col, expit_weight, cap) for
     `transport_weight`, which runs once for both arms."""
 
-    def __init__(self, trial_k, rows_k, y, treat, cols, pi_row, weight):
+    def __init__(self, trial_k, rows_k, y, arms, cols, pi_row, weight):
         self.trial, self.rows, self.cols = trial_k, rows_k, cols
-        self.y, self.pi_row, self.weight = y, pi_row, weight
-        self.arms = [(treat == x).astype(float) for x in (0, 1)]
+        self.y, self.arms, self.pi_row, self.weight = y, arms, pi_row, weight
 
     def _pi_x(self, theta, x):
         pi = theta[self.pi_row]
@@ -329,6 +329,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                     lab, rows[lab], grid.design(ps_formula, lab, fit.kept), sl, col))
 
         pi_rows = {} if stabilized else {k: push(np.mean(treat[k])).start for k in labels}
+        arms = {k: [(treat[k] == x).astype(float) for x in (0, 1)] for k in labels}
         components += [_Centering(k, rows[k], [r], treat[k]) for k, r in pi_rows.items()]
 
         for j in labels:
@@ -342,7 +343,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                               grid[(j, k, 1)].weights_summary.truncated_at)
                 cols = [push(grid[(j, k, x)].prob).start for x in (0, 1)]
                 prob_rows.update({(j, k, 0): cols[0], (j, k, 1): cols[1]})
-                components.append(_IpwCell(k, rows[k], y[k], treat[k], cols, pi_rows.get(k),
+                components.append(_IpwCell(k, rows[k], y[k], arms[k], cols, pi_rows.get(k),
                                            weight))
                 if not stabilized:
                     components.append(_Centering(j, rows[j], cols))

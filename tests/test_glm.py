@@ -1,11 +1,13 @@
 """Logistic and multinomial fitters: exact solutions, score identities,
 aliasing, separation, and backward elimination."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import qr
 from scipy.special import expit, logit
 
@@ -304,35 +306,57 @@ def test_every_halving_failed_stays_at_the_current_coefficients(monkeypatch, mul
 
 def _literal_information(X, P):
     """The multinomial information as its C^2 weighted products
-    X' diag(P_a (1[a=b] - P_b)) X, one block at a time."""
+    X' diag(P_a (1[a=b] - P_b)) X, one block at a time, each entry's sum over
+    rows taken exactly (math.fsum): on tens of thousands of rows a float sum
+    in any order is off by ~1e-12 of the largest entry, as much as the bound
+    the information under test is held to."""
     C, p = P.shape[1], X.shape[1]
     H = np.empty((C * p, C * p))
     for a in range(C):
         for b in range(C):
             w = P[:, a] * (float(a == b) - P[:, b])
-            H[a * p:(a + 1) * p, b * p:(b + 1) * p] = (X * w[:, None]).T @ X
+            for i in range(p):
+                for j in range(p):
+                    H[a * p + i, b * p + j] = math.fsum(X[:, i] * w * X[:, j])
     return H
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), C=st.sampled_from([1, 2, 9]),
-       p=st.sampled_from([1, 3]), alias=st.booleans())
-def test_multinomial_information_matches_its_definition(seed, C, p, alias):
+       p=st.sampled_from([1, 3]), alias=st.booleans(), blocks=st.sampled_from([0, 2]))
+@example(seed=1, C=1, p=3, alias=False, blocks=2)
+@example(seed=2, C=1, p=3, alias=True, blocks=2)
+@example(seed=3, C=2, p=3, alias=False, blocks=2)
+@example(seed=4, C=2, p=3, alias=True, blocks=2)
+@example(seed=5, C=9, p=3, alias=False, blocks=2)
+@example(seed=6, C=9, p=3, alias=True, blocks=2)
+@example(seed=912, C=2, p=1, alias=True, blocks=2)
+def test_multinomial_information_matches_its_definition(seed, C, p, alias, blocks):
+    # blocks = 2: two whole row blocks of the information and score, and a
+    # ragged third of 3 rows
     rng = np.random.default_rng(seed)
-    n = 80 * (C + 1)
+    width = p + alias
+    n = blocks * (glm._BLOCK_CELLS // (C * width)) + 3 if blocks else 80 * (C + 1)
     X = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(p - 1)])
     if alias:
         X = np.column_stack([X, 2.0 * X[:, -1]])    # aliased with the last column
-    eta = X @ rng.normal(scale=0.3, size=(C, X.shape[1])).T
+    eta = X @ rng.normal(scale=0.3, size=(C, width)).T
     P = glm.nonref_softmax(eta.copy())[0]
     want = _literal_information(X, P)
     H = glm.multinomial_information(X, P)
     assert np.max(np.abs(H - want)) <= 1e-12 * np.max(np.abs(want))
 
-    # at the solution: fisher_cov inverts the information and the score vanishes
     full = np.column_stack([np.ones(n), np.exp(eta)])
     cats = (rng.random(n)[:, None] > (full / full.sum(axis=1, keepdims=True)).cumsum(axis=1)
             ).sum(axis=1)
+    Y = (cats[:, None] == np.arange(1, C + 1)).astype(float)
+    score, H_y = glm.multinomial_information(X, P, Y.astype(bool))
+    assert np.array_equal(H_y, H)
+    R = Y - P
+    scale = (np.abs(X).T @ np.abs(R)).T.ravel()
+    assert np.all(np.abs(score - (X.T @ R).T.ravel()) <= 1e-12 * scale)
+
+    # at the solution: fisher_cov inverts the information and the score vanishes
     fit = fit_multinomial(X, cats, reference=0)
     assert fit.converged and not fit.separation_flag
     assert len(fit.kept) == X.shape[1] - alias
@@ -343,6 +367,36 @@ def test_multinomial_information_matches_its_definition(seed, C, p, alias):
     assert np.max(np.abs(fit.fisher_cov @ info - np.eye(len(info)))) <= 1e-8
     score = Xk.T @ ((cats[:, None] == nonref).astype(float) - Pf)
     assert np.max(np.abs(score)) <= 1e-8 * n
+
+
+def _peak_bytes(f) -> int:
+    """Peak bytes that `f()` allocates, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_information_holds_no_rows_by_categories_by_columns_buffer():
+    # the membership fit's shape on 100,000 rows: V = [P_a x] lives one row
+    # block at a time, never as the n x C x p array
+    rng = np.random.default_rng(11)
+    n, C, p = 100_000, 9, 3
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    P = glm.nonref_softmax(X @ rng.normal(scale=0.3, size=(C, p)).T)[0]
+    assert _peak_bytes(lambda: glm.multinomial_information(X, P)) < n * C * p * 8 / 4
+
+
+def test_full_rank_logistic_fit_holds_no_copy_of_its_design():
+    # a design whose every column is kept is read in place, and the
+    # information's weighted design lives one row block at a time
+    rng = np.random.default_rng(12)
+    n, p = 100_000, 15
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = (rng.random(n) < expit(X @ rng.normal(scale=0.2, size=p))).astype(float)
+    assert _peak_bytes(lambda: fit_logistic(X, y)) < n * p * 8 / 2
 
 
 _ETAS = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 800.0, -800.0]
