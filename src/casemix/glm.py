@@ -12,6 +12,11 @@ dropped by pivoted QR, which runs only on a design whose Gram matrix does not
 certify full rank, and recorded on the fit; quasi-separation is flagged (and
 warned) rather than raised, because downstream simulation studies must keep
 reporting such replications.
+
+One damped-Newton loop, `_newton`, runs every fit on a stack of
+coefficient sets, a single fit being a stack of one, and holds all of its
+rules: step-halving, stop, exit and the separation flag. Its callers pass
+only kernels.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .formula import Interaction, ModelFormula
 
 SEPARATION_LP = 30.0
 SEPARATION_DEV = 1e-6
+NEWTON_TOL = 1e-8           # a set stops once its accepted step's largest entry is below this
+NEWTON_MAX_ITER = 100
 FULL_RANK_RATIO = 1e-8      # eigenvalue ratio of a Gram matrix that is surely of full rank
 LOGISTIC_SEPARATION = "fitted probabilities numerically 0/1: possible separation"
 MULTINOMIAL_SEPARATION = "category probabilities numerically 0/1: possible separation"
@@ -173,41 +180,59 @@ def _logit_deviance(eta: np.ndarray, observed: np.ndarray) -> tuple:
     return P, 2.0 * float(lse.sum())
 
 
-def _newton(coef, evaluate, score_info, tol, max_iter) -> tuple:
-    """Damped Newton from `coef` -> (coef, state, deviance, converged,
-    iterations, inverse information). `evaluate(coef)` gives the fit's state
-    at coef and the deviance, kept for the accepted step; `score_info(state)`
-    the score (flattened like coef) and the information. A step is halved
-    while the deviance rises, 30 times at most; when every candidate raises
-    it, the loop ends at the current coefficients, converged only if the last
-    candidate's step is below `tol`."""
-    state, dev = evaluate(coef)
-    converged, it = False, 0
+def _newton(coef, evaluate, score_info, reach, tol, max_iter) -> tuple:
+    """Damped Newton from each of the A coefficient sets `coef` (A x C x p) ->
+    (coefficients, deviances, converged, iterations, separated), one entry a
+    set, and the state of the sets that left last (for A = 1, the fit's).
+    The kernels serve the sets `sets` still iterating: `evaluate(coef, sets)`
+    gives their deviances and state (one entry a set), `score_info(state,
+    sets)` their flat scores and information matrices, and `reach(coef,
+    sets)` their largest |linear predictor| over the rows each holds.
+
+    Each set halves its own step while its deviance rises, 30 times at most,
+    and leaves by itself: when its step is below `tol`, or, taking no step,
+    when every candidate raised its deviance, converged then only if the last
+    candidate's step is below `tol`. It is separated if it fits its rows
+    perfectly, or stopped unconverged with numerically 0/1 probabilities; a
+    converged fit with steep tails is not."""
+    sets = np.arange(len(coef))
+    dev, state = evaluate(coef, sets)
+    out, coef, out_dev = coef.copy(), coef.copy(), dev.copy()
+    converged, separated = np.zeros(len(coef), bool), np.zeros(len(coef), bool)
+    iterations = np.zeros(len(coef), int)
     for it in range(1, max_iter + 1):
-        g, H = score_info(state)
-        try:
-            step = np.linalg.solve(H, g).reshape(coef.shape)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0].reshape(coef.shape)
-        for halving in range(31):
-            scale = 0.5 ** halving
-            cand = coef + scale * step
-            cand_state, cand_dev = evaluate(cand)
-            if cand_dev <= dev + 1e-10:
+        step = _solve_each(*score_info(state, sets)).reshape(coef.shape)
+        scale, rise = np.full(len(sets), 2.0), np.arange(len(sets))
+        for _ in range(31):             # the candidates at 1, 1/2, ..., 2^-30 of the step
+            scale[rise] *= 0.5
+            cand = coef[rise] + scale[rise, None, None] * step[rise]
+            cand_dev, cand_state = evaluate(cand, sets[rise])
+            ok = cand_dev <= dev[rise] + 1e-10
+            took = rise[ok]
+            coef[took], dev[took] = cand[ok], cand_dev[ok]
+            if len(took) == len(state):     # every set took its full step: no copy
+                state = cand_state
+            else:
+                state[took] = cand_state[ok]
+            rise = rise[~ok]
+            if not rise.size:
                 break
-        else:                           # every candidate raised the deviance: no step
-            converged = bool(np.max(np.abs(scale * step)) < tol)
-            break
-        coef, state, dev = cand, cand_state, cand_dev
-        if np.max(np.abs(scale * step)) < tol:
-            converged = True
-            break
-    H = score_info(state)[1]
-    try:
-        cov = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(H)
-    return coef, state, dev, converged, it, cov
+        # a set left in `rise` raised its deviance at every candidate: it took no step
+        small = np.abs(scale[:, None, None] * step).max(axis=(1, 2)) < tol
+        leave = small | (it == max_iter)
+        leave[rise] = True
+        if leave.any():
+            gone = sets[leave]
+            out[gone], out_dev[gone], converged[gone], iterations[gone] = (
+                coef[leave], dev[leave], small[leave], it)
+            separated[gone] = dev[leave] < SEPARATION_DEV
+            stuck = leave & ~small
+            if stuck.any():
+                separated[sets[stuck]] |= reach(coef[stuck], sets[stuck]) > SEPARATION_LP
+            if leave.all():
+                break
+            sets, coef, dev, state = (a[~leave] for a in (sets, coef, dev, state))
+    return out, out_dev, converged, iterations, separated, state
 
 
 @dataclass
@@ -275,23 +300,24 @@ def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: 
     Y = np.zeros((n, C), dtype=bool)
     np.put(Y, observed, True)
 
-    def evaluate(B):
-        return _logit_deviance(Xk @ B.T, observed)    # reference eta = 0
+    def evaluate(B, sets):                            # a stack of one: B is 1 x C x p
+        P, dev = _logit_deviance(Xk @ B[0].T, observed)   # reference eta = 0
+        return np.array([dev]), P[None]
 
-    def score_info(P):
-        return multinomial_information(Xk, P, Y)
-
-    B, _, dev, converged, it, cov = _newton(np.zeros((C, Xk.shape[1])), evaluate,
-                                            score_info, tol, max_iter)
-    # stopped short with numerically 0/1 probabilities, or fits the data
-    # perfectly; a converged fit with steep tails is not separated
-    separated = bool(dev < SEPARATION_DEV
-                     or (not converged and np.max(np.abs(Xk @ B.T)) > SEPARATION_LP))
-
-    fit = fitted(coef=B, fisher_cov=cov, converged=converged, iterations=it, deviance=dev,
-                 separation_flag=separated, column_names=tuple(names[i] for i in kept),
-                 dropped_columns=tuple(dropped), kept=kept, p_original=p, n=n,
-                 formula=formula)
+    B, dev, converged, it, separated, P = _newton(
+        np.zeros((1, C, Xk.shape[1])), evaluate,
+        lambda P, sets: [a[None] for a in multinomial_information(Xk, P[0], Y)],
+        lambda B, sets: np.max(np.abs(Xk @ B[0].T)), tol, max_iter)
+    H = multinomial_information(Xk, P[0])
+    try:
+        cov = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(H)
+    converged, separated = bool(converged[0]), bool(separated[0])
+    fit = fitted(coef=B[0], fisher_cov=cov, converged=converged, iterations=int(it[0]),
+                 deviance=float(dev[0]), separation_flag=separated,
+                 column_names=tuple(names[i] for i in kept), dropped_columns=tuple(dropped),
+                 kept=kept, p_original=p, n=n, formula=formula)
     if separated:
         warnings.warn(separation, SeparationWarning, stacklevel=3)
     if not converged and not separated:
@@ -300,7 +326,7 @@ def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: 
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray,
-                 *, tol: float = 1e-8, max_iter: int = 100,
+                 *, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
                  column_names: Optional[Sequence[str]] = None,
                  formula: Optional[ModelFormula] = None) -> FittedLogistic:
     """Logistic regression of the 0/1 response `y` on the design X: the
@@ -323,7 +349,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
 
 
 def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
-                    *, tol: float = 1e-8, max_iter: int = 100,
+                    *, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
                     column_names: Optional[Sequence[str]] = None,
                     formula: Optional[ModelFormula] = None) -> FittedMultinomial:
     X = np.asarray(X, dtype=float)
@@ -365,11 +391,12 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
     converged nor separated `NoConvergence`. Rank detection runs on the rows
     the replicate holds, scaled by the root of their counts so that pivoting
     sees the expanded rows' column norms, unless the replicate's weighted Gram
-    matrix is so well conditioned that every column is surely kept; replicates
-    that keep the same columns share one batched Newton loop. Every replicate
-    with two observed categories must observe all C + 1 of them. No
-    information matrix is inverted and nothing warns: `separated` tells the
-    caller.
+    matrix is so well conditioned that every column is surely kept. The
+    replicates that keep the same columns are one stack of the single fits'
+    `_newton`, so they stop and are flagged separated by the same rules, each
+    over the rows it holds. Every replicate with two observed categories must
+    observe all C + 1 of them. No information matrix is inverted and nothing
+    warns: `separated` tells the caller.
     """
     W = np.asarray(counts, dtype=float)
     B, p = W.shape[0], X.shape[1]
@@ -398,9 +425,12 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
             continue
         out.kept[b] = kept
         groups.setdefault(tuple(kept), []).append(b)
+    Yt = np.ascontiguousarray(Y.T)
     for kept, reps in groups.items():
         reps = np.array(reps)
-        coef, converged, separated = _newton_counts(X[:, kept], Y, W[reps])
+        coef, _, converged, _, separated, _ = _newton(
+            np.zeros((len(reps), Y.shape[1], len(kept))), *_count_kernels(X[:, kept], Yt, W[reps]),
+            NEWTON_TOL, NEWTON_MAX_ITER)
         out.coef[np.ix_(reps, range(Y.shape[1]), kept)] = coef
         out.converged[reps], out.separated[reps] = converged, separated
         for b in reps[~(converged | separated)]:
@@ -419,76 +449,43 @@ def _count_evaluate(coef, X, Yt, W) -> tuple:
     return 2.0 * np.einsum("an,an->a", W, lse), P
 
 
-def _newton_counts(X, Y, W, tol=1e-8, max_iter=100) -> tuple:
-    """`_newton` from zero, with the fitters' default `tol` and `max_iter`, for
-    each row of the counts W at once -> (B x C x p coefficients, converged
-    flags, separated flags). Each replicate halves its own step by `_newton`'s
-    rules and leaves the loop when its step falls below `tol` or when every
-    candidate raised its deviance; the working arrays hold the replicates
-    still iterating."""
-    B, n = W.shape
-    p, C = X.shape[1], Y.shape[1]
-    Yt = np.ascontiguousarray(Y.T)
+def _count_kernels(X, Yt, W) -> tuple:
+    """`_newton`'s kernels for the count-weighted fits of the C x n indicators
+    `Yt` on X, one coefficient set a row of the counts W; the information is
+    a sum of Gram products."""
+    n, p = X.shape
+    C = Yt.shape[0]
     XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    out = np.zeros((B, C, p))
-    converged, separated = np.zeros(B, bool), np.zeros(B, bool)
-    reps = np.arange(B)
-    coef = out.copy()
-    # at zero every category has probability 1 / (C + 1)
-    dev = 2.0 * np.log1p(C) * W.sum(axis=1)
-    P = np.full((B, C, n), 1.0 / (C + 1))
-    for it in range(1, max_iter + 1):
-        A = len(reps)
-        g = ((W[:, None, :] * (Yt - P)).reshape(A * C, n) @ X).reshape(A, C * p)
+
+    def rows(sets):                     # no copy of W while every set iterates
+        return W if len(sets) == len(W) else W[sets]
+
+    def evaluate(coef, sets):
+        return _count_evaluate(coef, X, Yt, rows(sets))
+
+    def score_info(P, sets):
+        A, Ws = len(sets), rows(sets)
+        g = ((Ws[:, None, :] * (Yt - P)).reshape(A * C, n) @ X).reshape(A, C * p)
         # information block (a, c): sum over rows of W P_a (1[a=c] - P_c) x x'
-        WP = W[:, None, :] * P
+        WP = Ws[:, None, :] * P
         H = np.empty((A, C, p, C, p))
         for a in range(C):
             for c in range(a, C):
                 H[:, a, :, c, :] = ((WP[:, a] * (float(a == c) - P[:, c])) @ XX).reshape(A, p, p)
                 H[:, c, :, a, :] = H[:, a, :, c, :]
-        del WP, P
-        step = _solve_each(H.reshape(A, C * p, C * p), g).reshape(A, C, p)
+        return g, H.reshape(A, C * p, C * p)
 
-        coef_new = coef + step
-        dev_new, P = _count_evaluate(coef_new, X, Yt, W)
-        scale = np.ones(A)
-        rise = np.flatnonzero(~(dev_new <= dev + 1e-10))
-        for halving in range(1, 31):
-            if not rise.size:
-                break
-            scale[rise] *= 0.5
-            cand = coef[rise] + scale[rise, None, None] * step[rise]
-            coef_new[rise] = cand
-            dev_new[rise], P[rise] = _count_evaluate(cand, X, Yt, W[rise])
-            rise = rise[~(dev_new[rise] <= dev[rise] + 1e-10)]
-        # a replicate whose every candidate raised the deviance takes no step
-        # and leaves the loop
-        if rise.size:
-            coef_new[rise], dev_new[rise] = coef[rise], dev[rise]
-        coef, dev = coef_new, dev_new
+    def reach(coef, sets):
+        eta = np.abs(coef.reshape(-1, p) @ X.T).reshape(len(sets), -1, n)
+        return np.where(rows(sets)[:, None, :] > 0, eta, 0.0).max(axis=(1, 2))
 
-        small = np.abs(scale[:, None, None] * step).max(axis=(1, 2)) < tol
-        leave = small | (it == max_iter)
-        leave[rise] = True
-        if leave.any():
-            gone = reps[leave]
-            converged[gone], out[gone] = small[leave], coef[leave]
-            eta = np.abs(coef[leave].reshape(-1, p) @ X.T).reshape(len(gone), -1, n)
-            lp = np.where(W[leave, None, :] > 0, eta, 0.0).max(axis=(1, 2))
-            separated[gone] = ((~small[leave] & (lp > SEPARATION_LP))
-                               | (dev[leave] < SEPARATION_DEV))
-            stay = ~leave
-            reps, coef, dev, P, W = reps[stay], coef[stay], dev[stay], P[stay], W[stay]
-            if not reps.size:
-                break
-    return out, converged, separated
+    return evaluate, score_info, reach
 
 
-def _solve_each(H, g) -> np.ndarray:
+def _solve_each(g, H) -> np.ndarray:
     """Newton steps H^-1 g of a stack of systems; a singular system falls back
-    to least squares on its own, as in `_newton`, and one that least squares
-    cannot solve either gets a NaN step, so its fit ends unconverged."""
+    to least squares on its own, and one that least squares cannot solve
+    either gets a NaN step, so its fit ends unconverged."""
     try:
         return np.linalg.solve(H, g[..., None])[..., 0]
     except np.linalg.LinAlgError:

@@ -24,6 +24,7 @@ from casemix.errors import (
 from casemix.formula import Interaction, Main, parse
 from casemix.glm import (
     backward_eliminate,
+    fit_counts,
     fit_logistic,
     fit_multinomial,
 )
@@ -114,6 +115,11 @@ def test_converged_steep_fit_is_not_flagged():
     for fit in fits:
         assert fit.converged
         assert not fit.separation_flag
+    # the batched fit of one replicate of unit counts obeys the same rule
+    ones = np.ones((1, len(x)))
+    for Y in (y[:, None], (cats[:, None] == [1, 2]).astype(float)):
+        fit = fit_counts(X, Y, ones)
+        assert fit.converged[0] and not fit.separated[0]
 
 
 def test_aliased_column_dropped_and_width_kept():
@@ -387,6 +393,22 @@ def test_information_holds_no_rows_by_categories_by_columns_buffer():
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     P = glm.nonref_softmax(X @ rng.normal(scale=0.3, size=(C, p)).T)[0]
     assert _peak_bytes(lambda: glm.multinomial_information(X, P)) < n * C * p * 8 / 4
+
+
+def test_membership_fit_holds_few_rows_by_categories_arrays():
+    # a membership fit over 10 trials on 100,000 rows: the Newton loop holds
+    # the accepted n x C probabilities while a candidate's are built, and
+    # nothing else of that size for long; a start state kept alive beside
+    # them would add a third
+    rng = np.random.default_rng(13)
+    n, trials, p = 100_000, 10, 3
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    eta = X @ rng.normal(scale=0.3, size=(trials, p)).T
+    P = np.exp(eta - eta.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    cats = (rng.random(n)[:, None] > P.cumsum(axis=1)).sum(axis=1)
+    C = trials - 1
+    assert _peak_bytes(lambda: fit_multinomial(X, cats, reference=0)) < 3.25 * n * C * 8
 
 
 def test_full_rank_logistic_fit_holds_no_copy_of_its_design():
