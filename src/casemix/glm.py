@@ -98,9 +98,11 @@ def nonref_softmax(eta: np.ndarray) -> tuple:
         e = np.exp(-np.abs(eta))
         lse = np.log1p(e)
         lse += np.maximum(eta, 0.0)
-        P = np.where(eta >= 0.0, 1.0, e)
+        # e^-|eta| is at most 1 where eta >= 0 and at least 0 elsewhere: the
+        # maximum with the sign indicator is the numerator without a branch
+        P = np.maximum(e, eta >= 0.0, out=eta)
         e += 1.0
-        P = np.divide(P, e, out=eta)
+        P /= e
     else:
         m = np.maximum(eta.max(axis=1, keepdims=True), 0.0)
         P = np.exp(np.subtract(eta, m, out=eta), out=eta)
@@ -379,7 +381,8 @@ class CountFits:
     kept: list                       # per replicate: retained columns (None when failed)
 
 
-def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
+def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray,
+               *, start: Optional[np.ndarray] = None) -> CountFits:
     """Fit the logit of the n x C non-reference indicators `Y` on the design
     `X` once per row of the B x n frequency weights `counts`: replicate b is
     the fit to X's rows each repeated counts[b] times, the reference category
@@ -397,29 +400,38 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
     over the rows it holds. Every replicate with two observed categories must
     observe all C + 1 of them. No information matrix is inverted and nothing
     warns: `separated` tells the caller.
+
+    Each group of replicates that keep the same columns starts its Newton
+    loop at `start` (C x p on X's columns, a parent fit's coefficients),
+    taken on those columns; at zero without it.
     """
     W = np.asarray(counts, dtype=float)
-    B, p = W.shape[0], X.shape[1]
+    (B, n), p, C = W.shape, X.shape[1], Y.shape[1]
     observed = np.column_stack([W @ (1.0 - Y.sum(axis=1)), W @ Y]) > 0
     n_observed = observed.sum(axis=1)
-    if np.any((n_observed >= 2) & (n_observed <= Y.shape[1])):
+    if np.any((n_observed >= 2) & (n_observed <= C)):
         raise ValueError("a replicate leaves a category unobserved")
-    out = CountFits(coef=np.zeros((B, Y.shape[1], p)), failure=[None] * B,
+    start = np.zeros((C, p)) if start is None else np.asarray(start, dtype=float).reshape(C, p)
+    out = CountFits(coef=np.zeros((B, C, p)), failure=[None] * B,
                     converged=np.zeros(B, bool), separated=np.zeros(B, bool), kept=[None] * B)
     # the weighted Gram matrices certify every replicate at once; one that
-    # fails runs `_drop_aliased` on its rows
-    gram = (W @ (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)).reshape(B, p, p)
-    full_rank = _surely_full_rank(gram)
+    # fails runs `_drop_aliased` on its rows. The row products XX also give
+    # the information of the replicates that keep every column.
+    XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    full_rank = _surely_full_rank((W @ XX).reshape(B, p, p))
     all_columns = np.arange(p, dtype=np.int32)
     groups: dict = {}
     for b in range(B):
         if n_observed[b] < 2:
             out.failure[b] = AllSameResponse
             continue
-        held = W[b] > 0
         try:
-            kept = all_columns if full_rank[b] else _drop_aliased(
-                np.sqrt(W[b, held])[:, None] * X[held], range(p), n=int(W[b].sum()))[0]
+            if full_rank[b]:
+                kept = all_columns
+            else:
+                held = W[b] > 0
+                kept = _drop_aliased(np.sqrt(W[b, held])[:, None] * X[held], range(p),
+                                     n=int(W[b].sum()))[0]
         except RankDeficient:
             out.failure[b] = RankDeficient
             continue
@@ -429,9 +441,10 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray) -> CountFits:
     for kept, reps in groups.items():
         reps = np.array(reps)
         coef, _, converged, _, separated, _ = _newton(
-            np.zeros((len(reps), Y.shape[1], len(kept))), *_count_kernels(X[:, kept], Yt, W[reps]),
+            np.repeat(start[None][:, :, kept], len(reps), axis=0),
+            *_count_kernels(X[:, kept], Yt, W[reps], XX if len(kept) == p else None),
             NEWTON_TOL, NEWTON_MAX_ITER)
-        out.coef[np.ix_(reps, range(Y.shape[1]), kept)] = coef
+        out.coef[np.ix_(reps, range(C), kept)] = coef
         out.converged[reps], out.separated[reps] = converged, separated
         for b in reps[~(converged | separated)]:
             out.failure[b] = NoConvergence
@@ -449,13 +462,14 @@ def _count_evaluate(coef, X, Yt, W) -> tuple:
     return 2.0 * np.einsum("an,an->a", W, lse), P
 
 
-def _count_kernels(X, Yt, W) -> tuple:
+def _count_kernels(X, Yt, W, XX=None) -> tuple:
     """`_newton`'s kernels for the count-weighted fits of the C x n indicators
     `Yt` on X, one coefficient set a row of the counts W; the information is
-    a sum of Gram products."""
+    a sum of the Gram products XX (n x p^2, built from X when not given)."""
     n, p = X.shape
     C = Yt.shape[0]
-    XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    if XX is None:
+        XX = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
 
     def rows(sets):                     # no copy of W while every set iterates
         return W if len(sets) == len(W) else W[sets]

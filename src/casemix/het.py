@@ -94,80 +94,102 @@ def wald_test(estimates: Sequence[float], sigma: np.ndarray, M: np.ndarray,
         condition_number=cond)
 
 
-def _adjacent_contrast(cells: list, order: list, n_total: int) -> tuple:
-    """(K-1)-row adjacent-difference contrast over the named cells."""
-    M = np.zeros((len(cells) - 1, n_total))
-    rows = []
-    for r in range(len(cells) - 1):
-        a, b = cells[r], cells[r + 1]
-        M[r, order.index(a)] = 1.0
-        M[r, order.index(b)] = -1.0
-        rows.append(f"({a[0]},{a[1]}) - ({b[0]},{b[1]})")
-    return M, rows
-
-
 def _vector_and_sigma(matrix, scale: str) -> tuple:
     if matrix.sigma is None:
         raise ValueError("effect matrix has no covariance attached")
     v = matrix.transformed_vector()
     sigma = np.asarray(matrix.sigma, dtype=float)
     if scale == RAW and matrix.measure in ("rr", "or"):
-        # back-transform: points exp(t), delta-method D Sigma D
+        # back-transform: points exp(t), delta-method D Sigma D for the
+        # diagonal D of the points, entry by entry, so that an undefined
+        # cell leaves the other cells' entries defined
         pts = np.exp(v)
-        D = np.diag(np.where(np.isfinite(pts), pts, np.nan))
-        sigma = D @ sigma @ D
+        d = np.where(np.isfinite(pts), pts, np.nan)
+        sigma = d[:, None] * sigma * d[None, :]
         v = pts
     elif scale not in (RAW, TRANSFORMED):
         raise ValueError(f"unknown scale {scale!r}")
-    return v, sigma
+    return np.asarray(v, dtype=float), sigma
 
 
-def _run(matrix, cells, hypothesis, scale) -> WaldTestResult:
+def _run(matrix, tests, scale) -> list:
+    """The Wald tests `tests`, (hypothesis, cells) pairs of K distinct cells
+    each, that the K cells' estimates are equal, all on one v and Sigma.
+    Each test's contrast is the K-1 adjacent differences D of its cells, so
+    df = K-1; d = D v and V = D Sigma D' are formed for every test at once,
+    and the condition numbers and solves are one batched call each. A test
+    is infeasible, as `wald_test` would make it, when an estimate or
+    covariance entry of its cells is undefined, or when V is not finite or
+    has a condition number of at least COND_LIMIT."""
     if matrix.K < 2:
         raise ValueError("heterogeneity tests need at least two trials")
-    order = matrix.cell_order()
+    order = {jk: i for i, jk in enumerate(matrix.cell_order())}
     v, sigma = _vector_and_sigma(matrix, scale)
-    M, rows = _adjacent_contrast(cells, order, len(order))
-    try:
-        return wald_test(v, sigma, M, scale=scale, hypothesis=hypothesis,
-                         contrast_rows=rows)
-    except SingularContrastCovariance as e:
-        return WaldTestResult(
-            hypothesis=hypothesis, contrast_rows=rows,
-            statistic=float("nan"), df=M.shape[0], p_value=float("nan"),
-            scale=scale, feasible=False,
-            condition_number=e.condition_number,
-            note="singular contrast covariance")
+    if sigma.shape != (len(v), len(v)):
+        raise ValueError("contrast, estimates and covariance shapes disagree")
+    idx = np.array([[order[jk] for jk in cells] for _, cells in tests])   # T x K
+    T, K = idx.shape
+    D = np.eye(K - 1, K) - np.eye(K - 1, K, 1)
+    vt, st = v[idx], sigma[idx[:, :, None], idx[:, None, :]]
+    defined = np.isfinite(vt).all(axis=1) & np.isfinite(st).all(axis=(1, 2))
+    d, V = np.zeros((T, K - 1)), np.zeros((T, K - 1, K - 1))
+    d[defined], V[defined] = vt[defined] @ D.T, D @ st[defined] @ D.T
+    finite = defined & np.isfinite(d).all(axis=1) & np.isfinite(V).all(axis=(1, 2))
+    cond = np.full(T, np.inf)           # a V that is not finite is singular
+    cond[finite] = np.linalg.cond(V[finite])
+    ok = cond < COND_LIMIT
+    stat = np.full(T, np.nan)
+    x = np.linalg.solve(V[ok], d[ok, :, None])[..., 0]
+    stat[ok] = [max(float(a @ b), 0.0) for a, b in zip(d[ok], x)]
+
+    out = []
+    for t, (hypothesis, cells) in enumerate(tests):
+        out.append(WaldTestResult(
+            hypothesis=hypothesis,
+            contrast_rows=[f"({a[0]},{a[1]}) - ({b[0]},{b[1]})" for a, b in zip(cells, cells[1:])],
+            statistic=float(stat[t]), df=K - 1, p_value=chi2_sf(K - 1, stat[t]), scale=scale,
+            feasible=bool(ok[t]), condition_number=float(cond[t]) if defined[t] else None,
+            note=None if ok[t] else "singular contrast covariance" if defined[t]
+            else "undefined estimate or covariance entry"))
+    return out
 
 
 def beyond_casemix_test(matrix, j, scale: str = TRANSFORMED) -> WaldTestResult:
     """Equality of all source trials standardized to target j."""
     if j not in matrix.labels:
         raise ValueError(f"unknown target {j!r}")
-    cells = [(j, k) for k in matrix.labels]
-    return _run(matrix, cells, f"beyond-case-mix[target={j}]", scale)
+    return _run(matrix, [_beyond(matrix, j)], scale)[0]
 
 
 def casemix_test(matrix, k, scale: str = TRANSFORMED) -> WaldTestResult:
     """Equality of source k standardized to every target population."""
     if k not in matrix.labels:
         raise ValueError(f"unknown source {k!r}")
-    cells = [(j, k) for j in matrix.labels]
-    return _run(matrix, cells, f"case-mix[source={k}]", scale)
+    return _run(matrix, [_casemix(matrix, k)], scale)[0]
 
 
 def conventional_test(matrix, scale: str = TRANSFORMED) -> WaldTestResult:
     """Equality of the within-trial marginal effects (the diagonal)."""
-    cells = [(j, j) for j in matrix.labels]
-    return _run(matrix, cells, "conventional", scale)
+    return _run(matrix, [_conventional(matrix)], scale)[0]
+
+
+def _beyond(matrix, j) -> tuple:
+    return f"beyond-case-mix[target={j}]", [(j, k) for k in matrix.labels]
+
+
+def _casemix(matrix, k) -> tuple:
+    return f"case-mix[source={k}]", [(j, k) for j in matrix.labels]
+
+
+def _conventional(matrix) -> tuple:
+    return "conventional", [(j, j) for j in matrix.labels]
 
 
 def all_tests(matrix, scale: str = TRANSFORMED) -> list:
-    """Every beyond-case-mix and case-mix test plus the conventional one."""
-    out = [beyond_casemix_test(matrix, j, scale) for j in matrix.labels]
-    out += [casemix_test(matrix, k, scale) for k in matrix.labels]
-    out.append(conventional_test(matrix, scale))
-    return out
+    """Every beyond-case-mix and case-mix test plus the conventional one, in
+    one batched `_run`."""
+    return _run(matrix, [_beyond(matrix, j) for j in matrix.labels]
+                + [_casemix(matrix, k) for k in matrix.labels] + [_conventional(matrix)], scale)
 
 
 def report_records(results: Sequence[WaldTestResult]) -> list:

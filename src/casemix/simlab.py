@@ -243,26 +243,29 @@ def true_values_oracle(cfg: SettingConfig, runs: int = 5000,
                        n: Optional[int] = None, seed=0) -> OracleTruth:
     """Plug-in truths: per run, draw covariates and trial labels, average the
     true outcome model over each target population, then average across runs.
-    Effects are derived from the averaged probabilities."""
+    Effects are derived from the averaged probabilities. The draw's rows are
+    sorted by trial, so each target population is one slice of the rows the
+    model is evaluated on."""
     if runs < 1:
         raise ValueError("need at least one oracle run")
     if n is not None and n != cfg.n_total:
         cfg = replace(cfg, n_total=n)
     labels = cfg.labels
+    trials = np.array([int(j) for j in labels])
     sums = {(j, k, x): 0.0 for j in labels for k in labels for x in (0, 1)}
     for r in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed) + [0, r]))
         L, S = _draw_covariates_and_trials(cfg, rng)
-        for j in labels:
-            m = S == int(j)
-            Lj = L[m]
-            for k in labels:
-                for x in (0, 1):
-                    if cfg.preset == GENERIC:
-                        p = expit(_generic_lp(cfg, float(x), Lj))
-                    else:
-                        p = expit(_preset_lp(cfg, float(x), Lj[:, 0], int(k)))
-                    sums[(j, k, x)] += float(np.mean(p))
+        bounds = list(zip(labels, np.searchsorted(S, trials, "left"),
+                          np.searchsorted(S, trials, "right")))
+        for k in labels:
+            for x in (0, 1):
+                if cfg.preset == GENERIC:
+                    p = expit(_generic_lp(cfg, float(x), L))
+                else:
+                    p = expit(_preset_lp(cfg, float(x), L[:, 0], int(k)))
+                for j, lo, hi in bounds:
+                    sums[(j, k, x)] += float(np.mean(p[lo:hi]))
     probs = {key: v / runs for key, v in sums.items()}
     rr, orr, rd = {}, {}, {}
     for j in labels:

@@ -511,12 +511,14 @@ class _CountReplicates:
         self.alive[b] = False
         self.failures[error.__name__] += 1
 
-    def _fit(self, X, Y, rows, message) -> np.ndarray:
-        """Coefficients (replicates x C x p) of one model refitted for the live
-        replicates on the design X of `rows`, responses Y; a replicate whose
-        fit fails leaves the block, one that separates warns `message`."""
+    def _fit(self, fit, X, Y, rows, message) -> np.ndarray:
+        """Coefficients (replicates x C x p) of the grid's model `fit`
+        refitted for the live replicates on its design X of `rows`, responses
+        Y, each replicate's Newton loop starting at `fit`'s coefficients; a
+        replicate whose fit fails leaves the block, one that separates warns
+        `message`."""
         live = np.flatnonzero(self.alive)
-        fits = fit_counts(X, Y, self.W[np.ix_(live, rows)])
+        fits = fit_counts(X, Y, self.W[np.ix_(live, rows)], start=fit.coef)
         coef = np.zeros((len(self.alive),) + fits.coef.shape[1:])
         coef[live] = fits.coef
         for b, error, separated in zip(live, fits.failure, fits.separated):
@@ -531,7 +533,7 @@ class _CountReplicates:
         beta = {}
         for (k, form), fit in grid.outcome_fits.items():    # in order of first use
             y = ds.outcome[self.rows[k]].astype(float)[:, None]
-            beta[(k, form)] = self._fit(grid.design(form, k, fit.kept), y, self.rows[k],
+            beta[(k, form)] = self._fit(fit, grid.design(form, k, fit.kept), y, self.rows[k],
                                         LOGISTIC_SEPARATION)[:, 0]
         live = np.flatnonzero(self.alive)
         for c, (j, k) in enumerate(_cell_order(ds.studies)):
@@ -557,7 +559,7 @@ class _CountReplicates:
                     nonref = [s for s in fit.categories if s != fit.reference]
                     Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)
                     Z = np.vstack([grid.design(ps, lab, kept) for lab in trials])
-                    gamma[id(fit)] = self._fit(Z, Y, rows, MULTINOMIAL_SEPARATION)
+                    gamma[id(fit)] = self._fit(fit, Z, Y, rows, MULTINOMIAL_SEPARATION)
                 if not self.alive.any():    # every replicate of the block has failed
                     return
                 w = self._weights(gamma[id(fit)], grid.design(ps, k, kept), k, j_col, k_col)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from casemix import cli, glm, variance
-from casemix.errors import CasemixError, NoConvergence, SeparationWarning
+from casemix.errors import AllSameResponse, CasemixError, NoConvergence, SeparationWarning
 from casemix.formula import parse
 from casemix.glm import fit_counts, fit_logistic, fit_multinomial
 from casemix.ipd import save_ipd
@@ -294,6 +294,66 @@ def test_a_separated_fit_never_accepts_a_rising_deviance():
                 rows = order.permutation(rows)
 
 
+def _aliased_replicates(C, seed=3, n=60):
+    """Design with a column aliased in every replicate, C-category indicators
+    and eight replicates' counts; the last holds only reference rows."""
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=n)
+    X = np.column_stack([np.ones(n), L, rng.random(n) < 0.5, 2.0 * L]).astype(float)
+    eta = np.column_stack([np.zeros(n)] + [0.3 * c + 1.2 * L for c in range(C)])
+    P = np.exp(eta)
+    cats = np.array([rng.choice(C + 1, p=q / q.sum()) for q in P])
+    Y = (cats[:, None] == np.arange(1, C + 1)).astype(float)
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(7)]
+                      + [(cats == 0) * 1], dtype=float)
+    seen = np.column_stack([counts @ (cats == c) for c in range(C + 1)]) > 0
+    return X, Y, counts[seen.all(axis=1) | (seen.sum(axis=1) == 1)]
+
+
+@pytest.mark.parametrize("case", ["separated", "aliased-1", "aliased-2"])
+def test_a_warm_start_ends_where_the_zero_start_does(monkeypatch, case):
+    # every replicate starts at the fit of unit counts (the parent fit's
+    # role) on the columns it keeps: a converged replicate ends within 1e-10
+    # of its zero-start fit, in fewer Newton steps, and no failure or flag
+    # moves
+    if case == "separated":
+        X, y, counts = _separated_replicates()
+        Y = y[:, None]
+    else:
+        X, Y, counts = _aliased_replicates(int(case[-1]))
+    parent = fit_counts(X, Y, np.ones((1, len(X))))
+    assert parent.converged[0] and not parent.separated[0]
+    real, calls = glm._count_evaluate, Counter()
+
+    def counted(coef, *args):
+        calls[phase] += 1
+        return real(coef, *args)
+
+    monkeypatch.setattr(glm, "_count_evaluate", counted)
+    phase = "zero"
+    zero = fit_counts(X, Y, counts)
+    phase = "warm"
+    warm = fit_counts(X, Y, counts, start=parent.coef[0])
+    monkeypatch.undo()
+    assert fit_counts(X, Y, counts, start=np.zeros_like(parent.coef[0])).coef.tobytes() == \
+        zero.coef.tobytes()
+    assert warm.failure == zero.failure
+    assert np.array_equal(warm.converged, zero.converged)
+    assert np.array_equal(warm.separated, zero.separated)
+    for a, b in zip(warm.kept, zero.kept):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    well_posed = zero.converged & ~zero.separated
+    if case == "separated":
+        assert zero.separated.all()
+    else:
+        assert well_posed.sum() >= 6 and AllSameResponse in zero.failure
+        assert all(len(k) == 3 for k in zero.kept if k is not None)     # the alias dropped
+        assert calls["warm"] < calls["zero"]
+    scale = np.max(np.abs(zero.coef[well_posed]), axis=(1, 2))
+    assert np.all(np.max(np.abs(warm.coef - zero.coef)[well_posed], axis=(1, 2))
+                  <= 1e-10 * np.maximum(scale, 1.0))
+
+
 def test_a_replicate_whose_every_halving_failed_keeps_its_coefficients(monkeypatch):
     # rig replicate 0's 31 candidates of the first step (the calls after the
     # start's) to look worse: it takes no step and ends at zero, converged
@@ -357,8 +417,8 @@ def test_replicate_whose_membership_fit_fails_is_excluded(monkeypatch, case, one
 
     real_counts = variance.fit_counts
 
-    def fit_counts_rigged(X, Y, counts):
-        fits = real_counts(X, Y, counts)
+    def fit_counts_rigged(X, Y, counts, **kwargs):
+        fits = real_counts(X, Y, counts, **kwargs)
         for b in np.flatnonzero([rigged(s) for s in counts @ X[:, 1]]):
             fits.failure[b] = NoConvergence
         return fits

@@ -435,6 +435,29 @@ def test_bernoulli_log_partition_matches_logaddexp(eta):
     np.testing.assert_allclose(got, 2.0 * want[0], rtol=1e-15, atol=0)
 
 
+def _branching_logistic_softmax(eta):
+    """The C = 1 probabilities and log-partitions as np.where formed them."""
+    e = np.exp(-np.abs(eta))
+    lse = np.log1p(e)
+    lse += np.maximum(eta, 0.0)
+    return np.where(eta >= 0.0, 1.0, e) / (e + 1.0), lse[:, 0]
+
+
+@pytest.mark.parametrize("shape", [(600, 1), (3, 1, 200)])
+def test_logistic_softmax_is_bit_identical_to_the_branching_form(shape):
+    # e^-|eta| is at most 1 where eta >= 0 and at least 0 elsewhere, so its
+    # maximum with the 0/1 sign indicator is the branch np.where took
+    rng = np.random.default_rng(7)
+    eta = rng.normal(scale=20.0, size=shape)
+    specials = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, 5e-324, -5e-324,
+                1e-310, -1e-310, 2.2e-308, -2.2e-308]
+    eta.ravel()[:len(specials)] = specials
+    want = _branching_logistic_softmax(eta)
+    got = glm.nonref_softmax(eta.copy())
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_bernoulli_deviance_matches_logaddexp_on_random_predictors():
     rng = np.random.default_rng(11)
     eta = rng.normal(scale=3.0, size=500)

@@ -164,3 +164,80 @@ def test_report_records(enum_ds):
         assert set(rec) == {"hypothesis", "scale", "statistic", "df",
                             "p_value", "feasible"}
         assert rec["feasible"] is True
+
+
+def _matrix(K, seed, undefined=None, singular=False):
+    """An rr effect matrix over K trials with a random positive-definite Sigma;
+    `undefined` names a cell whose estimate and covariance are NaN, and
+    `singular` makes the diagonal cells perfectly correlated with equal
+    variances, so the conventional test's contrast covariance is zero."""
+    rng = np.random.default_rng(seed)
+    labels = tuple(str(k + 1) for k in range(K))
+    order = [(j, k) for j in labels for k in labels]
+    v = rng.normal(scale=0.3, size=K * K)
+    A = rng.normal(size=(K * K, K * K + 2))
+    if singular:
+        diagonal = [order.index((j, j)) for j in labels]
+        A[diagonal], v[diagonal] = A[0], v[0]
+    sigma = 0.01 * (A @ A.T) / A.shape[1]
+    if undefined is not None:
+        i = order.index(undefined)
+        v[i] = np.nan
+        sigma[i, :] = sigma[:, i] = np.nan
+    cells = {jk: EffectEstimate("rr", jk[0], jk[1], float(np.exp(t)), float(t))
+             for jk, t in zip(order, v)}
+    mat = EffectMatrix(measure="rr", labels=labels, cells=cells, method=OCR)
+    mat.sigma = sigma
+    return mat
+
+
+def _looped_tests(mat, scale):
+    """`all_tests` as a loop of the public `wald_test`, one contrast matrix a test."""
+    v, sigma = mat.transformed_vector(), mat.sigma
+    if scale == RAW:
+        pts = np.exp(v)                 # delta method: D Sigma D, D = diag(pts)
+        v, sigma = pts, pts[:, None] * sigma * pts[None, :]
+    labels, order = mat.labels, mat.cell_order()
+    tests = ([[(j, k) for k in labels] for j in labels]
+             + [[(j, k) for j in labels] for k in labels] + [[(j, j) for j in labels]])
+    out = []
+    for cells in tests:
+        M = np.zeros((len(cells) - 1, len(order)))
+        for r, (a, b) in enumerate(zip(cells, cells[1:])):
+            M[r, order.index(a)], M[r, order.index(b)] = 1.0, -1.0
+        try:
+            out.append(wald_test(v, sigma, M, scale=scale))
+        except SingularContrastCovariance as e:
+            out.append((e.condition_number, len(cells) - 1))
+    return out
+
+
+@pytest.mark.parametrize("scale", ["transformed", RAW])
+@pytest.mark.parametrize("K,undefined,singular", [
+    (2, None, False), (5, None, False), (10, None, False),
+    (2, ("2", "1"), False), (5, ("3", "4"), False), (10, ("7", "7"), False),
+    (2, None, True), (5, None, True), (10, ("1", "2"), True)])
+def test_batched_tests_match_a_loop_of_wald_test(K, undefined, singular, scale):
+    mat = _matrix(K, seed=K, undefined=undefined, singular=singular)
+    got, want = all_tests(mat, scale), _looped_tests(mat, scale)
+    assert len(got) == len(want) == 2 * K + 1
+    if singular:
+        assert isinstance(want[-1], tuple)
+    for g, w in zip(got, want):
+        assert g.scale == scale
+        if isinstance(w, tuple):        # the loop's wald_test raised: singular
+            assert not g.feasible and g.note == "singular contrast covariance"
+            assert (g.condition_number, g.df) == w
+            assert np.isnan(g.statistic) and np.isnan(g.p_value)
+            continue
+        assert (g.feasible, g.df, g.note, g.condition_number) == (
+            w.feasible, w.df, w.note, w.condition_number)
+        if w.feasible:
+            assert g.statistic == pytest.approx(w.statistic, rel=1e-12, abs=0)
+            assert g.p_value == pytest.approx(w.p_value, rel=1e-12, abs=1e-300)
+        else:
+            assert np.isnan(g.statistic) and np.isnan(g.p_value)
+    # an undefined cell takes only its own tests with it, on either scale:
+    # two, or three for a diagonal cell
+    touched = 0 if undefined is None else 2 + (undefined[0] == undefined[1])
+    assert sum(not g.feasible for g in got) == touched + singular
