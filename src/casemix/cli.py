@@ -327,6 +327,8 @@ def cmd_analyze(args) -> int:
             for msr, counts in covres.excluded.items()}
         diagnostics["bootstrap_replicates"] = covres.replicates
         diagnostics["bootstrap_failures"] = covres.failures
+    else:
+        diagnostics["bread_condition_number"] = covres.bread_condition
     path = os.path.join(outdir, "diagnostics.json")
     with open(path, "w") as fh:
         json.dump(diagnostics, fh, indent=1)

@@ -14,6 +14,10 @@ once, computes every cell from those fits and returns them all in a
 `FittedGrid`, which keeps the settings and owns every design the cells and
 the sandwich (`variance.build_system`) evaluate.
 
+The cell arithmetic is written once, in `CountCells`: each cell as a sum
+over the grid's designs weighted by per-row counts, for a block of bootstrap
+replicates at once. The grid is its one replicate whose counts are all 1.
+
 Every membership model is a multinomial logit over a set of trials, its
 lowest-numbered trial the reference: all K trials, or the two trials of a
 cell in pairwise mode, the two-category case. One function,
@@ -25,14 +29,16 @@ same design, so both see bit-identical weights. `expit_weight=True` instead
 uses the membership probability itself as the weight; that variant is kept
 for comparison only and does not recover the estimand.
 
-Truncation caps weights at a percentile of the cell's weights. A weight
-exactly at the cap counts as uncapped, in the grid and in the sandwich alike.
+Truncation caps weights at a percentile of the cell's weights (of each
+replicate's draw). A weight exactly at the cap counts as uncapped, in the
+grid and in the sandwich alike.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -49,7 +55,7 @@ from .glm import (
     keep_columns,
     nonref_softmax,
 )
-from .ipd import IpdDataset, arm_counts
+from .ipd import IpdDataset
 
 OCR = "ocr"
 IPW = "ipw"
@@ -189,7 +195,7 @@ class EffectMatrix:
         return len(self.labels)
 
     def cell_order(self) -> list:
-        return [(j, k) for j in self.labels for k in self.labels]
+        return _cell_order(self.labels)
 
     def cell_index(self, j, k) -> int:
         return self.labels.index(j) * self.K + self.labels.index(k)
@@ -239,63 +245,19 @@ def transport_weight(eta: np.ndarray, j_col: Optional[int], k_col: Optional[int]
 
 
 def membership_columns(fit: FittedMultinomial, ds: IpdDataset, j, k) -> tuple:
-    """(C x p coefficients, retained design columns, eta column of j, eta
-    column of k) of a membership fit; a column is None for the reference."""
+    """(retained design columns, eta column of j, eta column of k) of a
+    membership fit; a column is None for the reference."""
     nonref = [c for c in fit.categories if c != fit.reference]
 
     def col(label):
         s = ds.study_number(label)
         return None if s == fit.reference else nonref.index(s)
 
-    return fit.coef, fit.kept, col(j), col(k)
+    return fit.kept, col(j), col(k)
 
 
-def _cell_weights(grid: "FittedGrid", j, k) -> tuple:
-    """Transport weights of trial k's rows toward population j, capped at the
-    grid's truncation percentile, and their diagnostics; warns when any
-    weight exceeds the positivity threshold."""
-    settings = grid.settings
-    coef, kept, j_col, k_col = membership_columns(grid.membership_fit(j, k), grid.ds, j, k)
-    Z = grid.design(settings.ps_formula, k, kept)
-    w = transport_weight(membership_eta(Z, coef), j_col, k_col, settings.expit_weight)[0]
-    truncated_at = None
-    if settings.truncation is not None:
-        truncated_at = float(np.percentile(w, settings.truncation))
-        w = np.minimum(w, truncated_at)
-    diag = WeightDiagnostics.of(w, threshold=settings.positivity_threshold,
-                                truncated_at=truncated_at)
-    if diag.n_over_threshold > 0:
-        warn_positivity(diag.n_over_threshold, diag.max, diag.threshold)
-    return w, diag
-
-
-def warn_positivity(n_over: int, w_max: float, threshold: float) -> None:
-    """The `PositivityWarning` of a cell with `n_over` weights above the
-    threshold, the largest `w_max`."""
-    warnings.warn(f"{n_over} transport weight(s) exceed {threshold:g} "
-                  f"(max {w_max:.3g}): possible positivity violation",
-                  PositivityWarning, stacklevel=3)
-
-
-def _ipw_prob(k, x: int, w: np.ndarray, y: np.ndarray, arm: np.ndarray,
-              pi_x: Optional[float], n_j: int) -> tuple:
-    """Probability of arm x of trial k reweighted by `w` (on trial k's rows,
-    with outcomes `y` and arm indicator `arm`), and whether it left [0, 1].
-
-    Stabilized when `pi_x` is None: the ratio of weighted sums, a convex
-    combination of outcomes, always in [0, 1]. Unstabilized:
-    sum(arm w y) / (pi_x n_j), with pi_x the arm's share of trial k and n_j
-    the target trial's size; it can leave [0, 1] under positivity failure and
-    is flagged, never clamped.
-    """
-    if pi_x is None:
-        den = float(np.sum(arm * w))
-        if den == 0.0:
-            raise DivisionByZero(
-                f"no weight mass in arm {x} of study {k!r}: positivity failure")
-        return float(np.sum(arm * w * y) / den), False
-    p = float(np.sum(arm * w * y) / (pi_x * n_j))
-    return p, not (0.0 <= p <= 1.0)
+def _cell_order(labels) -> list:
+    return [(j, k) for j in labels for k in labels]
 
 
 def effect_transform(measure: str, p1, p0) -> tuple:
@@ -414,49 +376,164 @@ class FittedGrid(dict):
         return self.outcome_fits[(k, form)]
 
 
-def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
-    """All K^2 x 2 standardized probabilities of `ds` under `settings`,
-    sharing model fits and designs across cells."""
-    if ds.K < 2:
-        raise ValueError("transport needs at least two studies")
-    labels = ds.studies
-    out = FittedGrid(ds, settings)
-    method = settings.method
-    if method == OCR:
-        for j in labels:
-            for k in labels:
-                form = out.outcome_formula_for(j, k)
-                fit = out._outcome_fit(k, form)
-                for x in (0, 1):
-                    p = float(np.mean(expit(out.design(form, j, fit.kept, x) @ fit.coef)))
-                    out[(j, k, x)] = StandardizedEstimate(source_k=str(k), target_j=str(j),
-                                                          arm_x=x, prob=p, method=OCR)
+class CountCells:
+    """The cells of a grid for a block of replicates, each given as per-row
+    counts on the grid's dataset: the one copy of the cell arithmetic.
+
+    A bootstrap replicate is a multinomial reweighting of the rows (Efron &
+    Tibshirani 1993), so each cell is a count-weighted sum over the grid's
+    designs. An OCR cell is the mean of expit(X beta) over trial j's rows at
+    treat=x. An IPW cell reweights trial k's arm-x outcomes by the transport
+    weights w: sum(arm w y) / sum(arm w) stabilized, a convex combination of
+    outcomes; unstabilized sum(arm w y) / (pi_x n_j), with pi_x the arm's
+    share of trial k and n_j the size of trial j, which can leave [0, 1] under
+    positivity failure. On the diagonal the weights are 1: the membership
+    model of a trial against itself is degenerate, so the cell is the crude
+    rate. Truncation caps each replicate's weights at the percentile of its
+    own draw, and each replicate whose draw holds weights above the
+    positivity threshold warns. The steps run in the grid's order, one cell's
+    weights at a time; a replicate that failed a step takes no further one.
+
+    The hooks are the grid's: `standardized_grid` runs the kernel as the one
+    replicate whose counts are all 1, at the grid's own fits; a failed step
+    raises, and each cell's weights are summarized as `WeightDiagnostics`.
+    `variance._CountReplicates` overrides them to refit the models per
+    replicate, count failures by reason and keep no summaries.
+    """
+
+    def __init__(self, grid: FittedGrid):
+        self.grid = grid
+        self.rows = dict(zip(grid.ds.studies, grid.ds.study_rows))
+        self.diagnostics: dict = {}     # (j, k) -> WeightDiagnostics of the cell's weights
+
+    def cells(self, counts: dict) -> np.ndarray:
+        """[replicate, cell, arm] probabilities, cells in row-major (j, k)
+        order, of the replicates whose counts are `counts` (trial label ->
+        replicates x the trial's rows, as floats); `alive` then flags the
+        replicates that failed no step."""
+        self.counts = counts
+        self.sizes = {lab: W.sum(axis=1) for lab, W in counts.items()}
+        self.alive = np.ones(len(next(iter(counts.values()))), bool)
+        out = np.full((len(self.alive), self.grid.ds.K ** 2, 2), np.nan)
+        (self._ocr if self.grid.settings.method == OCR else self._ipw)(out)
         return out
 
-    # per source trial: outcomes, arm indicators and arm shares pi_x
-    source = {}
-    for k in labels:
-        mk = ds.mask(k)
-        yk, xk = ds.outcome[mk].astype(float), ds.treat[mk]
-        n_t, n_c = arm_counts(ds, k)
-        source[k] = (yk, [(xk == x).astype(float) for x in (0, 1)],
-                     [n_c / (n_t + n_c), n_t / (n_t + n_c)] if method == IPW else [None, None])
-    for j in labels:
-        n_j = len(source[j][0])
-        for k in labels:
-            yk, arms, pis = source[k]
-            if j == k:
-                # self-transport: the membership model of a trial vs itself is
-                # degenerate, so the weights are 1 and the cell is the crude contrast
-                w = np.ones(len(yk))
-                diag = WeightDiagnostics.unit(len(yk), threshold=settings.positivity_threshold)
-            else:
-                w, diag = _cell_weights(out, j, k)
+    def _coef(self, fit, labels: list) -> np.ndarray:
+        """Coefficients (replicates x C x p) of the model whose grid fit,
+        on trials `labels`, is `fit`."""
+        return np.atleast_2d(fit.coef)[None]
+
+    def _fail(self, b: int, error: type, message: str) -> None:
+        """Replicate b fails a step: the grid raises the step's error."""
+        raise error(message)
+
+    def _summarize(self, j, k, w: np.ndarray, caps: Optional[np.ndarray]) -> None:
+        """Cell (j, k)'s capped weights `w` and caps (None untruncated)."""
+        self.diagnostics[(j, k)] = WeightDiagnostics.of(
+            w[0], threshold=self.grid.settings.positivity_threshold,
+            truncated_at=None if caps is None else float(caps[0]))
+
+    def _ocr(self, out) -> None:
+        grid, labels = self.grid, self.grid.ds.studies
+        beta = {}                       # (k, formula) -> coefficients, fitted in order of first use
+        for j, k in _cell_order(labels):
+            form = grid.outcome_formula_for(j, k)
+            if (k, form) not in beta:
+                beta[(k, form)] = self._coef(grid._outcome_fit(k, form), [k])[:, 0]
+        for c, (j, k) in enumerate(_cell_order(labels)):
+            form = grid.outcome_formula_for(j, k)
+            kept = grid.outcome_fits[(k, form)].kept
             for x in (0, 1):
-                p, oob = _ipw_prob(k, x, w, yk, arms[x], pis[x], n_j)
-                out[(j, k, x)] = StandardizedEstimate(
-                    source_k=str(k), target_j=str(j), arm_x=x, prob=p, method=method,
-                    weights_summary=diag, out_of_bounds=oob)
+                mu = expit(beta[(k, form)] @ grid.design(form, j, kept, x).T)
+                out[:, c, x] = np.einsum("an,an->a", self.counts[j], mu) / self.sizes[j]
+
+    def _ipw(self, out) -> None:
+        grid, ds = self.grid, self.grid.ds
+        gamma = {}                      # id of a grid membership fit -> its coefficients
+        for c, (j, k) in enumerate(_cell_order(ds.studies)):
+            w = None
+            if j != k:
+                fit = grid.membership_fit(j, k)
+                if id(fit) not in gamma:    # at the fit's first cell
+                    gamma[id(fit)] = self._coef(fit, [ds.studies[s]
+                                                      for s in sorted(fit.categories)])
+                w = self._weights(gamma[id(fit)], fit, j, k)
+            self._cell(out, c, j, k, w)
+
+    def _weights(self, gamma, fit, j, k) -> np.ndarray:
+        """Transport weights (replicates x trial k's rows) toward trial j at
+        each replicate's membership coefficients, capped."""
+        settings = self.grid.settings
+        kept, j_col, k_col = membership_columns(fit, self.grid.ds, j, k)
+        A, C, p = gamma.shape
+        # rows x (replicate, category): one replicate's eta is the grid's own product
+        eta = membership_eta(self.grid.design(settings.ps_formula, k, kept),
+                             gamma.reshape(A * C, p)).reshape(-1, A, C)
+        w = transport_weight(eta.transpose(1, 0, 2).reshape(-1, C), j_col, k_col,
+                             settings.expit_weight)[0].reshape(A, -1)
+        counts, caps = self.counts[k], None
+        if settings.truncation is not None:     # a draw of every row once is the rows
+            caps = np.array([np.percentile(wa if (ca == 1.0).all()
+                                           else np.repeat(wa, ca.astype(np.intp)),
+                                           settings.truncation) for wa, ca in zip(w, counts)])
+            np.minimum(w, caps[:, None], out=w)
+        threshold = settings.positivity_threshold
+        for a in np.flatnonzero((w.max(axis=1) > threshold) & self.alive):
+            n_over = int(counts[a] @ (w[a] > threshold))
+            if n_over:                  # a row over it may be one the draw left out
+                warnings.warn(f"{n_over} transport weight(s) exceed {threshold:g} (max "
+                              f"{w[a][counts[a] > 0].max():.3g}): possible positivity violation",
+                              PositivityWarning, stacklevel=4)
+        self._summarize(j, k, w, caps)
+        return w
+
+    @cached_property
+    def _arms(self) -> dict:
+        """Per trial: its arm indicators and arm outcomes (rows x arm)."""
+        ds, out = self.grid.ds, {}
+        for lab, rows in self.rows.items():
+            a = np.array([ds.treat[rows] == x for x in (0, 1)], dtype=float)
+            out[lab] = a.T, (a * ds.outcome[rows]).T
+        return out
+
+    def _cell(self, out, c, j, k, w) -> None:
+        """Both arm probabilities of cell (j, k), from trial k's weights `w`
+        (None on the diagonal: all 1)."""
+        arms, arm_y = self._arms[k]
+        Wk = self.counts[k]
+        Ww = Wk if w is None else Wk * w
+        if self.grid.settings.method == IPW_STABILIZED:
+            den = Ww @ arms
+            for a in np.flatnonzero((den == 0.0).any(axis=1) & self.alive):
+                self._fail(a, DivisionByZero,
+                           f"no weight mass in arm {int(np.argmax(den[a] == 0.0))} of study "
+                           f"{k!r}: positivity failure")
+        else:                           # pi_x n_j
+            den = (Wk @ arms) / self.sizes[k][:, None] * self.sizes[j][:, None]
+        np.divide(Ww @ arm_y, den, out=out[:, c], where=den != 0.0)
+
+
+def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
+    """All K^2 x 2 standardized probabilities of `ds` under `settings`,
+    sharing model fits and designs across cells: the one replicate of
+    `CountCells` whose counts are all 1, at the grid's own fits."""
+    if ds.K < 2:
+        raise ValueError("transport needs at least two studies")
+    out = FittedGrid(ds, settings)
+    kernel = CountCells(out)
+    probs = kernel.cells({lab: np.broadcast_to(1.0, (1, len(r)))
+                          for lab, r in kernel.rows.items()})[0]
+    method = settings.method
+    for c, (j, k) in enumerate(_cell_order(ds.studies)):
+        diag = None
+        if method != OCR:
+            diag = kernel.diagnostics.get((j, k)) or WeightDiagnostics.unit(
+                len(kernel.rows[k]), threshold=settings.positivity_threshold)
+        for x in (0, 1):
+            p = float(probs[c, x])      # flagged, never clamped, when it leaves [0, 1]
+            out[(j, k, x)] = StandardizedEstimate(
+                source_k=str(k), target_j=str(j), arm_x=x, prob=p, method=method,
+                weights_summary=diag, out_of_bounds=method == IPW and not 0.0 <= p <= 1.0)
     return out
 
 

@@ -27,9 +27,10 @@ the grid.
 
 A bootstrap replicate is a multinomial reweighting of the rows (Efron &
 Tibshirani 1993), so the bootstrap never builds a replicate's dataset or
-grid: it turns each draw into per-row counts and recomputes the grid's
-models and cells as count-weighted sums over the grid's own designs, for a
-block of replicates at a time.
+grid: it turns each draw into per-row counts, refits the grid's models on
+the grid's own designs and computes the cells with `transport.CountCells`,
+the kernel the grid runs as its one replicate of unit counts, for a block
+of replicates at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import numpy as np
 from ._special import expit
 from .errors import (
     CasemixError,
-    DivisionByZero,
     SeparationWarning,
     SingularBread,
     TooManyFailedReplicates,
@@ -52,6 +52,7 @@ from .errors import (
 from .glm import (
     LOGISTIC_SEPARATION,
     MULTINOMIAL_SEPARATION,
+    FittedMultinomial,
     fit_counts,
     multinomial_information,
     nonref_softmax,
@@ -60,12 +61,13 @@ from .transport import (
     IPW_STABILIZED,
     MEASURES,
     OCR,
+    CountCells,
     FittedGrid,
+    _cell_order,
     effect_transform,
     membership_columns,
     membership_eta,
     transport_weight,
-    warn_positivity,
 )
 
 COND_LIMIT = 1e12
@@ -201,6 +203,7 @@ class EstimatingSystem:
     components: list
     n: int
     prob_rows: dict                     # (j,k,x) -> theta index
+    bread_condition: Optional[float] = None     # set by `sandwich`
 
     def __post_init__(self):
         self._blocks = [_TrialBlock([c for c in self.components if c.trial == t], self.m)
@@ -251,19 +254,15 @@ class EstimatingSystem:
 
     def sandwich(self) -> np.ndarray:
         A = self.bread()
-        cond = np.linalg.cond(A)
+        cond = self.bread_condition = float(np.linalg.cond(A))
         if not np.isfinite(cond) or cond >= COND_LIMIT:
             raise SingularBread(
                 f"bread matrix condition number {cond:.3g} exceeds {COND_LIMIT:g}",
-                condition_number=float(cond))
+                condition_number=cond)
         B = self.meat()
         Ainv = np.linalg.inv(A)
         S = Ainv @ B @ Ainv.T / self.n
         return (S + S.T) / 2.0
-
-
-def _cell_order(labels) -> list:
-    return [(j, k) for j in labels for k in labels]
 
 
 @dataclass
@@ -275,6 +274,7 @@ class CovarianceResult:
     excluded: Optional[dict] = None     # bootstrap: measure -> per-cell exclusion counts
     replicates: Optional[int] = None
     failures: Optional[dict] = None     # bootstrap: exception name -> replicates it excluded
+    bread_condition: Optional[float] = None     # sandwich: condition number of the bread
 
     def cell_order(self):
         return _cell_order(self.labels)
@@ -324,7 +324,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         for fit in grid.membership_fits.values():
             gamma[id(fit)] = sl = push(fit.coef.ravel())
             for lab in (labels[s] for s in sorted(fit.categories)):
-                col = membership_columns(fit, ds, lab, lab)[2]
+                col = membership_columns(fit, ds, lab, lab)[1]
                 components.append(_LogitScore(
                     lab, rows[lab], grid.design(ps_formula, lab, fit.kept), sl, col))
 
@@ -337,7 +337,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                 weight = None
                 if j != k:
                     fit = grid.membership_fit(j, k)
-                    _, kept, j_col, k_col = membership_columns(fit, ds, j, k)
+                    kept, j_col, k_col = membership_columns(fit, ds, j, k)
                     weight = (grid.design(ps_formula, k, kept), gamma[id(fit)], j_col,
                               k_col, grid.settings.expit_weight,
                               grid[(j, k, 1)].weights_summary.truncated_at)
@@ -382,7 +382,8 @@ def sandwich_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES) -> Covari
         M[:, ~ok] = np.nan
         sigma[msr] = M
         se[msr] = _se_from_sigma(M)
-    return CovarianceResult(sigma=sigma, se=se, method="sandwich", labels=labels)
+    return CovarianceResult(sigma=sigma, se=se, method="sandwich", labels=labels,
+                            bread_condition=system.bread_condition)
 
 
 # replicates x rows x categories of one replicate block (128 KB per array):
@@ -467,58 +468,53 @@ def _pairwise_cov(D: np.ndarray) -> np.ndarray:
     return np.triu(M) + np.triu(M, 1).T
 
 
-class _CountReplicates:
+class _CountReplicates(CountCells):
     """The models and cells of a grid, recomputed for a block of bootstrap
-    replicates given as per-row counts on the grid's dataset.
-
-    Each model is refitted for every replicate at once (`glm.fit_counts`) on
-    the design the grid holds, and each cell is a count-weighted sum over the
-    grid's designs, so nothing is rebuilt. The steps run in the order
-    `standardized_grid` takes them; a replicate that fails a step (as the
-    step would raise on the resampled rows) takes no further step, and only
-    the steps a replicate takes warn for it. A block holds at most
+    replicates given as per-row counts on the grid's dataset: each model
+    refitted for every live replicate at once (`glm.fit_counts`) on the
+    design the grid holds, the cells `CountCells`' count-weighted sums. A
+    replicate that fails a step (as the step would raise on the resampled
+    rows) is counted by reason and its cells discarded. A block holds at most
     `_BLOCK_CELLS` replicate x row x category cells, or one replicate: its
     size is fixed by the data's shape."""
 
     def __init__(self, grid: FittedGrid):
-        self.grid, ds = grid, grid.ds
-        self.rows = dict(zip(ds.studies, ds.study_rows))
-        # per trial: arm indicators (rows x arm) and the outcomes of each arm
-        self.arms = {}
-        for lab, rows in self.rows.items():
-            arms = (ds.treat[rows][:, None] == np.arange(2)).astype(float)
-            self.arms[lab] = (arms, arms * ds.outcome[rows][:, None])
+        super().__init__(grid)
         C = max([len(fit.categories) - 1 for fit in grid.membership_fits.values()], default=1)
-        self.block = max(1, _BLOCK_CELLS // (ds.n * C))
+        self.block = max(1, _BLOCK_CELLS // (grid.ds.n * C))
 
     def probs(self, counts: np.ndarray, failures: Counter) -> np.ndarray:
         """[replicate, cell, arm] probabilities of the replicates with these
         counts (replicates x rows, as floats); NaN for a replicate that fails,
         counted by reason in `failures`."""
-        self.W = counts
-        self.alive = np.ones(len(counts), bool)
         self.failures = failures
-        K = self.grid.ds.K
-        out = np.full((len(counts), K * K, 2), np.nan)
-        if self.grid.settings.method == OCR:
-            self._ocr(out)
-        else:
-            self._ipw(out)
+        out = self.cells({lab: counts[:, rows] for lab, rows in self.rows.items()})
         out[~self.alive] = np.nan
         return out
 
-    def _fail(self, b, error) -> None:
+    def _fail(self, b, error, message=None) -> None:
         self.alive[b] = False
         self.failures[error.__name__] += 1
 
-    def _fit(self, fit, X, Y, rows, message) -> np.ndarray:
-        """Coefficients (replicates x C x p) of the grid's model `fit`
-        refitted for the live replicates on its design X of `rows`, responses
-        Y, each replicate's Newton loop starting at `fit`'s coefficients; a
-        replicate whose fit fails leaves the block, one that separates warns
-        `message`."""
+    def _summarize(self, j, k, w, caps) -> None:
+        """A replicate's weights are not summarized."""
+
+    def _coef(self, fit, labels) -> np.ndarray:
+        """`fit` refitted for the live replicates on its design of trials
+        `labels`, each replicate's Newton loop starting at `fit`'s
+        coefficients; a replicate whose fit fails leaves the block, one that
+        separates warns. A replicate that has left holds zeros."""
+        ds, rows = self.grid.ds, np.concatenate([self.rows[lab] for lab in labels])
+        if isinstance(fit, FittedMultinomial):
+            nonref = [s for s in fit.categories if s != fit.reference]
+            Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)
+            message = MULTINOMIAL_SEPARATION
+        else:
+            Y, message = ds.outcome[rows].astype(float)[:, None], LOGISTIC_SEPARATION
+        X = np.vstack([self.grid.design(fit.formula, lab, fit.kept) for lab in labels])
         live = np.flatnonzero(self.alive)
-        fits = fit_counts(X, Y, self.W[np.ix_(live, rows)], start=fit.coef)
+        fits = fit_counts(X, Y, np.hstack([self.counts[lab] for lab in labels])[live],
+                          start=fit.coef)
         coef = np.zeros((len(self.alive),) + fits.coef.shape[1:])
         coef[live] = fits.coef
         for b, error, separated in zip(live, fits.failure, fits.separated):
@@ -526,85 +522,8 @@ class _CountReplicates:
                 self._fail(b, error)
             elif separated:
                 warnings.warn(message, SeparationWarning, stacklevel=2)
+        coef[~self.alive] = 0.0
         return coef
-
-    def _ocr(self, out) -> None:
-        grid, ds = self.grid, self.grid.ds
-        beta = {}
-        for (k, form), fit in grid.outcome_fits.items():    # in order of first use
-            y = ds.outcome[self.rows[k]].astype(float)[:, None]
-            beta[(k, form)] = self._fit(fit, grid.design(form, k, fit.kept), y, self.rows[k],
-                                        LOGISTIC_SEPARATION)[:, 0]
-        live = np.flatnonzero(self.alive)
-        for c, (j, k) in enumerate(_cell_order(ds.studies)):
-            form = grid.outcome_formula_for(j, k)
-            kept = grid.outcome_fits[(k, form)].kept
-            Wj = self.W[np.ix_(live, self.rows[j])]
-            for x in (0, 1):
-                mu = expit(grid.design(form, j, kept, x) @ beta[(k, form)][live].T)
-                out[live, c, x] = np.einsum("an,na->a", Wj, mu) / Wj.sum(axis=1)
-
-    def _ipw(self, out) -> None:
-        grid, ds, settings = self.grid, self.grid.ds, self.grid.settings
-        ps = settings.ps_formula
-        gamma = {}                      # id of a parent membership fit -> replicate coefficients
-        for c, (j, k) in enumerate(_cell_order(ds.studies)):
-            w = None
-            if j != k:
-                fit = grid.membership_fit(j, k)
-                kept, j_col, k_col = membership_columns(fit, ds, j, k)[1:]
-                if id(fit) not in gamma:    # at the fit's first cell
-                    trials = [ds.studies[s] for s in sorted(fit.categories)]
-                    rows = np.concatenate([self.rows[lab] for lab in trials])
-                    nonref = [s for s in fit.categories if s != fit.reference]
-                    Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)
-                    Z = np.vstack([grid.design(ps, lab, kept) for lab in trials])
-                    gamma[id(fit)] = self._fit(fit, Z, Y, rows, MULTINOMIAL_SEPARATION)
-                if not self.alive.any():    # every replicate of the block has failed
-                    return
-                w = self._weights(gamma[id(fit)], grid.design(ps, k, kept), k, j_col, k_col)
-            self._cell(out, c, j, k, w)
-
-    def _weights(self, gamma, Z, k, j_col, k_col) -> np.ndarray:
-        """Transport weights (live replicates x trial k's rows) at each live
-        replicate's membership coefficients, capped at the percentile of its
-        own draw; warns as `transport._cell_weights` does on the draw."""
-        settings = self.grid.settings
-        live = np.flatnonzero(self.alive)
-        A, C, p = len(live), gamma.shape[1], gamma.shape[2]
-        eta = (gamma[live].reshape(A * C, p) @ Z.T).reshape(A, C, -1)
-        w = transport_weight(eta.transpose(0, 2, 1).reshape(-1, C), j_col, k_col,
-                             settings.expit_weight)[0].reshape(A, -1)
-        counts = self.W[np.ix_(live, self.rows[k])]
-        if settings.truncation is not None:
-            for a in range(A):
-                cap = np.percentile(np.repeat(w[a], counts[a].astype(np.intp)),
-                                    settings.truncation)
-                w[a] = np.minimum(w[a], cap)
-        threshold = settings.positivity_threshold
-        n_over = ((w > threshold) * counts).sum(axis=1)
-        for a in np.flatnonzero(n_over):
-            warn_positivity(int(n_over[a]), float(w[a][counts[a] > 0].max()), threshold)
-        return w
-
-    def _cell(self, out, c, j, k, w) -> None:
-        """Both arm probabilities of cell (j, k) for the live replicates, from
-        trial k's weights `w` (None on the diagonal: all 1), as
-        `transport._ipw_prob` computes them on the draw."""
-        live = np.flatnonzero(self.alive)
-        arms, arm_y = self.arms[k]
-        Wk = self.W[np.ix_(live, self.rows[k])]
-        Ww = Wk if w is None else Wk * w
-        num = Ww @ arm_y
-        if self.grid.settings.method == IPW_STABILIZED:
-            den = Ww @ arms
-            for b in live[(den == 0.0).any(axis=1)]:
-                self._fail(b, DivisionByZero)
-        else:                           # pi_x n_j
-            n_j = self.W[np.ix_(live, self.rows[j])].sum(axis=1)
-            den = (Wk @ arms) / Wk.sum(axis=1)[:, None] * n_j[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[live, c] = num / den
 
 
 def _entropy(seed) -> list:

@@ -87,6 +87,57 @@ CASES = {
 }
 
 
+def _literal_cells(grid) -> dict:
+    """(j, k, x) -> the cell by its textbook formula at the grid's fits: the
+    mean of expit(X beta) over trial j's rows (OCR); or trial k's arm-x
+    outcomes weighted by exp(eta_j - eta_k), or by the softmax P(S=j|L) under
+    expit_weight, capped at np.percentile of the cell's weights, as
+    sum(arm w y) / sum(arm w) (stabilized) or sum(arm w y) / (pi_x n_j)."""
+    ds, s = grid.ds, grid.settings
+    out = {}
+    for j in ds.studies:
+        mj = ds.mask(j)
+        for k in ds.studies:
+            mk = ds.mask(k)
+            if s.method == OCR:
+                form = s.overrides.get((j, k), s.outcome_formula)
+                fit = grid.outcome_fits[(k, form)]
+                for x in (0, 1):
+                    X = form.design_matrix(ds.covariate_columns(mj),
+                                           treat=np.full(int(mj.sum()), float(x)))
+                    out[(j, k, x)] = np.mean(1.0 / (1.0 + np.exp(-(X[:, fit.kept] @ fit.coef))))
+                continue
+            w = np.ones(int(mk.sum()))
+            if j != k:
+                fit = grid.membership_fit(j, k)
+                Z = s.ps_formula.design_matrix(ds.covariate_columns(mk))[:, fit.kept]
+                eta = np.column_stack([np.zeros(len(Z)), Z @ fit.coef.T])   # reference first
+                order = [fit.reference] + [c for c in fit.categories if c != fit.reference]
+                cj, ck = order.index(ds.study_number(j)), order.index(ds.study_number(k))
+                P = np.exp(eta) / np.exp(eta).sum(axis=1, keepdims=True)
+                w = P[:, cj] if s.expit_weight else np.exp(eta[:, cj] - eta[:, ck])
+                if s.truncation is not None:
+                    w = np.minimum(w, np.percentile(w, s.truncation))
+            y, t = ds.outcome[mk], ds.treat[mk]
+            for x in (0, 1):
+                arm = t == x
+                if s.method == IPW_STABILIZED:
+                    out[(j, k, x)] = np.sum(arm * w * y) / np.sum(arm * w)
+                else:
+                    out[(j, k, x)] = np.sum(arm * w * y) / (arm.mean() * mj.sum())
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_grid_cells_equal_their_literal_formulas(case):
+    make, s = CASES[case]
+    grid = _recorded(standardized_grid, make(), s)[0]
+    ref = _literal_cells(grid)
+    assert set(grid) == set(ref)
+    for key, p in ref.items():
+        assert abs(grid[key].prob - p) <= 1e-12 * abs(p), key
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_bootstrap_equals_per_replicate_oracle(case):
     make, s = CASES[case]
@@ -118,6 +169,37 @@ def test_replicate_that_loses_an_arm_is_counted_by_reason():
     res = _check_against_oracle(grid, B=6, _indices=rig, measures=("rr",))[0]
     assert res.failures == {"SingleArmStudy": 1}
     assert np.all(res.excluded["rr"] == 1)
+
+
+def test_replicate_with_no_weight_mass_in_an_arm_is_counted_by_reason(monkeypatch):
+    # weights below 0.6 are rigged to 0: those of trial 2's L=0 rows toward
+    # trial 1 (about 1/3). Replicate 2 draws trial 2's control arm from its
+    # L=0 rows only, so that arm of cell (1, 2) has no weight mass
+    from casemix import transport
+    real = transport.transport_weight
+
+    def rigged(eta, *args, **kwargs):
+        w, dw = real(eta, *args, **kwargs)
+        return np.where(w < 0.6, 0.0, w), dw
+
+    monkeypatch.setattr(transport, "transport_weight", rigged)
+    ds = enum_dataset()
+    r2 = ds.study_rows[1]
+    low_control = r2[(ds.treat[r2] == 0) & (ds.cov[r2, 0] == 0)]
+    treated = r2[ds.treat[r2] == 1]
+
+    def rig(b, rng, study_rows):
+        if b == 2:
+            second = np.concatenate([low_control[rng.integers(0, len(low_control), 400)],
+                                     _redraw(treated, rng)])
+        else:
+            second = _redraw(study_rows[1], rng)
+        return np.concatenate([_redraw(study_rows[0], rng), second])
+
+    grid = standardized_grid(ds, _settings(IPW_STABILIZED))
+    res = _check_against_oracle(grid, B=6, _indices=rig, measures=("rd",))[0]
+    assert res.failures == {"DivisionByZero": 1}
+    assert np.all(res.excluded["rd"] == 1)
 
 
 @pytest.mark.parametrize("one_per_block", [True, False])

@@ -99,6 +99,25 @@ def test_analyze_sandwich_outputs(enum_csv, tmp_path, capsys):
     assert cell12["measure"] == "rr"
 
 
+@pytest.mark.parametrize("args", [OCR_ARGS, IPW_ARGS], ids=["ocr", "ipw"])
+def test_analyze_writes_the_bread_condition_number_after_every_other_key(enum_csv, tmp_path,
+                                                                        args):
+    from casemix.formula import parse
+    from casemix.ipd import load_ipd
+    from casemix.transport import GridSettings, standardized_grid
+    from casemix.variance import build_system
+    out = str(tmp_path / "run")
+    assert cli.main(["analyze", enum_csv, *args, "--out", out]) == 0
+    diag = json.load(open(os.path.join(out, "diagnostics.json")))
+    assert list(diag) == ["config", "common_control", "eliminated_to", "weights",
+                          "positivity_flag", "warnings", "undefined_cells", "pooled",
+                          "bread_condition_number"]
+    key = "outcome_formula" if args is OCR_ARGS else "ps_formula"
+    grid = standardized_grid(load_ipd(enum_csv), GridSettings(
+        args[1], **{key: parse(args[3])}, truncation=95.0))
+    assert diag["bread_condition_number"] == np.linalg.cond(build_system(grid).bread())
+
+
 def test_analyze_bootstrap_outputs(enum_csv, tmp_path):
     out = str(tmp_path / "boot")
     rc = cli.main(["analyze", enum_csv, *IPW_ARGS, "--variance", "bootstrap",

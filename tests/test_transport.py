@@ -76,9 +76,9 @@ def test_effect_matrix_vector_order(enum_ds):
 
 def test_density_ratio_weights_values(enum_ds):
     grid = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))
-    coef, kept, j_col, k_col = membership_columns(grid.membership_fit("1", "2"),
-                                                  enum_ds, "1", "2")
-    w = transport_weight(membership_eta(grid.design(PS, "2", kept), coef), j_col, k_col)[0]
+    fit = grid.membership_fit("1", "2")
+    kept, j_col, k_col = membership_columns(fit, enum_ds, "1", "2")
+    w = transport_weight(membership_eta(grid.design(PS, "2", kept), fit.coef), j_col, k_col)[0]
     diag = grid[("1", "2", 1)].weights_summary
     assert w.shape == (800,)
     lo = enum_ds.cov[enum_ds.mask("2"), 0] == 0
@@ -164,6 +164,27 @@ def test_positivity_warning(oob_ds):
     diag = grid[("1", "2", 1)].weights_summary
     assert diag.n_over_threshold == 40
     assert diag.max == pytest.approx(9.0, abs=1e-6)
+
+
+def test_stabilized_cell_with_no_weight_mass_in_an_arm_raises(monkeypatch):
+    # weights below 0.6 are rigged to 0: those of trial 2's L=0 rows toward
+    # trial 1 (1/3), and trial 2's control arm lies at L=0 only
+    from casemix import transport
+    real = transport.transport_weight
+
+    def rigged(eta, *args, **kwargs):
+        w, dw = real(eta, *args, **kwargs)
+        return np.where(w < 0.6, 0.0, w), dw
+
+    monkeypatch.setattr(transport, "transport_weight", rigged)
+    ds = dataset_from_cells([
+        cell("1", 0, 1, 100, 50), cell("1", 0, 0, 100, 50),
+        cell("1", 1, 1, 100, 50), cell("1", 1, 0, 100, 50),
+        cell("2", 0, 1, 300, 90), cell("2", 0, 0, 300, 60), cell("2", 1, 1, 100, 60),
+    ])
+    with pytest.raises(DivisionByZero, match=re.escape(
+            "no weight mass in arm 0 of study '2': positivity failure")):
+        standardized_grid(ds, GridSettings(IPW_STABILIZED, ps_formula=PS))
 
 
 def test_three_study_pairwise_matches_multinomial(three_trial_ds):

@@ -305,8 +305,8 @@ def test_bread_drops_weight_derivative_exactly_where_the_grid_caps(ps_mode):
             rows = ds.study_rows[ds.study_number(k)]
             Z = PS.design_matrix(ds.covariate_columns(rows))
             fit = grid.membership_fit(j, k)
-            coef, kept, j_col, k_col = membership_columns(fit, ds, j, k)
-            w_raw = transport_weight(membership_eta(grid.design(PS, k, kept), coef),
+            kept, j_col, k_col = membership_columns(fit, ds, j, k)
+            w_raw = transport_weight(membership_eta(grid.design(PS, k, kept), fit.coef),
                                      j_col, k_col)[0]
             cap = grid[(j, k, 1)].weights_summary.truncated_at
             at_cap += int(np.sum(w_raw == cap))
