@@ -10,9 +10,12 @@ Two routes to the same estimand P{Y(x_k)=1 | S=j}:
 The analysis settings (method, models, weight options) are one frozen
 `GridSettings`, which checks itself when it is built. `standardized_grid`
 is the only call that takes the data and the settings: it fits each model
-once, computes every cell from those fits and returns them all in a
-`FittedGrid`, which keeps the settings and owns every design the cells and
-the sandwich (`variance.build_system`) evaluate.
+once, on its trials' rows taken trial by trial, computes every cell from
+those fits and returns them all in a `FittedGrid`. The grid keeps the
+settings, every design the cells and the sandwich (`variance.build_system`)
+evaluate, and the per-trial layer that the cells, the sandwich and the
+bootstrap all read: each trial's rows and its arm indicators and arm
+outcomes. No number therefore depends on how the trials' rows interleave.
 
 The cell arithmetic is written once, in `CountCells`: each cell as a sum
 over the grid's designs weighted by per-row counts, for a block of bootstrap
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -319,15 +322,20 @@ class FittedGrid(dict):
 
     Everything downstream (effect matrices, sandwich, bootstrap) reads the
     grid, so the points and their covariance come from one set of fits and
-    one set of designs: `design` builds each retained-column design once,
-    and the sandwich evaluates the very arrays the cells were computed from.
-    Bootstrap replicates refit its models on these designs with this very
-    `settings` object.
+    one set of designs. One routine, `_fit`, fits every model on its trials'
+    rows taken trial by trial, in trial-number order, and builds the design
+    once: each trial's block of it is the trial's observed-treat `design`.
+    `design` builds only the treat=x designs of OCR cells, each once, and the
+    sandwich evaluates the very arrays the cells were computed from.
+    Bootstrap replicates refit its models on these designs, on the same rows
+    in the same order, with this very `settings` object. The per-trial layer
+    is built once: each trial's `rows`, and its `arms` on first use.
     """
 
     def __init__(self, ds: IpdDataset, settings: GridSettings):
         super().__init__()
         self.ds, self.settings = ds, settings
+        self.rows = dict(zip(ds.studies, ds.study_rows))    # trial label -> its rows
         self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
         self.membership_fits: dict = {}  # trial numbers, ascending -> FittedMultinomial
         self._designs: dict = {}        # (formula, label, x, kept) -> design
@@ -345,35 +353,54 @@ class FittedGrid(dict):
         else:
             trials = tuple(range(ds.K))
         if trials not in self.membership_fits:
-            form = self.settings.ps_formula
-            rows = np.isin(ds.study_idx, trials)
-            self.membership_fits[trials] = fit_multinomial(
-                form.design_matrix(ds.covariate_columns(rows)), ds.study_idx[rows],
-                reference=trials[0], column_names=form.column_names(), formula=form)
+            self.membership_fits[trials] = self._fit(
+                self.settings.ps_formula, [ds.studies[s] for s in trials], ds.study_idx,
+                partial(fit_multinomial, reference=trials[0]))
         return self.membership_fits[trials]
 
+    def _outcome_fit(self, k, form: ModelFormula) -> FittedLogistic:
+        """The outcome model `form` fitted on trial k, fitted on first use."""
+        if (k, form) not in self.outcome_fits:
+            self.outcome_fits[(k, form)] = self._fit(form, [k], self.ds.outcome, fit_logistic)
+        return self.outcome_fits[(k, form)]
+
+    def _fit(self, form: ModelFormula, labels: list, response: np.ndarray, fitter):
+        """`fitter` on `form`'s design of trials `labels`' rows at the observed
+        treat, taken trial by trial, against the dataset column `response` on
+        the same rows. The design is built once: each trial's block of its
+        retained columns (a row view) is kept as the trial's observed-treat
+        `design`, unless an earlier fit already keeps that design."""
+        ds = self.ds
+        masks = [ds.mask(lab) for lab in labels]
+        X = [form.design_matrix(ds.covariate_columns(m), treat=ds.treat[m]) for m in masks]
+        X = X[0] if len(X) == 1 else np.concatenate(X)  # no block outlives the join
+        fit = fitter(X, np.concatenate([response[m] for m in masks]),
+                     column_names=form.column_names(), formula=form)
+        ends = np.cumsum([len(self.rows[lab]) for lab in labels])[:-1]
+        for lab, Z in zip(labels, np.split(keep_columns(X, fit.kept), ends)):
+            self._designs.setdefault((form, lab, None, tuple(fit.kept)), Z)
+        return fit
+
     def design(self, form: ModelFormula, label, kept, x: Optional[int] = None) -> np.ndarray:
-        """Design of `form` on trial `label`'s rows at treat=x (the observed
-        treat if None), retained columns `kept` only; built once per grid."""
+        """Design of `form` on trial `label`'s rows at treat=x, retained columns
+        `kept` only, built once per grid. At the observed treat (x None) it is
+        the trial's block of the design of the fit that kept `kept`."""
         key = (form, label, x, tuple(kept))
         if key not in self._designs:
             m = self.ds.mask(label)
-            treat = self.ds.treat[m] if x is None else np.full(int(m.sum()), float(x))
-            self._designs[key] = keep_columns(
-                form.design_matrix(self.ds.covariate_columns(m), treat=treat), kept)
+            self._designs[key] = keep_columns(form.design_matrix(
+                self.ds.covariate_columns(m), treat=np.full(int(m.sum()), float(x))), kept)
         return self._designs[key]
 
-    def _outcome_fit(self, k, form: ModelFormula) -> FittedLogistic:
-        """The outcome model `form` fitted on trial k, fitted on first use; its
-        retained-column design is kept as the observed-treat `design`."""
-        if (k, form) not in self.outcome_fits:
-            ds, m = self.ds, self.ds.mask(k)
-            X = form.design_matrix(ds.covariate_columns(m), treat=ds.treat[m])
-            fit = fit_logistic(X, ds.outcome[m].astype(float),
-                               column_names=form.column_names(), formula=form)
-            self._designs[(form, k, None, tuple(fit.kept))] = keep_columns(X, fit.kept)
-            self.outcome_fits[(k, form)] = fit
-        return self.outcome_fits[(k, form)]
+    @cached_property
+    def arms(self) -> dict:
+        """Per trial label: its arm indicators and arm outcomes (rows x arm),
+        built on first use; only IPW cells and their sandwich read them."""
+        ds, out = self.ds, {}
+        for lab, rows in self.rows.items():
+            a = np.array([ds.treat[rows] == x for x in (0, 1)], dtype=float)
+            out[lab] = a.T, (a * ds.outcome[rows]).T
+        return out
 
 
 class CountCells:
@@ -403,7 +430,6 @@ class CountCells:
 
     def __init__(self, grid: FittedGrid):
         self.grid = grid
-        self.rows = dict(zip(grid.ds.studies, grid.ds.study_rows))
         self.diagnostics: dict = {}     # (j, k) -> WeightDiagnostics of the cell's weights
 
     def cells(self, counts: dict) -> np.ndarray:
@@ -455,8 +481,7 @@ class CountCells:
             if j != k:
                 fit = grid.membership_fit(j, k)
                 if id(fit) not in gamma:    # at the fit's first cell
-                    gamma[id(fit)] = self._coef(fit, [ds.studies[s]
-                                                      for s in sorted(fit.categories)])
+                    gamma[id(fit)] = self._coef(fit, [ds.studies[s] for s in fit.categories])
                 w = self._weights(gamma[id(fit)], fit, j, k)
             self._cell(out, c, j, k, w)
 
@@ -487,19 +512,10 @@ class CountCells:
         self._summarize(j, k, w, caps)
         return w
 
-    @cached_property
-    def _arms(self) -> dict:
-        """Per trial: its arm indicators and arm outcomes (rows x arm)."""
-        ds, out = self.grid.ds, {}
-        for lab, rows in self.rows.items():
-            a = np.array([ds.treat[rows] == x for x in (0, 1)], dtype=float)
-            out[lab] = a.T, (a * ds.outcome[rows]).T
-        return out
-
     def _cell(self, out, c, j, k, w) -> None:
         """Both arm probabilities of cell (j, k), from trial k's weights `w`
         (None on the diagonal: all 1)."""
-        arms, arm_y = self._arms[k]
+        arms, arm_y = self.grid.arms[k]
         Wk = self.counts[k]
         Ww = Wk if w is None else Wk * w
         if self.grid.settings.method == IPW_STABILIZED:
@@ -522,13 +538,13 @@ def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
     out = FittedGrid(ds, settings)
     kernel = CountCells(out)
     probs = kernel.cells({lab: np.broadcast_to(1.0, (1, len(r)))
-                          for lab, r in kernel.rows.items()})[0]
+                          for lab, r in out.rows.items()})[0]
     method = settings.method
     for c, (j, k) in enumerate(_cell_order(ds.studies)):
         diag = None
         if method != OCR:
             diag = kernel.diagnostics.get((j, k)) or WeightDiagnostics.unit(
-                len(kernel.rows[k]), threshold=settings.positivity_threshold)
+                len(out.rows[k]), threshold=settings.positivity_threshold)
         for x in (0, 1):
             p = float(probs[c, x])      # flagged, never clamped, when it leaves [0, 1]
             out[(j, k, x)] = StandardizedEstimate(

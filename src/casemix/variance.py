@@ -16,7 +16,8 @@ Every component of the stacked system acts on one trial's rows only, so
 psi is zero outside the trial blocks: trial t's rows touch only the columns
 C_t its components write. The meat sums the blocks' Gram matrices one trial
 at a time, in O(max n_t |C_t| + m^2) memory, never the n x m psi. Every
-design comes from the grid (`FittedGrid.design`), and IPW weights come from
+design comes from the grid (`FittedGrid.design`), and so do each trial's rows
+and arm arrays (`FittedGrid.rows`, `FittedGrid.arms`); IPW weights come from
 `transport.transport_weight`, the one function the grid also uses, once per
 cell for both arms, so the sandwich sees the grid's weights bit for bit.
 
@@ -28,7 +29,8 @@ the grid.
 A bootstrap replicate is a multinomial reweighting of the rows (Efron &
 Tibshirani 1993), so the bootstrap never builds a replicate's dataset or
 grid: it turns each draw into per-row counts, refits the grid's models on
-the grid's own designs and computes the cells with `transport.CountCells`,
+the grid's own designs, on the rows each grid fit read and in their order,
+and computes the cells with `transport.CountCells`,
 the kernel the grid runs as its one replicate of unit counts, for a block
 of replicates at a time.
 """
@@ -132,15 +134,16 @@ class _OcrProb:
 
 class _IpwCell:
     """Both IPW probability moments (theta indices `cols`, arm 0 then 1) of a
-    cell on source trial k's rows, whose arm indicators `arms` (0 then 1) the
-    trial's cells share; unstabilized, with the arm proportion at `pi_row`, a
-    `_Centering` completes them. `weight` is None on the diagonal
-    or (Z, membership slice, j_col, k_col, expit_weight, cap) for
-    `transport_weight`, which runs once for both arms."""
+    cell on source trial k's rows, from the trial's arm indicators `arms` and
+    arm outcomes `arm_y` (rows x arm, the grid's `arms`); unstabilized, with
+    the arm proportion at `pi_row`, a `_Centering` completes them. `weight` is
+    None on the diagonal or (Z, membership slice, j_col, k_col, expit_weight,
+    cap) for `transport_weight`, which runs once for both arms. For a 0/1 arm,
+    arm_y - arm p is arm (y - p) exactly."""
 
-    def __init__(self, trial_k, rows_k, y, arms, cols, pi_row, weight):
+    def __init__(self, trial_k, rows_k, arms, arm_y, cols, pi_row, weight):
         self.trial, self.rows, self.cols = trial_k, rows_k, cols
-        self.y, self.arms, self.pi_row, self.weight = y, arms, pi_row, weight
+        self.arms, self.arm_y, self.pi_row, self.weight = arms, arm_y, pi_row, weight
 
     def _pi_x(self, theta, x):
         pi = theta[self.pi_row]
@@ -156,23 +159,23 @@ class _IpwCell:
 
     def add_psi(self, theta, P, pos):
         w = self._w(theta)[0]
-        for x, (arm, row) in enumerate(zip(self.arms, self.cols)):
+        for x, (arm, arm_y, row) in enumerate(zip(self.arms.T, self.arm_y.T, self.cols)):
             if self.pi_row is None:
-                P[:, pos[row]] = arm * w * (self.y - theta[row])
+                P[:, pos[row]] = w * (arm_y - arm * theta[row])
             else:
-                P[:, pos[row]] = arm * w * self.y / self._pi_x(theta, x)
+                P[:, pos[row]] = arm_y * w / self._pi_x(theta, x)
 
     def add_bread(self, theta, A, n):
         w, dw = self._w(theta)
-        for x, (arm, row) in enumerate(zip(self.arms, self.cols)):
+        for x, (arm, arm_y, row) in enumerate(zip(self.arms.T, self.arm_y.T, self.cols)):
             if self.pi_row is None:
-                coeff = arm * (self.y - theta[row])
+                coeff = arm_y - arm * theta[row]
                 A[row, row] += (arm * w).sum() / n
             else:
                 pix = self._pi_x(theta, x)
-                coeff = arm * self.y / pix
+                coeff = arm_y / pix
                 dpi = 1.0 if x == 1 else -1.0
-                A[row, self.pi_row] += dpi * (arm * w * self.y).sum() / (pix * pix * n)
+                A[row, self.pi_row] += dpi * (arm_y * w).sum() / (pix * pix * n)
             if dw is not None:          # d/dgamma of sum(coeff * w)
                 Z, sl = self.weight[:2]
                 A[row, sl] += -(Z.T @ (coeff[:, None] * dw)).T.ravel() / n
@@ -284,12 +287,10 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
     """Assemble the stacked system of `grid` at its fitted solution: the
     grid's fits are the model blocks of theta, its probabilities the rest.
     Each component acts on its own trial's rows only, with the design the
-    grid evaluated there (`FittedGrid.design`)."""
+    grid evaluated there (`FittedGrid.design`) and the grid's per-trial rows
+    and arm arrays."""
     ds, method, ps_formula = grid.ds, grid.settings.method, grid.settings.ps_formula
-    labels = ds.studies
-    rows = dict(zip(labels, ds.study_rows))
-    y = {lab: ds.outcome[r].astype(float) for lab, r in rows.items()}
-    treat = {lab: ds.treat[r].astype(float) for lab, r in rows.items()}
+    labels, rows = ds.studies, grid.rows
     theta_parts: list = []
     components: list = []
     cursor = 0
@@ -309,7 +310,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         for (k, form), fit in grid.outcome_fits.items():
             fit_slices[(k, form)] = push(fit.coef)
             components.append(_LogitScore(k, rows[k], grid.design(form, k, fit.kept),
-                                          fit_slices[(k, form)], 0, y[k]))
+                                          fit_slices[(k, form)], 0, ds.outcome[rows[k]]))
         for j in labels:
             for k in labels:
                 form = grid.outcome_formula_for(j, k)
@@ -323,14 +324,14 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         gamma: dict = {}                # id of a membership fit -> its theta slice
         for fit in grid.membership_fits.values():
             gamma[id(fit)] = sl = push(fit.coef.ravel())
-            for lab in (labels[s] for s in sorted(fit.categories)):
+            for lab in (labels[s] for s in fit.categories):
                 col = membership_columns(fit, ds, lab, lab)[1]
                 components.append(_LogitScore(
                     lab, rows[lab], grid.design(ps_formula, lab, fit.kept), sl, col))
 
-        pi_rows = {} if stabilized else {k: push(np.mean(treat[k])).start for k in labels}
-        arms = {k: [(treat[k] == x).astype(float) for x in (0, 1)] for k in labels}
-        components += [_Centering(k, rows[k], [r], treat[k]) for k, r in pi_rows.items()]
+        treated = {k: grid.arms[k][0][:, 1] for k in labels}
+        pi_rows = {} if stabilized else {k: push(np.mean(treated[k])).start for k in labels}
+        components += [_Centering(k, rows[k], [r], treated[k]) for k, r in pi_rows.items()]
 
         for j in labels:
             for k in labels:
@@ -343,7 +344,7 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
                               grid[(j, k, 1)].weights_summary.truncated_at)
                 cols = [push(grid[(j, k, x)].prob).start for x in (0, 1)]
                 prob_rows.update({(j, k, 0): cols[0], (j, k, 1): cols[1]})
-                components.append(_IpwCell(k, rows[k], y[k], arms[k], cols, pi_rows.get(k),
+                components.append(_IpwCell(k, rows[k], *grid.arms[k], cols, pi_rows.get(k),
                                            weight))
                 if not stabilized:
                     components.append(_Centering(j, rows[j], cols))
@@ -488,7 +489,7 @@ class _CountReplicates(CountCells):
         counts (replicates x rows, as floats); NaN for a replicate that fails,
         counted by reason in `failures`."""
         self.failures = failures
-        out = self.cells({lab: counts[:, rows] for lab, rows in self.rows.items()})
+        out = self.cells({lab: counts[:, rows] for lab, rows in self.grid.rows.items()})
         out[~self.alive] = np.nan
         return out
 
@@ -501,10 +502,11 @@ class _CountReplicates(CountCells):
 
     def _coef(self, fit, labels) -> np.ndarray:
         """`fit` refitted for the live replicates on its design of trials
-        `labels`, each replicate's Newton loop starting at `fit`'s
-        coefficients; a replicate whose fit fails leaves the block, one that
-        separates warns. A replicate that has left holds zeros."""
-        ds, rows = self.grid.ds, np.concatenate([self.rows[lab] for lab in labels])
+        `labels`, the grid fit's trials in its order, so a replicate reads the
+        grid fit's rows in their order; each replicate's Newton loop starts
+        at `fit`'s coefficients. A replicate whose fit fails leaves the block,
+        one that separates warns. A replicate that has left holds zeros."""
+        ds, rows = self.grid.ds, np.concatenate([self.grid.rows[lab] for lab in labels])
         if isinstance(fit, FittedMultinomial):
             nonref = [s for s in fit.categories if s != fit.reference]
             Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)

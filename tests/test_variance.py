@@ -2,16 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casemix import het, variance
 from casemix.errors import SeparationWarning, SingularBread, TooManyFailedReplicates
 from casemix.formula import ModelFormula, parse
 from casemix.ipd import IpdDataset
 from casemix.simlab import analysis_preset, generate_setting, preset_config
-from casemix.transport import (IPW, IPW_STABILIZED, OCR, GridSettings, effect_matrix,
-                               membership_columns, membership_eta, standardized_grid,
-                               transport_weight)
+from casemix.transport import (IPW, IPW_STABILIZED, MEASURES, OCR, GridSettings,
+                               effect_matrix, membership_columns, membership_eta,
+                               standardized_grid, transport_weight)
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
@@ -514,9 +514,7 @@ def _relabelled(ds, order) -> IpdDataset:
 ])
 def test_permuting_trial_labels_permutes_grid_sigma_and_tests(method, kw):
     # the trials' numbering picks each membership fit's reference and the
-    # order of its categories, but no estimate may depend on it; the rows of
-    # _three_trial_continuous run a, b, c, a, ..., so under ("b", "c", "a")
-    # the first category seen is not the first numbered
+    # order of its categories, but no estimate may depend on it
     ds = _three_trial_continuous()
     settings = GridSettings(method, **kw)
 
@@ -584,3 +582,87 @@ def test_permuting_rows_within_trials_changes_nothing_beyond_rounding(method, kw
     for name, t in tests.items():
         assert ptests[name].df == t.df, name
         assert abs(ptests[name].statistic - t.statistic) <= 1e-10 * t.statistic, name
+
+
+def _interleaved(ds, order) -> IpdDataset:
+    """`ds` with its trials' rows interleaved as the trial numbers `order`
+    run, each trial's rows in their own order."""
+    order = np.asarray(order)
+    idx = np.empty(ds.n, dtype=np.intp)
+    for s, rows in enumerate(ds.study_rows):
+        idx[order == s] = rows
+    return ds.subset(idx)
+
+
+_CONTINUOUS_TRIALS = _three_trial_continuous().study_idx.tolist()
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(_CONTINUOUS_TRIALS))
+@example(order=sorted(_CONTINUOUS_TRIALS))
+@pytest.mark.parametrize("method,kw", [
+    (IPW, {"ps_formula": PS, "ps_mode": "pairwise"}),
+    (IPW_STABILIZED, {"ps_formula": PS, "ps_mode": "multinomial", "truncation": 90.0}),
+    (OCR, {"outcome_formula": OUTCOME, "overrides": {("b", "a"): parse("y ~ 1 + treat + L")}}),
+])
+def test_interleaving_the_trials_rows_changes_nothing(method, kw, order):
+    # every model is fitted on its trials' rows trial by trial and every
+    # estimate is a sum over each trial's rows, so how the trials' rows
+    # interleave moves no number, not even by rounding
+    ds = _three_trial_continuous()
+    grid_settings = GridSettings(method, **kw)
+
+    def analyse(data):
+        grid = standardized_grid(data, grid_settings)
+        matrix = effect_matrix(grid, "rr")
+        sandwich = sandwich_cov(grid)
+        attach_covariance(matrix, sandwich)
+        return (grid, sandwich, bootstrap_cov(grid, B=20, seed=11),
+                {t.hypothesis: t for t in het.all_tests(matrix)})
+
+    grid, sandwich, boot, tests = analyse(ds)
+    pgrid, psandwich, pboot, ptests = analyse(_interleaved(ds, order))
+    assert list(pgrid) == list(grid)
+    for key, cell in grid.items():
+        assert pgrid[key] == cell, key      # prob, WeightDiagnostics, out_of_bounds
+    for msr in MEASURES:
+        assert np.array_equal(psandwich.sigma[msr], sandwich.sigma[msr], equal_nan=True), msr
+        assert np.array_equal(pboot.sigma[msr], boot.sigma[msr], equal_nan=True), msr
+        assert np.array_equal(pboot.excluded[msr], boot.excluded[msr]), msr
+    assert pboot.failures == boot.failures
+    assert set(ptests) == set(tests)
+    for name, t in tests.items():
+        assert ptests[name].statistic == t.statistic, name
+        assert ptests[name].p_value == t.p_value, name
+
+
+@pytest.mark.parametrize("method,ps_mode", [
+    (OCR, None), (IPW, "pairwise"), (IPW_STABILIZED, "multinomial")])
+def test_each_design_row_is_built_once(monkeypatch, method, ps_mode):
+    # a fit builds its design once, trial by trial, and each trial's block of
+    # it is the design its cells, sandwich components and bootstrap refits
+    # evaluate; OCR cells add the design of each target trial at treat 0 and 1
+    ds = _three_trials_sized()
+    grid_settings = (GridSettings(OCR, outcome_formula=OUTCOME) if method == OCR else
+                     GridSettings(method, ps_formula=PS, ps_mode=ps_mode, truncation=90.0))
+    rows = {}
+    design_matrix = ModelFormula.design_matrix
+
+    def counted(self, *args, **kwargs):
+        X = design_matrix(self, *args, **kwargs)
+        rows[self] = rows.get(self, 0) + len(X)
+        return X
+
+    monkeypatch.setattr(ModelFormula, "design_matrix", counted)
+    grid = standardized_grid(ds, grid_settings)
+    if method == OCR:
+        assert rows == {OUTCOME: 3 * ds.n}
+    elif ps_mode == "pairwise":         # each trial's rows once in each of its K - 1 pairs
+        assert rows == {PS: (ds.K - 1) * ds.n}
+    else:
+        assert rows == {PS: ds.n}
+    rows.clear()
+    build_system(grid)
+    bootstrap_cov(grid, B=4, seed=0)
+    assert rows == {}
+    assert ("arms" in vars(grid)) == (method != OCR)    # an OCR grid builds no arm arrays
