@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Three subcommands: `simulate` runs a replication study of a built-in or
-configured setting, `analyze` runs the full pipeline on an IPD CSV
-(standardize, covariance, pool, test), and `transport` reports one
-standardized probability for debugging. Runs are reproducible: the seed is
-part of the interface, and every output file embeds the resolved
-configuration. A JSON config file can supply any option; explicit flags win.
+Three subcommands: `simulate` runs a replication study of one of the
+built-in settings 1..5, `analyze` runs the full pipeline on an IPD CSV
+(standardize, covariance, pool, test), and `transport` reports one cell of
+the grid `analyze` computes from the same options. Runs are reproducible: the
+seed is part of the interface, and every output file embeds the resolved
+configuration. A JSON config file can supply any option of its command and
+nothing else; explicit flags win. A generic setting runs through
+`casemix.simlab.run_study` with explicit `Analysis` objects.
 
 Exit codes: 0 success, 1 configuration or data error, 2 statistical failure
 threshold breached (simulate: more than 10% of replications failed).
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -28,27 +29,26 @@ from .errors import CasemixError
 from .formula import Intercept, ModelFormula, parse as parse_formula
 from .glm import backward_eliminate
 from .ipd import load_ipd
-from .simlab import (
-    GENERIC,
-    SettingConfig,
-    preset_config,
-    run_study,
-    write_csv,
-)
+from .simlab import SettingConfig, preset_config, run_study, write_csv
 from .transport import (
-    IPW,
-    IPW_STABILIZED,
+    LOG_MEASURES,
+    MEASURES,
+    METHODS,
     OCR,
     POSITIVITY_THRESHOLD,
     GridSettings,
     common_control_check,
     effect_matrix,
     standardized_grid,
+    to_natural,
 )
 from .variance import attach_covariance, bootstrap_cov, build_system, sandwich_cov
 
-METHODS = {"ocr": OCR, "ipw": IPW, "ipw-stabilized": IPW_STABILIZED}
 FAILURE_RATE_LIMIT = 0.10
+# the defaults of the options `_add_model_args` adds, so `transport` computes
+# the grid `analyze` reports
+MODEL_DEFAULTS = {"truncate_percentile": 95.0, "expit_weight": False,
+                  "positivity_threshold": POSITIVITY_THRESHOLD}
 
 
 def main(argv=None) -> int:
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     sim = sub.add_parser("simulate", help="run a replication study of a setting")
-    sim.add_argument("--preset", help="1..5 or 'generic'")
+    sim.add_argument("--preset", help="built-in setting 1..5")
     sim.add_argument("--config", help="JSON file with any option (flags win)")
     sim.add_argument("--analyses", help="comma list, e.g. OCR1,IPW1")
     sim.add_argument("--reps", type=int)
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = _add_model_args(sub.add_parser("analyze", help="full pipeline on an IPD CSV"),
                           "IPD CSV: study,treat,outcome,<covariates>")
-    ana.add_argument("--measure", choices=["rr", "or", "rd"])
+    ana.add_argument("--measure", choices=MEASURES)
     ana.add_argument("--variance", choices=["sandwich", "bootstrap"])
     ana.add_argument("--bootstrap-b", type=int, dest="bootstrap_b")
     ana.add_argument("--seed", type=int)
@@ -113,7 +113,7 @@ def _add_model_args(parser: argparse.ArgumentParser, input_help: str):
     """The input and model options that `analyze` and `transport` share."""
     parser.add_argument("input", help=input_help)
     parser.add_argument("--config", help="JSON file with any option (flags win)")
-    parser.add_argument("--method", choices=sorted(METHODS))
+    parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--outcome-formula", dest="outcome_formula")
     parser.add_argument("--ps-formula", dest="ps_formula")
     parser.add_argument("--ps-mode", dest="ps_mode", choices=["pairwise", "multinomial"],
@@ -126,41 +126,32 @@ def _add_model_args(parser: argparse.ArgumentParser, input_help: str):
 
 
 def _resolve(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    cli = {k: v for k, v in vars(args).items()
-           if v is not None and k not in ("func", "command", "config")}
+    """Every option of the command: defaults < config file < explicit flags.
+    A config file may hold the command's own options only."""
+    opts = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
     conf = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             conf = json.load(fh)
-        known = set(defaults) | set(cli) | {
-            "preset", "seed", "input", "trials", "covariates", "membership",
-            "outcome", "n_total", "s2_shift",
-        }
-        unknown = set(conf) - known
+        unknown = set(conf) - set(opts)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return {**defaults, **conf, **cli}
+    return {**dict.fromkeys(opts), **defaults, **conf,
+            **{k: v for k, v in opts.items() if v is not None}}
 
 
 def _setting_from(cfg: dict) -> SettingConfig:
-    preset = cfg.get("preset")
-    if preset is None:
+    if cfg["preset"] is None:
         raise ValueError("a preset is required (--preset or config)")
-    if str(preset).lower() == GENERIC:
-        return SettingConfig(
-            preset=GENERIC,
-            n_total=cfg.get("n_total") or 3000,
-            trials=int(cfg.get("trials", 5)),
-            covariates=tuple(tuple(c) for c in cfg.get("covariates", ())),
-            membership=tuple(tuple(r) for r in cfg.get("membership", ())),
-            outcome=cfg.get("outcome"))
-    kw = {}
-    if cfg.get("n_total"):
-        kw["n_total"] = int(cfg["n_total"])
-    if cfg.get("s2_shift"):
-        kw["s2_shift"] = cfg["s2_shift"]
-    return preset_config(int(preset), **kw)
+    try:
+        preset = int(cfg["preset"])
+    except ValueError:
+        raise ValueError(f"unknown preset {cfg['preset']!r}: the command line runs the "
+                         "built-in settings 1..5; run a generic setting with "
+                         "casemix.simlab.run_study and explicit Analysis objects") from None
+    kw = {"s2_shift": cfg["s2_shift"]} if cfg["s2_shift"] else {}
+    n_total = cfg["n_total"]
+    return preset_config(preset, n_total=None if n_total is None else int(n_total), **kw)
 
 
 def cmd_simulate(args) -> int:
@@ -168,7 +159,7 @@ def cmd_simulate(args) -> int:
         "analyses": "OCR1,IPW1", "reps": 1000, "bootstrap_b": 50,
         "oracle_runs": 5000, "alpha": 0.05, "out": "casemix-out",
     })
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         raise ValueError("simulate requires an explicit --seed")
     setting = _setting_from(cfg)
     analyses = [a.strip() for a in str(cfg["analyses"]).split(",") if a.strip()]
@@ -192,11 +183,11 @@ def cmd_simulate(args) -> int:
 def _settings_from(cfg: dict) -> GridSettings:
     """The grid settings of `analyze` or `transport`, checked before any data
     is read; only the formula the method uses is parsed."""
-    method = METHODS.get(cfg.get("method") or "")
+    method = cfg["method"]
     if method is None:
-        raise ValueError("--method is required (ocr, ipw, or ipw-stabilized)")
+        raise ValueError(f"--method is required ({', '.join(METHODS)})")
     key = "outcome_formula" if method == OCR else "ps_formula"
-    formula = parse_formula(cfg[key]) if cfg.get(key) else None
+    formula = parse_formula(cfg[key]) if cfg[key] else None
     return GridSettings(method, **{key: formula}, ps_mode=cfg["ps_mode"],
                         truncation=cfg["truncate_percentile"],
                         expit_weight=cfg["expit_weight"],
@@ -218,15 +209,11 @@ def _without_terms(formula, candidates):
 
 def cmd_analyze(args) -> int:
     cfg = _resolve(args, defaults={
-        "measure": "rr", "variance": "sandwich", "bootstrap_b": 200, "seed": 0,
-        "truncate_percentile": 95.0, "positivity_threshold": POSITIVITY_THRESHOLD,
-        "expit_weight": False, "alpha": 0.05, "tau2_method": "dl",
-        "out": "casemix-out", "ps_mode": None, "eliminate": None,
-        "outcome_formula": None, "ps_formula": None, "method": None,
-        "input": None,
+        **MODEL_DEFAULTS, "measure": "rr", "variance": "sandwich", "bootstrap_b": 200,
+        "seed": 0, "alpha": 0.05, "tau2_method": "dl", "out": "casemix-out",
     })
     settings = _settings_from(cfg)
-    candidates = _candidate_terms(cfg["eliminate"]) if cfg.get("eliminate") else None
+    candidates = _candidate_terms(cfg["eliminate"]) if cfg["eliminate"] else None
     ds = load_ipd(cfg["input"])
     alpha = float(cfg["alpha"])
 
@@ -260,7 +247,6 @@ def cmd_analyze(args) -> int:
 
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
-    meta_header = {k: v for k, v in cfg.items() if k != "func"}
     written = []
 
     effects_rows = []
@@ -269,10 +255,8 @@ def cmd_analyze(args) -> int:
         se = cell.se_transformed
         lo = hi = float("nan")
         if se is not None and cell.defined:
-            lo = cell.transformed_point - meta.Z975 * se
-            hi = cell.transformed_point + meta.Z975 * se
-            if matrix.measure in ("rr", "or"):
-                lo, hi = math.exp(lo), math.exp(hi)
+            lo = to_natural(matrix.measure, cell.transformed_point - meta.Z975 * se)
+            hi = to_natural(matrix.measure, cell.transformed_point + meta.Z975 * se)
         effects_rows.append({
             "target_j": j, "source_k": k, "measure": matrix.measure,
             "prob1": cell.prob1, "prob0": cell.prob0,
@@ -282,26 +266,25 @@ def cmd_analyze(args) -> int:
             "defined": cell.defined, "note": cell.note,
         })
     path = os.path.join(outdir, "effects.csv")
-    write_csv(path, effects_rows, meta_header)
+    write_csv(path, effects_rows, cfg)
     written.append(path)
 
     for j, summary in pooled.items():
         rows = meta.forest_rows(summary)
-        if matrix.measure in ("rr", "or"):
+        if matrix.measure in LOG_MEASURES:
             for row in rows:
-                row["point_natural"] = math.exp(row["point"])
-                row["ci_lower_natural"] = math.exp(row["ci_lower"])
-                row["ci_upper_natural"] = math.exp(row["ci_upper"])
+                for key in ("point", "ci_lower", "ci_upper"):
+                    row[f"{key}_natural"] = to_natural(matrix.measure, row[key])
         path = os.path.join(outdir, f"forest_{j}.csv")
-        write_csv(path, rows, meta_header)
+        write_csv(path, rows, cfg)
         written.append(path)
 
     path = os.path.join(outdir, "het_tests.csv")
-    write_csv(path, het.report_records(tests), meta_header)
+    write_csv(path, het.report_records(tests), cfg)
     written.append(path)
 
     diagnostics = {
-        "config": meta_header,
+        "config": cfg,
         "common_control": asdict(control_report),
         "eliminated_to": eliminated_to,
         "weights": {f"({j},{k})": asdict(d)
@@ -343,17 +326,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    cfg = _resolve(args, defaults={
-        "expit_weight": False, "positivity_threshold": POSITIVITY_THRESHOLD,
-        "truncate_percentile": None, "ps_mode": None, "out": None,
-        "outcome_formula": None, "ps_formula": None, "method": None,
-        "target": None, "source": None, "arm": None, "input": None,
-    })
-    for key in ("target", "source"):
-        if cfg.get(key) is None:
+    cfg = _resolve(args, defaults=MODEL_DEFAULTS)
+    for key in ("target", "source", "arm"):
+        if cfg[key] is None:
             raise ValueError(f"--{key} is required")
-    if cfg.get("arm") is None:
-        raise ValueError("--arm is required")
     settings = _settings_from(cfg)
     ds = load_ipd(cfg["input"])
     j, k, x = str(cfg["target"]), str(cfg["source"]), int(cfg["arm"])
@@ -386,9 +362,9 @@ def cmd_transport(args) -> int:
               f"over_threshold={d.n_over_threshold}"
               + (f" truncated_at={d.truncated_at:.4g}"
                  if d.truncated_at is not None else ""))
-    if cfg.get("out"):
+    if cfg["out"]:
         report = {
-            "config": {key: v for key, v in cfg.items() if key != "func"},
+            "config": cfg,
             "estimate": est.prob, "se": se, "out_of_bounds": est.out_of_bounds,
             "weights": None if est.weights_summary is None
                        else asdict(est.weights_summary),

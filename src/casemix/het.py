@@ -17,6 +17,7 @@ import numpy as np
 
 from ._special import chi2_sf
 from .errors import SingularContrastCovariance
+from .transport import LOG_MEASURES
 
 TRANSFORMED = "transformed"
 RAW = "raw"
@@ -99,7 +100,7 @@ def _vector_and_sigma(matrix, scale: str) -> tuple:
         raise ValueError("effect matrix has no covariance attached")
     v = matrix.transformed_vector()
     sigma = np.asarray(matrix.sigma, dtype=float)
-    if scale == RAW and matrix.measure in ("rr", "or"):
+    if scale == RAW and matrix.measure in LOG_MEASURES:
         # back-transform: points exp(t), delta-method D Sigma D for the
         # diagonal D of the points, entry by entry, so that an undefined
         # cell leaves the other cells' entries defined

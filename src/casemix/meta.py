@@ -8,13 +8,13 @@ disagree beyond sampling noise?
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NoEstimableInputs
+from .transport import to_natural
 
 Z975 = 1.959963984540054           # ndtri(0.975), the normal 97.5% quantile
 
@@ -43,14 +43,10 @@ class MetaSummary:
 
     def point_natural(self) -> float:
         """Pooled estimate back on the natural scale (exp for rr/or)."""
-        if self.measure == "rd":
-            return self.estimate
-        return math.exp(self.estimate)
+        return to_natural(self.measure, self.estimate)
 
     def ci_natural(self) -> tuple:
-        if self.measure == "rd":
-            return (self.ci_lower, self.ci_upper)
-        return (math.exp(self.ci_lower), math.exp(self.ci_upper))
+        return (to_natural(self.measure, self.ci_lower), to_natural(self.measure, self.ci_upper))
 
 
 def _dl_tau2(y: np.ndarray, v: np.ndarray) -> tuple:

@@ -28,7 +28,8 @@ from ._special import expit
 from .errors import CasemixError
 from .formula import parse
 from .ipd import IpdDataset
-from .transport import IPW, IPW_STABILIZED, OCR, GridSettings, effect_matrix, standardized_grid
+from .transport import (IPW, IPW_STABILIZED, MEASURES, OCR, GridSettings, effect_matrix,
+                        natural_effect, standardized_grid)
 from .variance import _entropy, attach_covariance, bootstrap_cov, sandwich_cov
 
 GENERIC = "generic"
@@ -267,14 +268,10 @@ def true_values_oracle(cfg: SettingConfig, runs: int = 5000,
                 for j, lo, hi in bounds:
                     sums[(j, k, x)] += float(np.mean(p[lo:hi]))
     probs = {key: v / runs for key, v in sums.items()}
-    rr, orr, rd = {}, {}, {}
-    for j in labels:
-        for k in labels:
-            p1, p0 = probs[(j, k, 1)], probs[(j, k, 0)]
-            rr[(j, k)] = p1 / p0
-            orr[(j, k)] = (p1 / (1 - p1)) / (p0 / (1 - p0))
-            rd[(j, k)] = p1 - p0
-    return OracleTruth(probs=probs, rr=rr, or_=orr, rd=rd, runs=runs, labels=labels)
+    effects = {m: {(j, k): natural_effect(m, probs[(j, k, 1)], probs[(j, k, 0)])
+                   for j in labels for k in labels} for m in MEASURES}
+    return OracleTruth(probs=probs, rr=effects["rr"], or_=effects["or"], rd=effects["rd"],
+                       runs=runs, labels=labels)
 
 
 @dataclass

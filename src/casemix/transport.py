@@ -39,6 +39,7 @@ grid and in the sandwich alike.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -66,6 +67,7 @@ IPW_STABILIZED = "ipw-stabilized"
 METHODS = (OCR, IPW, IPW_STABILIZED)
 
 MEASURES = ("rr", "or", "rd")
+LOG_MEASURES = ("rr", "or")     # transformed by a log; RD is its own scale
 
 POSITIVITY_THRESHOLD = 200.0
 
@@ -286,6 +288,23 @@ def effect_transform(measure: str, p1, p0) -> tuple:
     return tuple(np.where(ok, v, np.nan) for v in (t, d1, d0))
 
 
+def natural_effect(measure: str, p1, p0):
+    """The effect of arm risks p1 and p0 on its natural scale: the risk ratio,
+    the odds ratio or the risk difference."""
+    if measure == "rr":
+        return p1 / p0
+    if measure == "or":
+        return (p1 / (1 - p1)) / (p0 / (1 - p0))
+    return p1 - p0
+
+
+def to_natural(measure: str, t):
+    """A scalar transformed effect t back on the natural scale: exp(t) for a
+    log measure, t for RD. `math.exp`, as numpy's exp can round a scalar
+    differently."""
+    return math.exp(t) if measure.lower() in LOG_MEASURES else t
+
+
 def effect(p1: StandardizedEstimate, p0: StandardizedEstimate, measure: str) -> EffectEstimate:
     """Combine the two arm probabilities of one (j,k) cell into an effect measure."""
     a, b = p1.prob, p0.prob
@@ -299,13 +318,7 @@ def effect(p1: StandardizedEstimate, p0: StandardizedEstimate, measure: str) -> 
     if np.isnan(t):
         raise UndefinedMeasure(f"{measure.upper()}({j},{k}) undefined: "
                                f"probabilities ({a:.4g}, {b:.4g})")
-    if measure == "rd":
-        point = t
-    elif measure == "rr":
-        point = a / b
-    else:
-        point = (a / (1 - a)) / (b / (1 - b))
-    return EffectEstimate(measure=measure, j=j, k=k, point=float(point),
+    return EffectEstimate(measure=measure, j=j, k=k, point=float(natural_effect(measure, a, b)),
                           transformed_point=t, prob1=a, prob0=b)
 
 
@@ -369,7 +382,9 @@ class FittedGrid(dict):
         treat, taken trial by trial, against the dataset column `response` on
         the same rows. The design is built once: each trial's block of its
         retained columns (a row view) is kept as the trial's observed-treat
-        `design`, unless an earlier fit already keeps that design."""
+        `design`, unless an earlier fit already keeps that design. When one
+        does (a pair fit at K > 2), the new blocks are copied, so the joined
+        design is freed and the grid holds each trial's rows once."""
         ds = self.ds
         masks = [ds.mask(lab) for lab in labels]
         X = [form.design_matrix(ds.covariate_columns(m), treat=ds.treat[m]) for m in masks]
@@ -377,8 +392,11 @@ class FittedGrid(dict):
         fit = fitter(X, np.concatenate([response[m] for m in masks]),
                      column_names=form.column_names(), formula=form)
         ends = np.cumsum([len(self.rows[lab]) for lab in labels])[:-1]
-        for lab, Z in zip(labels, np.split(keep_columns(X, fit.kept), ends)):
-            self._designs.setdefault((form, lab, None, tuple(fit.kept)), Z)
+        keys = [(form, lab, None, tuple(fit.kept)) for lab in labels]
+        held = any(key in self._designs for key in keys)
+        for key, Z in zip(keys, np.split(keep_columns(X, fit.kept), ends)):
+            if key not in self._designs:
+                self._designs[key] = Z.copy() if held else Z
         return fit
 
     def design(self, form: ModelFormula, label, kept, x: Optional[int] = None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 
 from casemix import cli
 from casemix.ipd import save_ipd
+from casemix.simlab import generate_setting, preset_config
 
 OCR_ARGS = ["--method", "ocr", "--outcome-formula", "y ~ 1 + treat + L + treat:L"]
 IPW_ARGS = ["--method", "ipw", "--ps-formula", "study ~ 1 + L"]
@@ -43,6 +45,27 @@ def test_transport_reports_probability(enum_csv, tmp_path, capsys):
     assert blob["estimate"] == pytest.approx(0.45, abs=1e-10)
     assert blob["out_of_bounds"] is False
     assert blob["weights"]["max"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_transport_shows_the_cell_analyze_reports(tmp_path, capsys):
+    # the default 95th-percentile truncation binds on cell (1, 2); transport
+    # computes the grid analyze reports from the same flags
+    path = str(tmp_path / "p3.csv")
+    save_ipd(generate_setting(preset_config(3, n_total=600), 3), path)
+    out = str(tmp_path / "run")
+    assert cli.main(["analyze", path, *IPW_ARGS, "--out", out]) == 0
+    estimates = []
+    for extra in ([], ["--truncate-percentile", "100"]):
+        report = str(tmp_path / "cell.json")
+        assert cli.main(["transport", path, *IPW_ARGS, "--target", "1", "--source", "2",
+                         "--arm", "1", *extra, "--out", report]) == 0
+        estimates.append(json.load(open(report))["estimate"])
+    capsys.readouterr()
+    with open(os.path.join(out, "effects.csv")) as fh:
+        fh.readline()
+        row = next(r for r in csv.DictReader(fh) if (r["target_j"], r["source_k"]) == ("1", "2"))
+    assert estimates[0] == float(row["prob1"])
+    assert estimates[1] != estimates[0]
 
 
 def test_transport_flags_out_of_bounds(oob_csv, capsys):
@@ -89,10 +112,9 @@ def test_analyze_sandwich_outputs(enum_csv, tmp_path, capsys):
     assert diag["pooled"]["1"]["k_used"] == 2
     assert "bootstrap_replicates" not in diag
 
-    import csv as csvmod
     with open(os.path.join(out, "effects.csv")) as fh:
         assert fh.readline().startswith("# {")
-        rows = list(csvmod.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     cell12 = next(r for r in rows if r["target_j"] == "1" and r["source_k"] == "2")
     assert float(cell12["point"]) == pytest.approx(1.125, abs=1e-8)
@@ -206,13 +228,12 @@ TEXT_COLUMNS = {"analysis", "variance", "measure", "test", "kind", "target", "so
 
 def _numeric_fields(outdir):
     """(file, column, text) of every numeric field in the CSVs of `outdir`."""
-    import csv as csvmod
     fields = []
     for name in sorted(os.listdir(outdir)):
         if name.endswith(".csv"):
             with open(os.path.join(outdir, name)) as fh:
                 assert fh.readline().startswith("# ")
-                for row in csvmod.DictReader(fh):
+                for row in csv.DictReader(fh):
                     fields += [(name, k, v) for k, v in row.items() if k not in TEXT_COLUMNS]
     return fields
 
@@ -262,10 +283,11 @@ def test_simulate_requires_seed(capsys):
     assert "explicit --seed" in captured.err
 
 
-def test_config_file_merging(tmp_path):
+@pytest.mark.parametrize("preset", [1, "1"], ids=["int", "str"])
+def test_config_file_merging(tmp_path, preset):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({
-        "preset": 1, "seed": 9, "reps": 3, "bootstrap_b": 0,
+        "preset": preset, "seed": 9, "reps": 3, "bootstrap_b": 0,
         "analyses": "OCR1", "oracle_runs": 10, "n_total": 300,
     }))
     out = str(tmp_path / "sim")
@@ -277,13 +299,27 @@ def test_config_file_merging(tmp_path):
     assert blob["seed"] == 9          # config fills what flags leave unset
 
 
-def test_config_unknown_key_rejected(tmp_path, capsys):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"preset": 1, "seed": 1, "repz": 5, "workers": 2}))
-    rc = cli.main(["simulate", "--config", str(conf)])
+@pytest.mark.parametrize("args,conf,unknown", [
+    (["simulate"], {"preset": 1, "seed": 1, "repz": 5, "workers": 2}, "['repz', 'workers']"),
+    # a config holds its own command's options, not another command's
+    (["analyze", "x.csv"], {"preset": 1}, "['preset']"),
+    (["transport", "x.csv"], {"trials": 3}, "['trials']"),
+    (["simulate"], {"preset": 1, "seed": 1, "input": "x.csv"}, "['input']"),
+], ids=["simulate", "analyze", "transport", "simulate-input"])
+def test_config_unknown_key_rejected(tmp_path, capsys, args, conf, unknown):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    rc = cli.main([*args, "--config", str(path)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "unknown config keys: ['repz', 'workers']" in captured.err
+    assert f"unknown config keys: {unknown}" in captured.err
+
+
+def test_simulate_points_a_generic_setting_to_the_library(capsys):
+    rc = cli.main(["simulate", "--preset", "generic", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "casemix.simlab.run_study" in captured.err
 
 
 def test_simulate_failure_threshold(tmp_path, capsys, monkeypatch):

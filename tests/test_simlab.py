@@ -45,6 +45,30 @@ def test_generic_config_validation():
     assert ok.labels == ("1", "2", "3")
 
 
+def test_generic_setting_runs_through_run_study():
+    # three trials, a continuous and a binary covariate, and the explicit
+    # Analysis objects a generic setting needs: generation, the outcome's
+    # linear predictor, the oracle and both estimation routes all run
+    cfg = SettingConfig(preset="generic", n_total=900, trials=3,
+                        covariates=(("normal", 0.0, 1.0), ("choice", (0.0, 1.0), (0.6, 0.4))),
+                        membership=((0.2, 0.4, 0.0), (-0.1, -0.3, 0.5)),
+                        outcome={"1": -0.3, "x": 0.5, "l1": 0.4, "x:l1": -0.3, "l2": 0.2})
+    analyses = [
+        Analysis("OCR", GridSettings(OCR, outcome_formula=parse(
+            "y ~ 1 + treat + L1 + treat:L1 + L2"))),
+        Analysis("IPWS", GridSettings(IPW_STABILIZED, ps_formula=parse("study ~ 1 + L1 + L2"))),
+    ]
+    report = run_study(cfg, analyses, reps=2, seed=4, bootstrap_b=4, oracle_runs=20)
+    assert report.labels == ("1", "2", "3")
+    assert report.failure_counts() == {"OCR": 0, "IPWS": 0}
+    rows = report.effect_bias_rows()
+    for name in ("OCR", "IPWS"):
+        for msr in report.measures:
+            mine = [r for r in rows if (r["analysis"], r["measure"]) == (name, msr)]
+            assert len(mine) == 3 ** 2
+    assert all(np.isfinite(r["bias"]) for r in rows + report.probability_bias_rows())
+
+
 def test_preset_config_defaults():
     cfg = preset_config(1)
     assert cfg.n_total == 1500

@@ -661,6 +661,13 @@ def test_each_design_row_is_built_once(monkeypatch, method, ps_mode):
         assert rows == {PS: (ds.K - 1) * ds.n}
     else:
         assert rows == {PS: ds.n}
+    if method != OCR:       # the grid holds each trial's rows once, in any mode
+        roots = {}
+        for Z in grid._designs.values():
+            while Z.base is not None:
+                Z = Z.base
+            roots[id(Z)] = len(Z)
+        assert sum(roots.values()) == ds.n
     rows.clear()
     build_system(grid)
     bootstrap_cov(grid, B=4, seed=0)
