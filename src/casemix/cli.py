@@ -6,11 +6,15 @@ built-in settings 1..5, `analyze` runs the full pipeline on an IPD CSV
 the grid `analyze` computes from the same options. Runs are reproducible: the
 seed is part of the interface, and every output file embeds the resolved
 configuration. A JSON config file can supply any option of its command and
-nothing else; explicit flags win. A generic setting runs through
-`casemix.simlab.run_study` with explicit `Analysis` objects.
+nothing else. Its values are parsed as their flags are: each key becomes the
+flag's `--flag=value` token ahead of the command line, so explicit flags win,
+and a switch such as `expit_weight` takes `true` or `false`. A generic setting
+runs through `casemix.simlab.run_study` with explicit `Analysis` objects.
 
-Exit codes: 0 success, 1 configuration or data error, 2 statistical failure
-threshold breached (simulate: more than 10% of replications failed).
+Exit codes: 0 success, 1 configuration or data error (a bad config key or
+value names the key), 2 statistical failure threshold breached (simulate: more
+than 10% of replications failed). A usage error in the flags themselves also
+exits 2, as argparse does.
 """
 
 from __future__ import annotations
@@ -45,26 +49,33 @@ from .transport import (
 from .variance import attach_covariance, bootstrap_cov, build_system, sandwich_cov
 
 FAILURE_RATE_LIMIT = 0.10
-# the defaults of the options `_add_model_args` adds, so `transport` computes
-# the grid `analyze` reports
-MODEL_DEFAULTS = {"truncate_percentile": 95.0, "expit_weight": False,
-                  "positivity_threshold": POSITIVITY_THRESHOLD}
+PRESETS = {str(p): p for p in range(1, 6)}      # the built-in settings by --preset label
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()
         return 1
     try:
-        return args.func(args)
+        if args.config:         # the file's flags go ahead of the command line's, which win
+            at = argv.index(args.command) + 1
+            conf = _config_argv(commands[args.command], args.config)
+            args = parser.parse_args([*argv[:at], *conf, *argv[at:]])
+        # the command's resolved options, as every output file records them
+        return args.func({k: v for k, v in vars(args).items()
+                          if k not in ("func", "command", "config")})
     except (CasemixError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser and each subcommand's parser by name. Each
+    option's type, choices and default are stated here once, for flags and
+    config files alike."""
     p = argparse.ArgumentParser(
         prog="casemix",
         description="Standardize trial effects across populations, pool them, "
@@ -74,29 +85,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a replication study of a setting")
     sim.add_argument("--preset", help="built-in setting 1..5")
     sim.add_argument("--config", help="JSON file with any option (flags win)")
-    sim.add_argument("--analyses", help="comma list, e.g. OCR1,IPW1")
+    sim.add_argument("--analyses", default="OCR1,IPW1", help="comma list, e.g. OCR1,IPW1")
     sim.add_argument("--reps", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--bootstrap-b", type=int, dest="bootstrap_b")
-    sim.add_argument("--n-total", type=int, dest="n_total")
-    sim.add_argument("--oracle-runs", type=int, dest="oracle_runs")
+    sim.add_argument("--bootstrap-b", type=int)
+    sim.add_argument("--n-total", type=int)
+    sim.add_argument("--oracle-runs", type=int)
     sim.add_argument("--alpha", type=float)
-    sim.add_argument("--s2-shift", dest="s2_shift",
-                     choices=["intercept", "treatment"])
-    sim.add_argument("--out")
+    sim.add_argument("--s2-shift", choices=["intercept", "treatment"])
+    sim.add_argument("--out", default="casemix-out")
     sim.set_defaults(func=cmd_simulate)
 
     ana = _add_model_args(sub.add_parser("analyze", help="full pipeline on an IPD CSV"),
                           "IPD CSV: study,treat,outcome,<covariates>")
-    ana.add_argument("--measure", choices=MEASURES)
-    ana.add_argument("--variance", choices=["sandwich", "bootstrap"])
-    ana.add_argument("--bootstrap-b", type=int, dest="bootstrap_b")
-    ana.add_argument("--seed", type=int)
+    ana.add_argument("--measure", choices=MEASURES, default="rr")
+    ana.add_argument("--variance", choices=["sandwich", "bootstrap"], default="sandwich")
+    ana.add_argument("--bootstrap-b", type=int, default=200)
+    ana.add_argument("--seed", type=int, default=0)
     ana.add_argument("--eliminate", help="comma list of candidate terms for "
                                          "backward elimination, e.g. treat:L,L^2")
-    ana.add_argument("--alpha", type=float)
-    ana.add_argument("--tau2-method", dest="tau2_method", choices=["dl", "reml"])
-    ana.add_argument("--out")
+    ana.add_argument("--alpha", type=float, default=0.05)
+    ana.add_argument("--tau2-method", choices=["dl", "reml"], default="dl")
+    ana.add_argument("--out", default="casemix-out")
     ana.set_defaults(func=cmd_analyze)
 
     tra = _add_model_args(sub.add_parser("transport", help="one standardized probability"),
@@ -106,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tra.add_argument("--arm", type=int, choices=[0, 1], help="treatment arm x")
     tra.add_argument("--out", help="optional JSON report path")
     tra.set_defaults(func=cmd_transport)
-    return p
+    return p, sub.choices
 
 
 def _add_model_args(parser: argparse.ArgumentParser, input_help: str):
@@ -114,59 +124,73 @@ def _add_model_args(parser: argparse.ArgumentParser, input_help: str):
     parser.add_argument("input", help=input_help)
     parser.add_argument("--config", help="JSON file with any option (flags win)")
     parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--outcome-formula", dest="outcome_formula")
-    parser.add_argument("--ps-formula", dest="ps_formula")
-    parser.add_argument("--ps-mode", dest="ps_mode", choices=["pairwise", "multinomial"],
+    parser.add_argument("--outcome-formula")
+    parser.add_argument("--ps-formula")
+    parser.add_argument("--ps-mode", choices=["pairwise", "multinomial"],
                         help="membership logit over all trials (multinomial, the "
                              "default) or one per pair of trials; the same fit at K=2")
-    parser.add_argument("--expit-weight", dest="expit_weight", action="store_const", const=True)
-    parser.add_argument("--truncate-percentile", type=float, dest="truncate_percentile")
-    parser.add_argument("--positivity-threshold", type=float, dest="positivity_threshold")
+    parser.add_argument("--expit-weight", action="store_true")
+    parser.add_argument("--truncate-percentile", type=float, default=95.0)
+    parser.add_argument("--positivity-threshold", type=float, default=POSITIVITY_THRESHOLD)
     return parser
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Every option of the command: defaults < config file < explicit flags.
-    A config file may hold the command's own options only."""
-    opts = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
-    conf = {}
-    if args.config:
-        with open(args.config) as fh:
-            conf = json.load(fh)
-        unknown = set(conf) - set(opts)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return {**dict.fromkeys(opts), **defaults, **conf,
-            **{k: v for k, v in opts.items() if v is not None}}
+def _config_argv(parser: argparse.ArgumentParser, path: str) -> list:
+    """A JSON config file as `--flag=value` tokens of the command's own flags.
+    Each value meets its option's action, type and choices here, so an error
+    names its key: a switch takes a JSON boolean, any other option a string
+    or a number."""
+    with open(path) as fh:
+        conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError(f"config file {path} must hold one JSON object")
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(conf) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    argv = []
+    for key, value in conf.items():
+        action = options[key]
+        flag = action.option_strings[0]
+        if action.nargs == 0 and isinstance(value, bool):
+            argv += [flag] * value
+        elif action.nargs != 0 and type(value) in (str, int, float) and _parses(action, value):
+            argv.append(f"{flag}={value}")
+        else:
+            raise ValueError(f"config key {key!r}: {json.dumps(value)} is not a valid "
+                             f"{flag} value")
+    return argv
+
+
+def _parses(action: argparse.Action, value) -> bool:
+    """Whether `value` as text passes the option's type and choices."""
+    try:
+        parsed = (action.type or str)(str(value))
+    except ValueError:
+        return False
+    return action.choices is None or parsed in action.choices
 
 
 def _setting_from(cfg: dict) -> SettingConfig:
     if cfg["preset"] is None:
         raise ValueError("a preset is required (--preset or config)")
-    try:
-        preset = int(cfg["preset"])
-    except ValueError:
+    if cfg["preset"] not in PRESETS:
         raise ValueError(f"unknown preset {cfg['preset']!r}: the command line runs the "
                          "built-in settings 1..5; run a generic setting with "
-                         "casemix.simlab.run_study and explicit Analysis objects") from None
+                         "casemix.simlab.run_study and explicit Analysis objects")
     kw = {"s2_shift": cfg["s2_shift"]} if cfg["s2_shift"] else {}
-    n_total = cfg["n_total"]
-    return preset_config(preset, n_total=None if n_total is None else int(n_total), **kw)
+    return preset_config(PRESETS[cfg["preset"]], n_total=cfg["n_total"], **kw)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args, defaults={
-        "analyses": "OCR1,IPW1", "reps": 1000, "bootstrap_b": 50,
-        "oracle_runs": 5000, "alpha": 0.05, "out": "casemix-out",
-    })
+def cmd_simulate(cfg: dict) -> int:
     if cfg["seed"] is None:
         raise ValueError("simulate requires an explicit --seed")
     setting = _setting_from(cfg)
-    analyses = [a.strip() for a in str(cfg["analyses"]).split(",") if a.strip()]
-    report = run_study(setting, analyses, reps=int(cfg["reps"]),
-                       seed=int(cfg["seed"]), bootstrap_b=int(cfg["bootstrap_b"]),
-                       oracle_runs=int(cfg["oracle_runs"]),
-                       alpha=float(cfg["alpha"]))
+    analyses = [a.strip() for a in cfg["analyses"].split(",") if a.strip()]
+    # run_study's signature states and records the defaults of these four
+    report = run_study(setting, analyses, seed=cfg["seed"], **{
+        k: cfg[k] for k in ("reps", "bootstrap_b", "oracle_runs", "alpha") if cfg[k] is not None})
     written = report.write_tables(cfg["out"])
     for path in written:
         print(path)
@@ -191,7 +215,7 @@ def _settings_from(cfg: dict) -> GridSettings:
     return GridSettings(method, **{key: formula}, ps_mode=cfg["ps_mode"],
                         truncation=cfg["truncate_percentile"],
                         expit_weight=cfg["expit_weight"],
-                        positivity_threshold=float(cfg["positivity_threshold"]))
+                        positivity_threshold=cfg["positivity_threshold"])
 
 
 def _candidate_terms(spec: str) -> list:
@@ -207,15 +231,11 @@ def _without_terms(formula, candidates):
     return ModelFormula(kept, response=formula.response)
 
 
-def cmd_analyze(args) -> int:
-    cfg = _resolve(args, defaults={
-        **MODEL_DEFAULTS, "measure": "rr", "variance": "sandwich", "bootstrap_b": 200,
-        "seed": 0, "alpha": 0.05, "tau2_method": "dl", "out": "casemix-out",
-    })
+def cmd_analyze(cfg: dict) -> int:
     settings = _settings_from(cfg)
     candidates = _candidate_terms(cfg["eliminate"]) if cfg["eliminate"] else None
     ds = load_ipd(cfg["input"])
-    alpha = float(cfg["alpha"])
+    alpha = cfg["alpha"]
 
     # control-arm exchangeability: intercept + all covariate mains
     control = parse_formula("y ~ 1 + " + " + ".join(ds.schema.names))
@@ -238,18 +258,14 @@ def cmd_analyze(args) -> int:
             covres = sandwich_cov(grid, measures=(cfg["measure"],))
         else:
             covres = bootstrap_cov(grid, measures=(cfg["measure"],),
-                                   B=int(cfg["bootstrap_b"]), seed=int(cfg["seed"]))
+                                   B=cfg["bootstrap_b"], seed=cfg["seed"])
     attach_covariance(matrix, covres)
     warned = sorted({str(w.message) for w in caught})
 
     pooled = meta.pool_matrix(matrix, tau2_method=cfg["tau2_method"])
     tests = het.all_tests(matrix)
 
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    effects_rows = []
+    tables = {"effects.csv": []}              # output file -> its rows
     for (j, k) in matrix.cell_order():
         cell = matrix.cells[(j, k)]
         se = cell.se_transformed
@@ -257,7 +273,7 @@ def cmd_analyze(args) -> int:
         if se is not None and cell.defined:
             lo = to_natural(matrix.measure, cell.transformed_point - meta.Z975 * se)
             hi = to_natural(matrix.measure, cell.transformed_point + meta.Z975 * se)
-        effects_rows.append({
+        tables["effects.csv"].append({
             "target_j": j, "source_k": k, "measure": matrix.measure,
             "prob1": cell.prob1, "prob0": cell.prob0,
             "point": cell.point, "transformed": cell.transformed_point,
@@ -265,23 +281,17 @@ def cmd_analyze(args) -> int:
             "ci_lower": lo, "ci_upper": hi,
             "defined": cell.defined, "note": cell.note,
         })
-    path = os.path.join(outdir, "effects.csv")
-    write_csv(path, effects_rows, cfg)
-    written.append(path)
-
     for j, summary in pooled.items():
-        rows = meta.forest_rows(summary)
+        rows = tables[f"forest_{j}.csv"] = meta.forest_rows(summary)
         if matrix.measure in LOG_MEASURES:
             for row in rows:
                 for key in ("point", "ci_lower", "ci_upper"):
                     row[f"{key}_natural"] = to_natural(matrix.measure, row[key])
-        path = os.path.join(outdir, f"forest_{j}.csv")
+    tables["het_tests.csv"] = het.report_records(tests)
+    os.makedirs(cfg["out"], exist_ok=True)
+    written = [os.path.join(cfg["out"], name) for name in [*tables, "diagnostics.json"]]
+    for path, rows in zip(written, tables.values()):
         write_csv(path, rows, cfg)
-        written.append(path)
-
-    path = os.path.join(outdir, "het_tests.csv")
-    write_csv(path, het.report_records(tests), cfg)
-    written.append(path)
 
     diagnostics = {
         "config": cfg,
@@ -312,27 +322,23 @@ def cmd_analyze(args) -> int:
         diagnostics["bootstrap_failures"] = covres.failures
     else:
         diagnostics["bread_condition_number"] = covres.bread_condition
-    path = os.path.join(outdir, "diagnostics.json")
-    with open(path, "w") as fh:
+    with open(written[-1], "w") as fh:
         json.dump(diagnostics, fh, indent=1)
-    written.append(path)
-
-    for pth in written:
-        print(pth)
+    for path in written:
+        print(path)
     if diagnostics["positivity_flag"]:
         print(f"warning: transport weights exceed {settings.positivity_threshold:g}; "
               "possible positivity violation (see diagnostics.json)")
     return 0
 
 
-def cmd_transport(args) -> int:
-    cfg = _resolve(args, defaults=MODEL_DEFAULTS)
+def cmd_transport(cfg: dict) -> int:
     for key in ("target", "source", "arm"):
         if cfg[key] is None:
             raise ValueError(f"--{key} is required")
     settings = _settings_from(cfg)
     ds = load_ipd(cfg["input"])
-    j, k, x = str(cfg["target"]), str(cfg["source"]), int(cfg["arm"])
+    j, k, x = cfg["target"], cfg["source"], cfg["arm"]
     ds.study_number(j)
     ds.study_number(k)
 

@@ -40,6 +40,7 @@ grid and in the sandwich alike.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -72,6 +73,11 @@ LOG_MEASURES = ("rr", "or")     # transformed by a log; RD is its own scale
 POSITIVITY_THRESHOLD = 200.0
 
 
+def _real(value) -> bool:
+    """A real number, not a bool (which Python counts as one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSettings:
     """The settings of one standardized grid, checked once when built.
@@ -82,8 +88,10 @@ class GridSettings:
     weights above that percentile of the cell's weights are reset to it
     (IPW only; 100 is the identity). `ps_mode` is "pairwise" (one
     membership model per pair of trials) or "multinomial" (one over all
-    trials, also when None); at two trials both are the same fit. An OCR
-    grid ignores the IPW-only settings, but they must still be valid.
+    trials, also when None); at two trials both are the same fit.
+    `positivity_threshold` is a number above 0 and `expit_weight` a bool (0
+    and 1 count as one); a bool is not a number here. An OCR grid ignores the
+    IPW-only settings, but they must still be valid.
     """
 
     method: str
@@ -107,8 +115,13 @@ class GridSettings:
             raise InvalidFormula("membership models cannot reference treat")
         if self.ps_mode and self.ps_mode not in ("pairwise", "multinomial"):
             raise ValueError(f"unknown propensity mode {self.ps_mode!r}")
-        if self.truncation is not None and not (0 < self.truncation <= 100):
+        if self.truncation is not None and not (_real(self.truncation)
+                                                and 0 < self.truncation <= 100):
             raise ValueError("truncation percentile must be in (0, 100]")
+        if not (_real(self.positivity_threshold) and self.positivity_threshold > 0):
+            raise ValueError("positivity_threshold must be a number above 0")
+        if self.expit_weight not in (False, True):
+            raise ValueError("expit_weight must be a bool or 0/1")
         object.__setattr__(self, "expit_weight", bool(self.expit_weight))
         object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides or {})))
 

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casemix import cli
 from casemix.ipd import save_ipd
@@ -313,6 +314,166 @@ def test_config_unknown_key_rejected(tmp_path, capsys, args, conf, unknown):
     captured = capsys.readouterr()
     assert rc == 1
     assert f"unknown config keys: {unknown}" in captured.err
+
+
+@pytest.fixture(scope="module")
+def p3_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "p3.csv"
+    save_ipd(generate_setting(preset_config(3, n_total=900), 3), str(path))
+    return str(path)
+
+
+CELL_ARGS = [*IPW_ARGS, "--target", "1", "--source", "2", "--arm", "1"]
+TINY_SIM = ["--seed", "1", "--bootstrap-b", "0", "--oracle-runs", "10", "--n-total", "300",
+            "--analyses", "OCR1"]
+
+
+@pytest.mark.parametrize("args,conf,key", [
+    (["transport", *CELL_ARGS], {"expit_weight": "no"}, "expit_weight"),
+    (["transport", *CELL_ARGS], {"expit_weight": 1}, "expit_weight"),
+    (["transport", *CELL_ARGS], {"arm": 2}, "arm"),
+    (["transport", *CELL_ARGS], {"positivity_threshold": True}, "positivity_threshold"),
+    (["transport", *CELL_ARGS], {"input": "x.csv"}, "input"),
+    (["analyze", *IPW_ARGS], {"variance": None}, "variance"),
+    (["analyze", *IPW_ARGS], {"alpha": None}, "alpha"),
+    (["analyze", *IPW_ARGS], {"measure": ["rr"]}, "measure"),
+    (["analyze", *IPW_ARGS], {"input": "x.csv"}, "input"),
+    (["simulate", "--preset", "1", *TINY_SIM], {"reps": 2.7}, "reps"),
+    (["simulate", "--reps", "1", *TINY_SIM], {"preset": 2.9}, "preset"),
+    (["simulate", "--reps", "1", *TINY_SIM], {"preset": True}, "preset"),
+], ids=["expit-string", "expit-int", "arm-choice", "threshold-bool", "transport-input",
+        "variance-null", "alpha-null", "measure-list", "analyze-input", "reps-float",
+        "preset-float", "preset-bool"])
+def test_a_bad_config_value_is_rejected_by_its_key(p3_csv, tmp_path, capsys, args, conf, key):
+    # each value meets its option's type and choices, as the flag's does
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    argv = [args[0], *([p3_csv] if args[0] != "simulate" else []), *args[1:]]
+    rc = cli.main([*argv, "--out", str(tmp_path / "out"), "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and key in captured.err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_config_value_parses_as_its_flag_does(p3_csv, tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"truncate_percentile": "95", "expit_weight": False}))
+    printed = []
+    for extra in (["--config", str(path)], ["--truncate-percentile", "95"]):
+        assert cli.main(["transport", p3_csv, *CELL_ARGS, *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert "= 0.632921" in printed[0]
+
+
+COMMANDS = cli._build_parser()[1]
+POSITIONALS = {"simulate": [], "analyze": ["x.csv"], "transport": ["x.csv"]}
+
+
+def _config_options(command):
+    """The options a config file of `command` may set: every flag but --config."""
+    return [a for a in COMMANDS[command]._actions
+            if a.option_strings and a.dest not in ("help", "config")]
+
+
+@st.composite
+def _option_values(draw, command):
+    """Valid values of some of the command's options, each as the JSON value a
+    config file holds and the command-line tokens that set the same value."""
+    chosen = {}
+    for action in draw(st.lists(st.sampled_from(_config_options(command)),
+                                unique_by=lambda a: a.dest)):
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            on = draw(st.booleans())
+            chosen[action.dest] = (on, [flag] * on)
+            continue
+        if action.choices is not None:
+            value = draw(st.sampled_from(list(action.choices)))
+        elif action.type is int:
+            value = draw(st.integers())
+        elif action.type is float:
+            value = draw(st.floats(allow_nan=False))
+        else:
+            value = draw(st.text())
+        # a number may also come as its text, as "95" does for --truncate-percentile 95
+        chosen[action.dest] = (draw(st.sampled_from([value, str(value)])),
+                               [f"{flag}={value}"])
+    return chosen
+
+
+def _resolved(command, flags, conf, path):
+    """The resolved options `command` runs with, given its flags and, unless
+    `conf` is None, a config file holding `conf`."""
+    seen = []
+    argv = [command, *POSITIONALS[command], *flags]
+    if conf is not None:
+        path.write_text(json.dumps(conf))
+        argv += ["--config", str(path)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, f"cmd_{command}", lambda cfg: seen.append(cfg) or 0)
+        assert cli.main(argv) == 0
+    return list(seen[0].items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_config_file_resolves_the_options_its_flags_do(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    chosen = data.draw(_option_values(command))
+    path = tmp_path_factory.mktemp("conf") / "conf.json"
+    conf = {dest: value for dest, (value, _) in chosen.items()}
+    flags = [token for _, tokens in chosen.values() for token in tokens]
+    assert _resolved(command, [], conf, path) == _resolved(command, flags, None, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_flag_wins_over_its_config_key(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    in_file = data.draw(_option_values(command))
+    on_line = data.draw(_option_values(command))
+    path = tmp_path_factory.mktemp("conf") / "conf.json"
+    conf = {dest: value for dest, (value, _) in in_file.items()}
+    flags = [token for _, tokens in on_line.values() for token in tokens]
+    both = dict(_resolved(command, flags, conf, path))
+    flags_only = dict(_resolved(command, flags, None, path))
+    for dest, (_, tokens) in on_line.items():
+        if tokens:                       # a switch left off is not a flag given
+            assert both[dest] == flags_only[dest]
+
+
+ANALYZE_VALUES = st.fixed_dictionaries({}, optional={
+    "measure": st.sampled_from(["rr", "or", "rd"]),
+    "alpha": st.floats(0.001, 0.5),
+    "tau2_method": st.sampled_from(["dl", "reml"]),
+    "truncate_percentile": st.floats(50.0, 100.0),
+    "positivity_threshold": st.floats(0.5, 1e6),
+    "expit_weight": st.booleans(),
+    "ps_mode": st.sampled_from(["pairwise", "multinomial"]),
+    "seed": st.integers(0, 2 ** 32),
+})
+
+
+@settings(max_examples=15, deadline=None)
+@given(values=ANALYZE_VALUES)
+def test_analyze_records_the_same_config_from_either_route(enum_csv, tmp_path_factory,
+                                                          values):
+    # the whole diagnostics.json, its config section included, has the same bytes
+    root = tmp_path_factory.mktemp("routes")
+    out = str(root / "out")
+    flags = [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}")
+             for k, v in values.items() if v is not False]
+    written = []
+    for route in (flags, ["--config", str(root / "conf.json")]):
+        (root / "conf.json").write_text(json.dumps(values))
+        assert cli.main(["analyze", enum_csv, "--method", "ipw-stabilized",
+                         "--ps-formula", "study ~ 1 + L", "--out", out, *route]) == 0
+        with open(os.path.join(out, "diagnostics.json"), "rb") as fh:
+            written.append(fh.read())
+    assert written[0] == written[1]
+    assert json.loads(written[1])["config"]["expit_weight"] is values.get("expit_weight", False)
 
 
 def test_simulate_points_a_generic_setting_to_the_library(capsys):

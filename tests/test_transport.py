@@ -117,10 +117,22 @@ def test_truncation_100_is_identity(enum_ds):
     assert capped.weights_summary.truncated_at == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("bad", [0.0, -5.0, 100.5])
+@pytest.mark.parametrize("bad", [0.0, -5.0, 100.5, True, "95"])
 def test_truncation_percentile_validated(enum_ds, bad):
+    # True is not the 1st percentile, and a string is not a percentile at all
     with pytest.raises(ValueError, match="truncation percentile"):
         standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS, truncation=bad))
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("expit_weight", "no"), ("expit_weight", 2), ("expit_weight", None),
+    ("positivity_threshold", True), ("positivity_threshold", 0.0),
+    ("positivity_threshold", -1.0), ("positivity_threshold", float("nan")),
+    ("positivity_threshold", "200"),
+])
+def test_expit_weight_and_positivity_threshold_validated(field, bad):
+    with pytest.raises(ValueError, match=field):
+        GridSettings(IPW, ps_formula=PS, **{field: bad})
 
 
 def test_unstabilized_can_leave_unit_interval(oob_ds):
