@@ -83,7 +83,9 @@ def _build_parser() -> tuple:
     sub = p.add_subparsers(dest="command")
 
     sim = sub.add_parser("simulate", help="run a replication study of a setting")
-    sim.add_argument("--preset", help="built-in setting 1..5")
+    sim.add_argument("--preset", choices=PRESETS,
+                     help="built-in setting 1..5; a generic setting runs through "
+                          "casemix.simlab.run_study with explicit Analysis objects")
     sim.add_argument("--config", help="JSON file with any option (flags win)")
     sim.add_argument("--analyses", default="OCR1,IPW1", help="comma list, e.g. OCR1,IPW1")
     sim.add_argument("--reps", type=int)
@@ -175,10 +177,6 @@ def _parses(action: argparse.Action, value) -> bool:
 def _setting_from(cfg: dict) -> SettingConfig:
     if cfg["preset"] is None:
         raise ValueError("a preset is required (--preset or config)")
-    if cfg["preset"] not in PRESETS:
-        raise ValueError(f"unknown preset {cfg['preset']!r}: the command line runs the "
-                         "built-in settings 1..5; run a generic setting with "
-                         "casemix.simlab.run_study and explicit Analysis objects")
     kw = {"s2_shift": cfg["s2_shift"]} if cfg["s2_shift"] else {}
     return preset_config(PRESETS[cfg["preset"]], n_total=cfg["n_total"], **kw)
 

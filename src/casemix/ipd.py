@@ -188,7 +188,7 @@ def load_ipd(source, schema: Optional[CovariateSchema] = None) -> IpdDataset:
     """Read an IPD CSV (path, bytes, or open stream) into a validated dataset."""
     stream, should_close = _open_text(source)
     try:
-        # the body is read twice, so a one-shot stream is buffered first
+        # a failed read is read again, so a one-shot stream is buffered first
         body = stream if stream.seekable() else io.StringIO(stream.read())
         try:
             header = next(csv.reader(iter(body.readline, "")))
@@ -217,8 +217,7 @@ def load_ipd(source, schema: Optional[CovariateSchema] = None) -> IpdDataset:
         cov = np.ascontiguousarray(table[:, [pos[c] for c in cov_names]])
         if schema is None:
             schema = CovariateSchema.infer(cov_names, cov)
-        study_labels, study_idx = _first_appearance_index(np.char.strip(labels[:, 0].astype(str)))
-        return IpdDataset(schema, study_labels, study_idx, table[:, pos["treat"]],
+        return IpdDataset(schema, labels, table[:, pos["study"]], table[:, pos["treat"]],
                           table[:, pos["outcome"]], cov)
     finally:
         if should_close:
@@ -231,19 +230,21 @@ _DIALECT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 def _read_body(body, start: int, header: list, pos: dict,
                skip: Optional[set] = None) -> tuple:
-    """Parse the body at offset `start` column-wise into an n x len(header)
-    float table and n x 1 study labels, leaving out the 1-based body lines in
-    `skip`. The study column reads as its labels' lengths, so that one pass sees
-    every field and checks each row's field count. ValueError on a bad row."""
-    def lines():
-        body.seek(start)
-        return body if skip is None else (
-            line for i, line in enumerate(body, start=1) if i not in skip)
+    """Parse the body at offset `start`, in one pass, into an n x len(header)
+    float table and the distinct stripped study labels in first-appearance
+    order, leaving out the 1-based body lines in `skip`. The table's study
+    column holds each row's index into those labels. ValueError on a bad row."""
+    body.seek(start)
+    lines = body if skip is None else (
+        line for i, line in enumerate(body, start=1) if i not in skip)
+    labels = {}
+
+    def study(field: str) -> int:
+        return labels.setdefault(field.strip(), len(labels))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # empty lines, empty body
-        table = np.loadtxt(lines(), converters={pos["study"]: len}, **_DIALECT)
-        labels = np.loadtxt(lines(), usecols=pos["study"], dtype=object, **_DIALECT)
+        table = np.loadtxt(lines, converters={pos["study"]: study}, **_DIALECT)
     if table.size == 0:
         raise EmptyDataset("CSV has a header but no data rows")
     if table.shape[1] != len(header):
@@ -251,7 +252,7 @@ def _read_body(body, start: int, header: list, pos: dict,
     arms = table[:, [pos["treat"], pos["outcome"]]]
     if not np.all((arms == 0) | (arms == 1)):
         raise ValueError("non-binary treat or outcome")
-    return table, labels
+    return table, list(labels)
 
 
 def _locate(body, start: int, header: list, pos: dict, cov_names: list) -> set:
@@ -287,14 +288,6 @@ def _is_number(raw: str) -> bool:
     except ValueError:
         return False
     return "_" not in raw and raw.strip().isascii()
-
-
-def _first_appearance_index(labels) -> tuple:
-    """(distinct labels in first-appearance order, each label's index into them)."""
-    uniq, first, inverse = np.unique(np.asarray(labels, dtype=str), return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first)
-    return uniq[order].tolist(), np.argsort(order)[inverse.ravel()]
 
 
 def save_ipd(ds: IpdDataset, target) -> None:

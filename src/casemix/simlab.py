@@ -385,19 +385,22 @@ class SimulationReport:
         a = a[np.isfinite(a)]
         return float(a.mean()) if a.size else float("nan")
 
+    def _bias(self, truth: float, draws: np.ndarray) -> dict:
+        """The bias columns of one cell's replication draws."""
+        mean = self._mean(draws)
+        return {"truth": truth, "mean": mean, "bias": mean - truth,
+                "rb_pct": 100.0 * (mean - truth) / truth,
+                "n_defined": int(np.isfinite(draws).sum())}
+
     def probability_bias_rows(self) -> list:
         rows = []
         for d in self.analyses:
             raw = self.raw[d["name"]]
             for c, (j, k) in enumerate(self.cell_order()):
                 for x in (0, 1):
-                    tru = self.truth.probs[(j, k, x)]
-                    mean = self._mean(raw.probs[:, c, x])
                     rows.append({
-                        "analysis": d["name"], "target_j": j, "source_k": k,
-                        "arm_x": x, "truth": tru, "mean": mean,
-                        "bias": mean - tru, "rb_pct": 100.0 * (mean - tru) / tru,
-                        "n_defined": int(np.isfinite(raw.probs[:, c, x]).sum()),
+                        "analysis": d["name"], "target_j": j, "source_k": k, "arm_x": x,
+                        **self._bias(self.truth.probs[(j, k, x)], raw.probs[:, c, x]),
                     })
         return rows
 
@@ -408,14 +411,10 @@ class SimulationReport:
             for mi, msr in enumerate(self.measures):
                 tr = self.truth.effect(msr)
                 for c, (j, k) in enumerate(self.cell_order()):
-                    tru = tr[(j, k)]
-                    mean = self._mean(raw.eff_nat[:, mi, c])
                     rows.append({
                         "analysis": d["name"], "measure": msr,
                         "target_j": j, "source_k": k,
-                        "truth": tru, "mean": mean, "bias": mean - tru,
-                        "rb_pct": 100.0 * (mean - tru) / tru,
-                        "n_defined": int(np.isfinite(raw.eff_nat[:, mi, c]).sum()),
+                        **self._bias(tr[(j, k)], raw.eff_nat[:, mi, c]),
                     })
         return rows
 

@@ -541,7 +541,5 @@ def attach_covariance(matrix, result: CovarianceResult) -> None:
         raise ValueError(f"covariance result lacks measure {msr!r}")
     matrix.sigma = result.sigma[msr]
     matrix.covariance_method = result.method
-    for i, jk in enumerate(matrix.cell_order()):
-        cell = matrix.cells[jk]
-        v = result.sigma[msr][i, i]
-        cell.se_transformed = float(np.sqrt(v)) if np.isfinite(v) and v >= 0 else None
+    for se, jk in zip(result.se[msr], matrix.cell_order()):
+        matrix.cells[jk].se_transformed = None if np.isnan(se) else float(se)

@@ -477,10 +477,15 @@ def test_analyze_records_the_same_config_from_either_route(enum_csv, tmp_path_fa
 
 
 def test_simulate_points_a_generic_setting_to_the_library(capsys):
-    rc = cli.main(["simulate", "--preset", "generic", "--seed", "1"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "casemix.simlab.run_study" in captured.err
+    # a preset outside 1..5 is a bad flag value, and the help names the library route
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--preset", "generic", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'generic'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "casemix.simlab.run_study" in capsys.readouterr().out
 
 
 def test_simulate_failure_threshold(tmp_path, capsys, monkeypatch):

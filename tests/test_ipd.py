@@ -16,9 +16,11 @@ from casemix.errors import (
     SingleArmStudy,
     UnknownStudy,
 )
+from casemix import ipd
 from casemix.ipd import (
     CovariateSchema,
     IpdDataset,
+    _locate as locate,
     arm_counts,
     load_ipd,
     save_ipd,
@@ -244,11 +246,46 @@ HEADER = "study,treat,outcome,L\n"
     ("s" * 300 + ",1,1,0.5\n" + "s" * 300 + ",0,0,1.5\n", ("s" * 300,), [0.5, 1.5]),
     # labels keep first-appearance order
     ("b,1,1,0.5\na,1,0,1\nb,0,0,1.5\na,0,1,2\n", ("b", "a"), [0.5, 1, 1.5, 2]),
+    # a trailing NUL is part of the label: two trials, not one
+    ("a\x00,1,1,0.5\na\x00,0,0,1.5\na,1,1,2.5\na,0,0,3.5\n", ("a\x00", "a"),
+     [0.5, 1.5, 2.5, 3.5]),
 ])
 def test_load_csv_dialect(body, studies, cov):
     ds = load_ipd((HEADER + body).encode())
     assert ds.studies == studies
     assert ds.cov[:, 0].tolist() == cov
+
+
+def _count_loadtxt(monkeypatch):
+    """A list that gains one entry per `np.loadtxt` call."""
+    calls, loadtxt = [], np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+def test_clean_body_is_parsed_in_one_pass(monkeypatch):
+    calls = _count_loadtxt(monkeypatch)
+    ds = load_ipd((HEADER + "b,1,1,0.5\na,1,0,1\nb,0,0,1.5\na,0,1,2\n").encode())
+    assert len(calls) == 1
+    assert ds.studies == ("b", "a")
+    assert ds.study_idx.tolist() == [0, 1, 0, 1]
+
+
+def test_blank_row_costs_one_locate_and_one_reread(monkeypatch):
+    calls = _count_loadtxt(monkeypatch)
+    located = []
+    monkeypatch.setattr(ipd, "_locate", lambda *a: located.append(1) or locate(*a))
+    # the failed first pass meets the blank row's empty label first; the
+    # re-read must not keep it
+    ds = load_ipd((HEADER + ",,,\nb,1,1,0.5\na,1,0,1\nb,0,0,1.5\na,0,1,2\n").encode())
+    assert (len(calls), len(located)) == (2, 1)
+    assert ds.studies == ("b", "a")
+    assert ds.study_idx.tolist() == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("text, error, message", [

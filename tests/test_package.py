@@ -160,3 +160,19 @@ def test_span_tracer_binds_every_target_and_counts_each_outcome_fit_once(tmp_pat
     # fits only, so no fit is counted twice through the multinomial fitter
     code = _TRACED_OCR.format(perfbench=str(ROOT / "perfbench"))
     assert _run_python(code, cwd=tmp_path) == "5 0"
+
+
+def test_src_lines_lists_every_module_and_sums_them():
+    # the size that ROADMAP tracks is this tool's total row
+    src = ROOT / "src" / "casemix"
+    r = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py")],
+                       capture_output=True, text=True, check=True)
+    header, *rows, total = (line.split() for line in r.stdout.splitlines())
+    assert header == ["module", "physical", "code"]
+    assert sorted(row[0] for row in rows) == sorted(
+        str(p.relative_to(src)) for p in src.rglob("*.py"))
+    for name, physical, code in rows:
+        assert int(physical) == len((src / name).read_text(encoding="utf-8").splitlines())
+        assert 0 < int(code) <= int(physical)
+    assert total[0] == "total"
+    assert [int(v) for v in total[1:]] == [sum(int(row[i]) for row in rows) for i in (1, 2)]
