@@ -90,7 +90,6 @@ from .transport import (
     StandardizedEstimate,
     WeightDiagnostics,
     common_control_check,
-    effect,
     effect_matrix,
     effect_transform,
     standardized_grid,
@@ -176,7 +175,6 @@ __all__ = [
     "casemix_test",
     "common_control_check",
     "conventional_test",
-    "effect",
     "effect_matrix",
     "effect_transform",
     "fit_logistic",

@@ -231,6 +231,10 @@ def _without_terms(formula, candidates):
 
 def cmd_analyze(cfg: dict) -> int:
     settings = _settings_from(cfg)
+    if not 0 < cfg["alpha"] < 1:
+        raise ValueError(f"--alpha must be in (0, 1), not {cfg['alpha']}")
+    if cfg["variance"] == "bootstrap" and cfg["bootstrap_b"] < 2:
+        raise ValueError(f"--bootstrap-b must be at least 2, not {cfg['bootstrap_b']}")
     candidates = _candidate_terms(cfg["eliminate"]) if cfg["eliminate"] else None
     ds = load_ipd(cfg["input"])
     alpha = cfg["alpha"]

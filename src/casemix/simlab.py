@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -28,8 +28,8 @@ from ._special import expit
 from .errors import CasemixError
 from .formula import parse
 from .ipd import IpdDataset
-from .transport import (IPW, IPW_STABILIZED, MEASURES, OCR, GridSettings, effect_matrix,
-                        natural_effect, standardized_grid)
+from .transport import (IPW, IPW_STABILIZED, MEASURES, OCR, GridSettings, _cell_order,
+                        _integer, _real, effect_matrix, natural_effect, standardized_grid)
 from .variance import _entropy, attach_covariance, bootstrap_cov, sandwich_cov
 
 GENERIC = "generic"
@@ -74,10 +74,12 @@ class SettingConfig:
             width = 1 + len(self.covariates)
             if any(len(row) != width for row in self.membership):
                 raise ValueError(f"membership rows must have length {width}")
-        elif self.preset not in (1, 2, 3, 4, 5):
+        elif not _integer(self.preset) or self.preset not in (1, 2, 3, 4, 5):
             raise ValueError(f"unknown preset {self.preset!r}")
         if not 0 < self.allocation < 1:
             raise ValueError("allocation must be in (0,1)")
+        if not _integer(self.n_total):
+            raise ValueError(f"n_total must be an integer, not {self.n_total!r}")
         if self.n_total < 2:
             raise ValueError("n_total too small")
         if self.s2_shift not in (S2_SHIFT_INTERCEPT, S2_SHIFT_TREATMENT):
@@ -240,8 +242,7 @@ class OracleTruth:
         }
 
 
-def true_values_oracle(cfg: SettingConfig, runs: int = 5000,
-                       n: Optional[int] = None, seed=0) -> OracleTruth:
+def true_values_oracle(cfg: SettingConfig, runs: int = 5000, seed=0) -> OracleTruth:
     """Plug-in truths: per run, draw covariates and trial labels, average the
     true outcome model over each target population, then average across runs.
     Effects are derived from the averaged probabilities. The draw's rows are
@@ -249,8 +250,6 @@ def true_values_oracle(cfg: SettingConfig, runs: int = 5000,
     model is evaluated on."""
     if runs < 1:
         raise ValueError("need at least one oracle run")
-    if n is not None and n != cfg.n_total:
-        cfg = replace(cfg, n_total=n)
     labels = cfg.labels
     trials = np.array([int(j) for j in labels])
     sums = {(j, k, x): 0.0 for j in labels for k in labels for x in (0, 1)}
@@ -379,7 +378,7 @@ class SimulationReport:
     failures: dict = field(default_factory=dict)
 
     def cell_order(self) -> list:
-        return [(j, k) for j in self.labels for k in self.labels]
+        return _cell_order(self.labels)
 
     def _mean(self, a: np.ndarray) -> float:
         a = a[np.isfinite(a)]
@@ -540,9 +539,17 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
     Failures are recorded per (replication, analysis) and never dropped
     silently; quantities computed before the failure are kept.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    if not _integer(reps) or reps < 1:
+        raise ValueError(f"reps must be an integer of at least 1, not {reps!r}")
+    if not (_integer(bootstrap_b) and (bootstrap_b == 0 or bootstrap_b >= 2)):
+        raise ValueError(f"bootstrap_b must be 0 or an integer of at least 2, "
+                         f"not {bootstrap_b!r}")
+    if not (_real(alpha) and 0 < alpha < 1):
+        raise ValueError(f"alpha must be a number in (0, 1), not {alpha!r}")
+    entropy = _entropy(seed)
     analyses = _resolve_analyses(analyses, cfg)
+    if not analyses:
+        raise ValueError("analyses: need at least one analysis")
     measures = tuple(measures)
     if truth is None:
         truth = true_values_oracle(cfg, runs=oracle_runs, seed=seed)
@@ -553,20 +560,16 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
     raws = {a.name: _Raw(reps, K, len(measures), len(test_names)) for a in analyses}
     failures = {a.name: [] for a in analyses}
 
-    order = [(j, k) for j in labels for k in labels]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for r in range(reps):
-            ds = generate_setting(cfg, _entropy(seed) + [1, r])
+            ds = generate_setting(cfg, entropy + [1, r])
             for an in analyses:
                 raw = raws[an.name]
                 try:
                     grid = standardized_grid(ds, an.settings)
-                    for c, (j, k) in enumerate(order):
-                        for x in (0, 1):
-                            est = grid[(j, k, x)]
-                            raw.probs[r, c, x] = est.prob
-                            raw.oob[r] += int(est.out_of_bounds)
+                    raw.probs[r] = grid.probs
+                    raw.oob[r] = np.count_nonzero(grid.out_of_bounds)
                     matrices = {}
                     for mi, msr in enumerate(measures):
                         m = effect_matrix(grid, msr, collect_errors=True)
@@ -577,7 +580,7 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                     _record_tests(raw, r, 0, measures, matrices, sres, raw.var_snd)
                     if bootstrap_b > 0:
                         bres = bootstrap_cov(grid, measures, B=bootstrap_b,
-                                             seed=_entropy(seed) + [2, r])
+                                             seed=entropy + [2, r])
                         _record_tests(raw, r, 1, measures, matrices, bres, raw.var_boot)
                 except (CasemixError, np.linalg.LinAlgError) as e:
                     # a failed fit, grid or covariance fails this replication

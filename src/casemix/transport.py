@@ -16,6 +16,12 @@ settings, every design the cells and the sandwich (`variance.build_system`)
 evaluate, and the per-trial layer that the cells, the sandwich and the
 bootstrap all read: each trial's rows and its arm indicators and arm
 outcomes. No number therefore depends on how the trials' rows interleave.
+The grid also keeps the kernel's read-only [cell, arm] probability array,
+`FittedGrid.probs`, and each IPW cell's weight summary,
+`FittedGrid.diagnostics`: `effect_matrix` computes every cell's effect from
+that array in one call per measure, and the sandwich and replication studies
+read the same two attributes. `grid[(j, k, x)]` is one cell's probability at
+one arm, with its weight summary and out-of-bounds flag.
 
 The cell arithmetic is written once, in `CountCells`: each cell as a sum
 over the grid's designs weighted by per-row counts, for a block of bootstrap
@@ -76,6 +82,11 @@ POSITIVITY_THRESHOLD = 200.0
 def _real(value) -> bool:
     """A real number, not a bool (which Python counts as one)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    """An integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -175,11 +186,8 @@ class WeightDiagnostics:
 
 @dataclass
 class StandardizedEstimate:
-    source_k: str
-    target_j: str
-    arm_x: int
+    """One cell's probability at one arm: `grid[(j, k, x)]`."""
     prob: float
-    method: str
     weights_summary: Optional[WeightDiagnostics] = None
     out_of_bounds: bool = False
 
@@ -318,33 +326,17 @@ def to_natural(measure: str, t):
     return math.exp(t) if measure.lower() in LOG_MEASURES else t
 
 
-def effect(p1: StandardizedEstimate, p0: StandardizedEstimate, measure: str) -> EffectEstimate:
-    """Combine the two arm probabilities of one (j,k) cell into an effect measure."""
-    a, b = p1.prob, p0.prob
-    t = float(effect_transform(measure, a, b)[0])
-    measure = measure.lower()
-    if (p1.source_k, p1.target_j, p1.method) != (p0.source_k, p0.target_j, p0.method):
-        raise ValueError("arm estimates come from different cells")
-    if p1.arm_x != 1 or p0.arm_x != 0:
-        raise ValueError("expected the treat=1 estimate first and treat=0 second")
-    j, k = p1.target_j, p1.source_k
-    if np.isnan(t):
-        raise UndefinedMeasure(f"{measure.upper()}({j},{k}) undefined: "
-                               f"probabilities ({a:.4g}, {b:.4g})")
-    return EffectEstimate(measure=measure, j=j, k=k, point=float(natural_effect(measure, a, b)),
-                          transformed_point=t, prob1=a, prob0=b)
-
-
-def _undefined_cell(measure, j, k, p1, p0, msg) -> EffectEstimate:
-    return EffectEstimate(measure=measure, j=j, k=k, point=float("nan"),
-                          transformed_point=float("nan"), prob1=p1, prob0=p0,
-                          defined=False, note=msg)
-
-
 class FittedGrid(dict):
     """The standardized probabilities keyed (target_j, source_k, arm_x), with
     the dataset, the fitted models and designs they came from and the
     `settings` they were built with. `standardized_grid` builds it.
+
+    `probs` is the kernel's read-only [cell, arm] array of every probability,
+    cells in row-major (j, k) order and arms 0 and 1; `diagnostics` maps each
+    cell (j, k) of an IPW grid to the summary of its weights (unit weights on
+    the diagonal) and is empty for OCR. The effect matrices, the sandwich and
+    replication studies read these two; `grid[(j, k, x)]` holds the same
+    probability and summary for one cell and arm.
 
     Everything downstream (effect matrices, sandwich, bootstrap) reads the
     grid, so the points and their covariance come from one set of fits and
@@ -365,6 +357,14 @@ class FittedGrid(dict):
         self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
         self.membership_fits: dict = {}  # trial numbers, ascending -> FittedMultinomial
         self._designs: dict = {}        # (formula, label, x, kept) -> design
+        self.probs: Optional[np.ndarray] = None     # [cell, arm], set by standardized_grid
+        self.diagnostics: dict = {}     # (j, k) -> WeightDiagnostics, IPW only
+
+    @property
+    def out_of_bounds(self) -> np.ndarray:
+        """[cell, arm] flags of the probabilities outside [0, 1], which only
+        unstabilized IPW gives: flagged, never clamped."""
+        return (self.settings.method == IPW) & ~((0.0 <= self.probs) & (self.probs <= 1.0))
 
     def outcome_formula_for(self, j, k) -> ModelFormula:
         return self.settings.overrides.get((j, k), self.settings.outcome_formula)
@@ -568,41 +568,46 @@ def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
         raise ValueError("transport needs at least two studies")
     out = FittedGrid(ds, settings)
     kernel = CountCells(out)
-    probs = kernel.cells({lab: np.broadcast_to(1.0, (1, len(r)))
-                          for lab, r in out.rows.items()})[0]
-    method = settings.method
-    for c, (j, k) in enumerate(_cell_order(ds.studies)):
-        diag = None
-        if method != OCR:
-            diag = kernel.diagnostics.get((j, k)) or WeightDiagnostics.unit(
-                len(out.rows[k]), threshold=settings.positivity_threshold)
+    out.probs = kernel.cells({lab: np.broadcast_to(1.0, (1, len(r)))
+                              for lab, r in out.rows.items()})[0]
+    out.probs.flags.writeable = False
+    order = _cell_order(ds.studies)
+    if settings.method != OCR:
+        out.diagnostics = {(j, k): kernel.diagnostics.get((j, k)) or WeightDiagnostics.unit(
+            len(out.rows[k]), threshold=settings.positivity_threshold) for j, k in order}
+    oob = out.out_of_bounds
+    for c, (j, k) in enumerate(order):
         for x in (0, 1):
-            p = float(probs[c, x])      # flagged, never clamped, when it leaves [0, 1]
             out[(j, k, x)] = StandardizedEstimate(
-                source_k=str(k), target_j=str(j), arm_x=x, prob=p, method=method,
-                weights_summary=diag, out_of_bounds=method == IPW and not 0.0 <= p <= 1.0)
+                prob=float(out.probs[c, x]), weights_summary=out.diagnostics.get((j, k)),
+                out_of_bounds=bool(oob[c, x]))
     return out
 
 
 def effect_matrix(grid: FittedGrid, measure: str = "rr",
                   collect_errors: bool = False) -> EffectMatrix:
-    """The K x K grid of effect estimates (target row j, source column k)."""
-    labels = grid.ds.studies
+    """The K x K grid of effect estimates (target row j, source column k),
+    every cell from the grid's probability array at once. A cell whose
+    measure is undefined raises `UndefinedMeasure`, or with `collect_errors`
+    is kept with NaN points, `defined` False and the error's text as `note`."""
+    p0, p1 = grid.probs.T
+    t = effect_transform(measure, p1, p0)[0]
+    measure = measure.lower()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = np.where(np.isnan(t), np.nan, natural_effect(measure, p1, p0))
     cells = {}
-    diagnostics = {}
-    for j in labels:
-        for k in labels:
-            p1, p0 = grid[(j, k, 1)], grid[(j, k, 0)]
-            if p1.weights_summary is not None:
-                diagnostics[(j, k)] = p1.weights_summary
-            try:
-                cells[(j, k)] = effect(p1, p0, measure)
-            except UndefinedMeasure as e:
-                if not collect_errors:
-                    raise
-                cells[(j, k)] = _undefined_cell(measure, j, k, p1.prob, p0.prob, str(e))
-    return EffectMatrix(measure=measure.lower(), labels=labels, cells=cells,
-                        method=grid.settings.method, diagnostics=diagnostics)
+    for c, (j, k) in enumerate(_cell_order(grid.ds.studies)):
+        a, b = float(p1[c]), float(p0[c])
+        note = ""
+        if np.isnan(t[c]):
+            note = f"{measure.upper()}({j},{k}) undefined: probabilities ({a:.4g}, {b:.4g})"
+            if not collect_errors:
+                raise UndefinedMeasure(note)
+        cells[(j, k)] = EffectEstimate(measure=measure, j=j, k=k, point=float(point[c]),
+                                       transformed_point=float(t[c]), prob1=a, prob0=b,
+                                       defined=not note, note=note)
+    return EffectMatrix(measure=measure, labels=grid.ds.studies, cells=cells,
+                        method=grid.settings.method, diagnostics=dict(grid.diagnostics))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ from .transport import (
     CountCells,
     FittedGrid,
     _cell_order,
+    _integer,
     effect_transform,
     membership_columns,
     membership_eta,
@@ -311,14 +312,13 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
             fit_slices[(k, form)] = push(fit.coef)
             components.append(_LogitScore(k, rows[k], grid.design(form, k, fit.kept),
                                           fit_slices[(k, form)], 0, ds.outcome[rows[k]]))
-        for j in labels:
-            for k in labels:
-                form = grid.outcome_formula_for(j, k)
-                kept = grid.outcome_fits[(k, form)].kept
-                for x in (0, 1):
-                    prob_rows[(j, k, x)] = row = push(grid[(j, k, x)].prob).start
-                    components.append(_OcrProb(j, rows[j], grid.design(form, j, kept, x),
-                                               fit_slices[(k, form)], row))
+        for c, (j, k) in enumerate(_cell_order(labels)):
+            form = grid.outcome_formula_for(j, k)
+            kept = grid.outcome_fits[(k, form)].kept
+            for x in (0, 1):
+                prob_rows[(j, k, x)] = row = push(grid.probs[c, x]).start
+                components.append(_OcrProb(j, rows[j], grid.design(form, j, kept, x),
+                                           fit_slices[(k, form)], row))
     else:
         stabilized = method == IPW_STABILIZED
         gamma: dict = {}                # id of a membership fit -> its theta slice
@@ -333,21 +333,19 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         pi_rows = {} if stabilized else {k: push(np.mean(treated[k])).start for k in labels}
         components += [_Centering(k, rows[k], [r], treated[k]) for k, r in pi_rows.items()]
 
-        for j in labels:
-            for k in labels:
-                weight = None
-                if j != k:
-                    fit = grid.membership_fit(j, k)
-                    kept, j_col, k_col = membership_columns(fit, ds, j, k)
-                    weight = (grid.design(ps_formula, k, kept), gamma[id(fit)], j_col,
-                              k_col, grid.settings.expit_weight,
-                              grid[(j, k, 1)].weights_summary.truncated_at)
-                cols = [push(grid[(j, k, x)].prob).start for x in (0, 1)]
-                prob_rows.update({(j, k, 0): cols[0], (j, k, 1): cols[1]})
-                components.append(_IpwCell(k, rows[k], *grid.arms[k], cols, pi_rows.get(k),
-                                           weight))
-                if not stabilized:
-                    components.append(_Centering(j, rows[j], cols))
+        for c, (j, k) in enumerate(_cell_order(labels)):
+            weight = None
+            if j != k:
+                fit = grid.membership_fit(j, k)
+                kept, j_col, k_col = membership_columns(fit, ds, j, k)
+                weight = (grid.design(ps_formula, k, kept), gamma[id(fit)], j_col, k_col,
+                          grid.settings.expit_weight, grid.diagnostics[(j, k)].truncated_at)
+            cols = [push(p).start for p in grid.probs[c]]     # arm 0, then arm 1
+            prob_rows.update({(j, k, 0): cols[0], (j, k, 1): cols[1]})
+            components.append(_IpwCell(k, rows[k], *grid.arms[k], cols, pi_rows.get(k),
+                                       weight))
+            if not stabilized:
+                components.append(_Centering(j, rows[j], cols))
 
     theta = np.concatenate(theta_parts)
     return EstimatingSystem(theta=theta, components=components, n=ds.n,
@@ -368,8 +366,8 @@ def sandwich_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES) -> Covari
     measure by the delta method."""
     labels = grid.ds.studies
     order = _cell_order(labels)
-    p1, p0 = (np.array([grid[(j, k, x)].prob for j, k in order]) for x in (1, 0))
-    jacobians = {msr.lower(): effect_transform(msr, p1, p0)[1:] for msr in measures}
+    jacobians = {msr.lower(): effect_transform(msr, grid.probs[:, 1], grid.probs[:, 0])[1:]
+                 for msr in measures}
     system = build_system(grid)
     rows = [system.prob_rows[(j, k, x)] for x in (1, 0) for j, k in order]
     S_p = system.sandwich()[np.ix_(rows, rows)]
@@ -411,6 +409,7 @@ def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int =
     K = len(labels)
     order = _cell_order(labels)
     replicates = _CountReplicates(grid)
+    entropy = _entropy(seed)
 
     probs = np.full((B, K * K, 2), np.nan)  # [replicate, cell, arm]
     failures: Counter = Counter()
@@ -418,7 +417,7 @@ def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int =
     for start in range(0, B, replicates.block):
         drawn = []
         for b in range(start, min(B, start + replicates.block)):
-            rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed) + [b]))
+            rng = np.random.default_rng(np.random.SeedSequence(entropy + [b]))
             if _indices is not None:
                 idx = np.asarray(_indices(b, rng, ds.study_rows))
             else:
@@ -529,9 +528,13 @@ class _CountReplicates(CountCells):
 
 
 def _entropy(seed) -> list:
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
+    """A seed, a non-negative integer or a sequence of them, as a
+    SeedSequence's entropy."""
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    if not all(_integer(s) and s >= 0 for s in seeds):
+        raise ValueError("seed must be a non-negative integer or a sequence of them, "
+                         f"not {seed!r}")
+    return [int(s) for s in seeds]
 
 
 def attach_covariance(matrix, result: CovarianceResult) -> None:

@@ -193,6 +193,10 @@ def test_analyze_ocr_rejects_an_invalid_truncation(enum_csv, capsys):
      "membership models cannot reference treat"),
     (["transport", "--target", "1", "--source", "2", "--arm", "1", "--method", "ipw"],
      "IPW needs a membership formula"),
+    (["analyze", *OCR_ARGS, "--alpha", "7"], "--alpha must be in (0, 1), not 7.0"),
+    (["analyze", *OCR_ARGS, "--alpha", "nan"], "--alpha must be in (0, 1), not nan"),
+    (["analyze", *OCR_ARGS, "--variance", "bootstrap", "--bootstrap-b", "1"],
+     "--bootstrap-b must be at least 2, not 1"),
 ])
 def test_settings_are_checked_before_the_data_is_loaded(monkeypatch, capsys, args, msg):
     def load_ipd(*a, **kw):
@@ -275,6 +279,21 @@ def test_every_numeric_csv_field_parses_as_a_float(enum_csv, three_trial_ds, tmp
                 float(text)
             except ValueError:
                 pytest.fail(f"{name} {column}: {text!r}")
+
+
+@pytest.mark.parametrize("args,msg", [
+    (["--analyses", ","], "analyses: need at least one analysis"),
+    (["--alpha", "7"], "alpha must be a number in (0, 1), not 7.0"),
+    (["--bootstrap-b", "1"], "bootstrap_b must be 0 or an integer of at least 2, not 1"),
+    (["--bootstrap-b", "-5"], "bootstrap_b must be 0 or an integer of at least 2, not -5"),
+])
+def test_simulate_rejects_a_bad_value_before_it_runs(tmp_path, capsys, args, msg):
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "--preset", "1", "--seed", "1", "--reps", "1",
+                   "--oracle-runs", "5", "--out", str(out), *args])
+    assert rc == 1
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_requires_seed(capsys):

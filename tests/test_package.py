@@ -1,5 +1,6 @@
 """The package's public names and what importing it loads."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import casemix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-REMOVED = ("ocr_standardized_prob", "ipw_standardized_prob", "density_ratio_weights",
+REMOVED = ("ocr_standardized_prob", "ipw_standardized_prob", "density_ratio_weights", "effect",
            "EmptyArm", "EmptyTarget", "ConditionNumberWarning", "IpdRecord", "predict_prob")
 REMOVED_MEMBERS = {casemix.IpdDataset: ("from_records",),
                    casemix.FittedMultinomial: ("predict", "linear_predictors",
@@ -176,3 +177,35 @@ def test_src_lines_lists_every_module_and_sums_them():
         assert 0 < int(code) <= int(physical)
     assert total[0] == "total"
     assert [int(v) for v in total[1:]] == [sum(int(row[i]) for row in rows) for i in (1, 2)]
+
+
+def test_same_outputs_passes_one_tree_against_itself_and_names_a_changed_byte(tmp_path):
+    work = tmp_path / "work"
+    r = subprocess.run([sys.executable, str(ROOT / "tools" / "same_outputs.py"), str(ROOT),
+                        str(ROOT), "--smoke", "--work", str(work)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stdout + r.stderr[-2000:]
+    assert r.stdout.strip().endswith("byte-identical")
+    old, new = work / "old", work / "new"
+    exits = sorted(p.name for p in new.glob("*.exit"))
+    assert exits == sorted(f"{kind}-seed{s}.exit" for s in (0, 1) for kind in (
+        "analyze-ocr-k5", "analyze-ipw-k10", "bootstrap", "simulate-boot",
+        "transport-analyze-ocr-k5", "transport-analyze-ipw-k10"))
+    assert all(p.read_text() == "0\n" for p in new.glob("*.exit"))
+
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  ROOT / "tools" / "same_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.differences(str(old), str(new)) == []
+    effects = new / "analyze-ocr-k5-seed0" / "effects.csv"
+    data = bytearray(effects.read_bytes())
+    data[-2] ^= 1                       # one bit of one byte
+    effects.write_bytes(bytes(data))
+    (old / "bootstrap-seed1" / "extra.txt").write_text("x")
+    (new / "simulate-boot-seed0.exit").write_text("1\n")
+    assert tool.differences(str(old), str(new)) == [
+        "only in old: bootstrap-seed1/extra.txt",
+        "differs: analyze-ocr-k5-seed0/effects.csv",
+        "differs: simulate-boot-seed0.exit"]
+    assert tool.failures(str(new)) == ["failed: simulate-boot-seed0 (exit 1)"]

@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -290,3 +291,41 @@ def test_analysis_describe_is_the_settings_description():
                                           ps_mode="pairwise", positivity_threshold=50.0))
     assert pairwise.describe() == {"name": "P", "method": IPW, "ps_formula": "study ~ 1 + L",
                                    "ps_mode": "pairwise", "positivity_threshold": 50.0}
+
+
+@pytest.mark.parametrize("kw,msg", [
+    ({"preset": True}, "unknown preset True"),
+    ({"preset": 1.0}, "unknown preset 1.0"),
+    ({"preset": 1, "n_total": 1500.0}, "n_total must be an integer, not 1500.0"),
+    ({"preset": 1, "n_total": 2.5}, "n_total must be an integer, not 2.5"),
+    ({"preset": 1, "n_total": True}, "n_total must be an integer, not True"),
+])
+def test_setting_config_rejects_a_bool_or_a_non_integral_value(kw, msg):
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        SettingConfig(**kw)
+
+
+@pytest.mark.parametrize("kw,msg", [
+    ({"seed": 1.5}, "seed must be a non-negative integer"),
+    ({"seed": True}, "seed must be a non-negative integer"),
+    ({"seed": [1, 2.5]}, "seed must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer or a sequence of them, not -1"),
+    ({"reps": 2.5}, "reps must be an integer of at least 1, not 2.5"),
+    ({"reps": 0}, "reps must be an integer of at least 1, not 0"),
+    ({"bootstrap_b": -5}, "bootstrap_b must be 0 or an integer of at least 2, not -5"),
+    ({"bootstrap_b": 1}, "bootstrap_b must be 0 or an integer of at least 2, not 1"),
+    ({"bootstrap_b": 2.0}, "bootstrap_b must be 0 or an integer of at least 2, not 2.0"),
+    ({"alpha": 7}, "alpha must be a number in (0, 1), not 7"),
+    ({"alpha": 0.0}, "alpha must be a number in (0, 1), not 0.0"),
+    ({"alpha": True}, "alpha must be a number in (0, 1), not True"),
+    ({"analyses": []}, "analyses: need at least one analysis"),
+])
+def test_run_study_checks_its_arguments_before_the_oracle(monkeypatch, kw, msg):
+    monkeypatch.setattr(simlab, "true_values_oracle", _no_oracle)
+    args = {"analyses": ["OCR1"], "reps": 2, "seed": 3, "bootstrap_b": 0, **kw}
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        run_study(preset_config(1), **args)
+
+
+def test_oracle_takes_its_size_from_the_setting():
+    assert "n" not in inspect.signature(true_values_oracle).parameters

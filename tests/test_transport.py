@@ -1,18 +1,20 @@
 import re
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from casemix.errors import (DivisionByZero, InvalidFormula, PositivityWarning,
-                            UndefinedMeasure)
-from casemix import glm
+from casemix.errors import (CasemixError, DivisionByZero, InvalidFormula,
+                            PositivityWarning, UndefinedMeasure)
+from casemix import glm, transport
 from casemix.formula import parse
 from casemix.transport import (
-    IPW, IPW_STABILIZED, OCR, GridSettings, StandardizedEstimate, WeightDiagnostics,
-    common_control_check, effect, effect_matrix, effect_transform, membership_columns,
-    membership_eta, standardized_grid, transport_weight)
+    IPW, IPW_STABILIZED, MEASURES, METHODS, OCR, GridSettings, StandardizedEstimate,
+    WeightDiagnostics, common_control_check, effect_matrix, effect_transform,
+    membership_columns, membership_eta, natural_effect, standardized_grid, transport_weight)
 
 from conftest import (ENUM_GRID, ENUM_OR, ENUM_RD, ENUM_RR, cell, continuous_ds,
                       dataset_from_cells)
@@ -38,9 +40,27 @@ def test_grid_matches_enumeration(enum_ds, method):
 def test_grid_estimate_metadata(enum_ds):
     grid = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))
     est = grid[("1", "2", 1)]
-    assert (est.target_j, est.source_k, est.arm_x) == ("1", "2", 1)
-    assert est.method == IPW
     assert isinstance(est.weights_summary, WeightDiagnostics)
+    assert est.weights_summary is grid.diagnostics[("1", "2")]
+
+
+def test_estimate_holds_its_probability_weights_and_bounds_flag_only():
+    assert [f.name for f in fields(StandardizedEstimate)] == [
+        "prob", "weights_summary", "out_of_bounds"]
+
+
+def test_grid_keeps_its_probability_array_and_cell_diagnostics(enum_ds):
+    grid = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))
+    assert grid.probs.shape == (4, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.probs[0, 0] = 0.5
+    order = [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+    assert list(grid.diagnostics) == order
+    for j, k in order:
+        assert grid[(j, k, 0)].weights_summary is grid.diagnostics[(j, k)]
+    ocr = standardized_grid(enum_ds, GridSettings(OCR, outcome_formula=OUTCOME))
+    assert ocr.diagnostics == {}
+    assert effect_matrix(ocr, "rr").diagnostics == {}
 
 
 def test_diagonal_uses_unit_weights(enum_ds):
@@ -142,12 +162,10 @@ def test_unstabilized_can_leave_unit_interval(oob_ds):
     assert est1.out_of_bounds
     assert est0.prob == pytest.approx(0.45, abs=1e-8)
     assert not est0.out_of_bounds
-    rr = effect(est1, est0, "rr")
-    assert rr.point == pytest.approx(3.0, abs=1e-7)
-    rd = effect(est1, est0, "rd")
-    assert rd.point == pytest.approx(0.9, abs=1e-8)
-    with pytest.raises(UndefinedMeasure, match="OR"):
-        effect(est1, est0, "or")
+    assert effect_matrix(grid, "rr").cells[("1", "2")].point == pytest.approx(3.0, abs=1e-7)
+    assert effect_matrix(grid, "rd").cells[("1", "2")].point == pytest.approx(0.9, abs=1e-8)
+    with pytest.raises(UndefinedMeasure, match=re.escape("OR(1,2)")):
+        effect_matrix(grid, "or")
 
 
 def test_stabilized_always_in_bounds(oob_ds):
@@ -219,29 +237,102 @@ def test_three_study_default_mode_is_multinomial(three_trial_ds):
         assert grid[key].prob == pytest.approx(multi[key].prob, abs=1e-12)
 
 
-def _arm(j, k, x, p, method=OCR):
-    return StandardizedEstimate(source_k=k, target_j=j, arm_x=x, prob=p,
-                                method=method)
+def _edge_dataset():
+    """Trial 2's treated all have the event and its controls none, so under
+    stabilized IPW every cell (j, 2) holds p1 = 1 and p0 = 0 exactly."""
+    return dataset_from_cells([
+        cell("1", 0, 1, 100, 50), cell("1", 0, 0, 100, 50),
+        cell("1", 1, 1, 100, 50), cell("1", 1, 0, 100, 40),
+        cell("2", 0, 1, 300, 300), cell("2", 0, 0, 300, 0),
+        cell("2", 1, 1, 100, 100), cell("2", 1, 0, 100, 0),
+    ])
 
 
-def test_effect_validates_cells_and_arms():
-    with pytest.raises(ValueError, match="different cells"):
-        effect(_arm("1", "2", 1, 0.4), _arm("2", "2", 0, 0.3), "rr")
-    with pytest.raises(ValueError, match="different cells"):
-        effect(_arm("1", "2", 1, 0.4), _arm("1", "2", 0, 0.3, method=IPW), "rr")
-    with pytest.raises(ValueError, match="treat=1 estimate first"):
-        effect(_arm("1", "2", 0, 0.3), _arm("1", "2", 1, 0.4), "rr")
-    with pytest.raises(ValueError, match="unknown measure"):
-        effect(_arm("1", "2", 1, 0.4), _arm("1", "2", 0, 0.3), "hr")
+def test_effect_matrix_rejects_an_unknown_measure(enum_ds):
+    grid = standardized_grid(enum_ds, GridSettings(OCR, outcome_formula=OUTCOME))
+    with pytest.raises(ValueError, match="unknown measure 'hr'"):
+        effect_matrix(grid, "hr")
 
 
 def test_effect_undefined_edges():
-    with pytest.raises(UndefinedMeasure, match="RR"):
-        effect(_arm("1", "2", 1, 0.4), _arm("1", "2", 0, 0.0), "rr")
-    with pytest.raises(UndefinedMeasure, match="OR"):
-        effect(_arm("1", "2", 1, 1.0), _arm("1", "2", 0, 0.3), "or")
-    rd = effect(_arm("1", "2", 1, 1.0), _arm("1", "2", 0, 0.0), "rd")
-    assert rd.point == 1.0
+    grid = standardized_grid(_edge_dataset(), GridSettings(IPW_STABILIZED, ps_formula=PS))
+    assert (grid[("1", "2", 1)].prob, grid[("1", "2", 0)].prob) == (1.0, 0.0)
+    with pytest.raises(UndefinedMeasure, match=re.escape("RR(1,2) undefined: "
+                                                         "probabilities (1, 0)")):
+        effect_matrix(grid, "rr")
+    with pytest.raises(UndefinedMeasure, match=re.escape("OR(1,2)")):
+        effect_matrix(grid, "or")
+    rd = effect_matrix(grid, "rd")
+    assert rd.cells[("1", "2")].point == 1.0 and rd.cells[("2", "2")].point == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # p0 = 0 divides by zero nowhere visible
+        for measure in ("rr", "or"):
+            mat = effect_matrix(grid, measure, collect_errors=True)
+            assert [jk for jk, c in mat.cells.items() if not c.defined] == [
+                ("1", "2"), ("2", "2")]
+            assert mat.cells[("1", "1")].defined
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _cell_counts(n):
+    return st.one_of(st.just(0), st.just(n), st.integers(0, n)).map(lambda s: (n, s))
+
+
+_TRIAL_CELLS = st.lists(st.integers(4, 12).flatmap(_cell_counts), min_size=4, max_size=4)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(trials=st.lists(_TRIAL_CELLS, min_size=2, max_size=3), method=st.sampled_from(METHODS))
+def test_effects_come_bit_for_bit_from_the_grid_array(trials, method):
+    # each trial: (n, successes) of its (L, arm) cells; an arm with no events
+    # or only events gives a probability of exactly 0 or 1 under IPW
+    ds = dataset_from_cells([cell(str(t + 1), i // 2, i % 2, n, s)
+                             for t, cells in enumerate(trials)
+                             for i, (n, s) in enumerate(cells)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            grid = standardized_grid(ds, GridSettings(method, outcome_formula=OUTCOME,
+                                                      ps_formula=PS))
+        except CasemixError:
+            assume(False)
+    order = [(j, k) for j in ds.studies for k in ds.studies]
+    for c, (j, k) in enumerate(order):
+        for x in (0, 1):
+            assert _bits(grid[(j, k, x)].prob) == _bits(grid.probs[c, x])
+            assert grid[(j, k, x)].out_of_bounds == bool(grid.out_of_bounds[c, x])
+    for measure in MEASURES:
+        mat = effect_matrix(grid, measure, collect_errors=True)
+        for c, jk in enumerate(order):
+            p1, p0 = float(grid.probs[c, 1]), float(grid.probs[c, 0])
+            got = mat.cells[jk]
+            assert (_bits(got.prob1), _bits(got.prob0)) == (_bits(p1), _bits(p0))
+            t = float(effect_transform(measure, p1, p0)[0])
+            if np.isnan(t):
+                assert not got.defined and np.isnan(got.point)
+                assert np.isnan(got.transformed_point)
+            else:
+                assert got.defined
+                assert _bits(got.transformed_point) == _bits(t)
+                assert _bits(got.point) == _bits(natural_effect(measure, p1, p0))
+
+
+def test_effect_matrix_makes_one_effect_transform_call(monkeypatch, three_trial_ds):
+    grid = standardized_grid(three_trial_ds, GridSettings(OCR, outcome_formula=OUTCOME))
+    calls = []
+    real = transport.effect_transform
+
+    def counted(measure, p1, p0):
+        calls.append(measure)
+        return real(measure, p1, p0)
+
+    monkeypatch.setattr(transport, "effect_transform", counted)
+    for measure in MEASURES:
+        effect_matrix(grid, measure)
+    assert calls == list(MEASURES)
 
 
 @pytest.mark.parametrize("measure", ["rr", "or", "rd"])
