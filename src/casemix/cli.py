@@ -235,6 +235,8 @@ def cmd_analyze(cfg: dict) -> int:
         raise ValueError(f"--alpha must be in (0, 1), not {cfg['alpha']}")
     if cfg["variance"] == "bootstrap" and cfg["bootstrap_b"] < 2:
         raise ValueError(f"--bootstrap-b must be at least 2, not {cfg['bootstrap_b']}")
+    if cfg["variance"] == "bootstrap" and cfg["seed"] < 0:
+        raise ValueError(f"--seed must be a non-negative integer, not {cfg['seed']}")
     candidates = _candidate_terms(cfg["eliminate"]) if cfg["eliminate"] else None
     ds = load_ipd(cfg["input"])
     alpha = cfg["alpha"]

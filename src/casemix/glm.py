@@ -93,14 +93,17 @@ def nonref_softmax(eta: np.ndarray) -> tuple:
     (the reference category's predictor is 0), categories on axis 1: n x C,
     or A x C x n for A coefficient sets, which give n, or A x n,
     log-partitions. The probabilities are written over `eta`. C > 1 takes
-    one exp per entry; the logistic model, C = 1, one e^-|eta| per entry."""
+    one exp per entry; the logistic model, C = 1, one e^-|eta| per entry,
+    with no temporary besides e^-|eta|, the log-partitions and a sign mask."""
     if eta.shape[1] == 1:
-        e = np.exp(-np.abs(eta))
+        nonneg = eta >= 0.0
+        e = np.abs(eta)
+        np.exp(np.negative(e, out=e), out=e)
         lse = np.log1p(e)
-        lse += np.maximum(eta, 0.0)
+        lse += np.maximum(eta, 0.0, out=eta)
         # e^-|eta| is at most 1 where eta >= 0 and at least 0 elsewhere: the
         # maximum with the sign indicator is the numerator without a branch
-        P = np.maximum(e, eta >= 0.0, out=eta)
+        P = np.maximum(e, nonneg, out=eta)
         e += 1.0
         P /= e
     else:
@@ -440,9 +443,10 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray,
     Yt = np.ascontiguousarray(Y.T)
     for kept, reps in groups.items():
         reps = np.array(reps)
-        coef, _, converged, _, separated, _ = _newton(
+        coef, _, converged, _, separated, _ = _newton(   # no copy of X or W in one group
             np.repeat(start[None][:, :, kept], len(reps), axis=0),
-            *_count_kernels(X[:, kept], Yt, W[reps], XX if len(kept) == p else None),
+            *_count_kernels(keep_columns(X, kept), Yt, W if len(reps) == B else W[reps],
+                            XX if len(kept) == p else None),
             NEWTON_TOL, NEWTON_MAX_ITER)
         out.coef[np.ix_(reps, range(C), kept)] = coef
         out.converged[reps], out.separated[reps] = converged, separated

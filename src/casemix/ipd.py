@@ -15,6 +15,7 @@ import io
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,7 +61,9 @@ class IpdDataset:
 
     `study_idx` is the dense 0-based index aligned with `study_labels`;
     `cov` is the n x d covariate matrix in schema order; `study_rows[i]` holds
-    the ascending row indices of study i.
+    the ascending row indices of study i. Every array is read-only. The
+    per-study masks and rows are built on first use, so a dataset that is
+    only validated (a bootstrap draw, through `subset`) indexes nothing.
     """
 
     def __init__(self, schema: CovariateSchema, study_labels: Sequence[str],
@@ -75,15 +78,26 @@ class IpdDataset:
         self.cov = np.array(cov, dtype=float)
         self._validate()
         self._number = {label: i for i, label in enumerate(self.study_labels)}
-        self._index()
+        self._freeze()
 
-    def _index(self):
-        """Cache each study's mask and rows, and freeze every array."""
-        self._masks = self.study_idx == np.arange(self.K)[:, None]
-        self.study_rows = tuple(np.flatnonzero(m) for m in self._masks)
-        for a in (self.study_idx, self.treat, self.outcome, self.cov, self._masks,
-                  *self.study_rows):
+    def _freeze(self):
+        for a in (self.study_idx, self.treat, self.outcome, self.cov):
             a.setflags(write=False)
+
+    @cached_property
+    def _masks(self) -> np.ndarray:
+        """K x n read-only row masks of the studies, built on first use."""
+        masks = self.study_idx == np.arange(self.K)[:, None]
+        masks.setflags(write=False)
+        return masks
+
+    @cached_property
+    def study_rows(self) -> tuple:
+        """Read-only ascending row indices of each study, built on first use."""
+        rows = tuple(np.flatnonzero(m) for m in self._masks)
+        for r in rows:
+            r.setflags(write=False)
+        return rows
 
     def _validate(self):
         n = len(self.study_idx)
@@ -162,7 +176,7 @@ class IpdDataset:
         sub.study_idx, sub.treat = self.study_idx[row_mask], self.treat[row_mask]
         sub.outcome, sub.cov = self.outcome[row_mask], self.cov[row_mask]
         sub._validate_rows()
-        sub._index()
+        sub._freeze()
         return sub
 
 

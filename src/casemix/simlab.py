@@ -29,8 +29,10 @@ from .errors import CasemixError
 from .formula import parse
 from .ipd import IpdDataset
 from .transport import (IPW, IPW_STABILIZED, MEASURES, OCR, GridSettings, _cell_order,
-                        _integer, _real, effect_matrix, natural_effect, standardized_grid)
-from .variance import _entropy, attach_covariance, bootstrap_cov, sandwich_cov
+                        _integer, _real, effect_matrix, effect_transform, natural_effect,
+                        standardized_grid)
+from .variance import (_entropy, attach_covariance, bootstrap_cov, draw_replicates,
+                       sandwich_cov)
 
 GENERIC = "generic"
 
@@ -535,7 +537,8 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
 
     Per replication and analysis: the full standardized grid, effect matrices
     for each measure, the sandwich covariance, a stratified bootstrap when
-    bootstrap_b > 0, and all heterogeneity tests under each covariance.
+    bootstrap_b > 0, and all heterogeneity tests under each covariance. The
+    replication's bootstrap draws are made once and read by every analysis.
     Failures are recorded per (replication, analysis) and never dropped
     silently; quantities computed before the failure are kept.
     """
@@ -551,6 +554,8 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
     if not analyses:
         raise ValueError("analyses: need at least one analysis")
     measures = tuple(measures)
+    for msr in measures:                # unknown measures fail before the oracle
+        effect_transform(msr, 0.5, 0.5)
     if truth is None:
         truth = true_values_oracle(cfg, runs=oracle_runs, seed=seed)
     labels = cfg.labels
@@ -564,6 +569,9 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
         warnings.simplefilter("ignore")
         for r in range(reps):
             ds = generate_setting(cfg, entropy + [1, r])
+            # every analysis's bootstrap reads the replication's one set of draws
+            draws = (draw_replicates(ds, bootstrap_b, entropy + [2, r]) if bootstrap_b > 0
+                     else None)
             for an in analyses:
                 raw = raws[an.name]
                 try:
@@ -580,7 +588,7 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                     _record_tests(raw, r, 0, measures, matrices, sres, raw.var_snd)
                     if bootstrap_b > 0:
                         bres = bootstrap_cov(grid, measures, B=bootstrap_b,
-                                             seed=entropy + [2, r])
+                                             seed=entropy + [2, r], draws=draws)
                         _record_tests(raw, r, 1, measures, matrices, bres, raw.var_boot)
                 except (CasemixError, np.linalg.LinAlgError) as e:
                     # a failed fit, grid or covariance fails this replication

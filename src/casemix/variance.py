@@ -32,7 +32,11 @@ grid: it turns each draw into per-row counts, refits the grid's models on
 the grid's own designs, on the rows each grid fit read and in their order,
 and computes the cells with `transport.CountCells`,
 the kernel the grid runs as its one replicate of unit counts, for a block
-of replicates at a time.
+of replicates at a time. The blocks are the fewest of equal size (give or
+take one) under `_BLOCK_CELLS`, and each block's and each trial's counts are
+views of one count array whose columns run in trial order. A replication
+study draws its replicates once (`draw_replicates`) and every analysis of
+the dataset reads those draws; a lone call draws one block at a time.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .glm import (
     multinomial_information,
     nonref_softmax,
 )
+from .ipd import IpdDataset
 from .transport import (
     IPW_STABILIZED,
     MEASURES,
@@ -385,21 +390,75 @@ def sandwich_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES) -> Covari
                             bread_condition=system.bread_condition)
 
 
-# replicates x rows x categories of one replicate block (128 KB per array):
-# smaller blocks pay more per-block overhead, larger ones gain no speed and
-# raise peak memory
-_BLOCK_CELLS = 1 << 14
+# replicates x rows x categories of one replicate block (256 KiB per array).
+# Measured on simulate-boot (n = 1,500, K = 2, B = 50) against blocks of up to
+# 10 (1 << 14, 128 KiB): three blocks of 17 take 10% less CPU time, two of 25
+# 17% and one of 50 22%, while the op's peak RSS of 42.1 MiB rises by 0.6, 1.9
+# and 4.1 MiB. This is the largest bound that keeps that rise within 3%.
+_BLOCK_CELLS = 1 << 15
+
+
+@dataclass(frozen=True)
+class Draws:
+    """The B draws of a stratified bootstrap of `ds` from seed `entropy`,
+    made once and shared by every analysis of the dataset: replicate b's
+    per-row counts, columns in trial order (each trial's rows ascending, as
+    the grid reads them), and the name of the error its validation raised
+    (None for a valid draw; a failed draw's counts are 0)."""
+
+    ds: IpdDataset
+    entropy: tuple
+    counts: np.ndarray                  # B x n, floats
+    failure: tuple                      # per replicate: None or an error name
+
+
+def draw_replicates(ds: IpdDataset, B: int, seed=0, _indices=None) -> Draws:
+    """All B draws of `bootstrap_cov(grid, B=B, seed=seed)` on a grid of `ds`,
+    for callers that bootstrap several analyses of one dataset."""
+    entropy = _entropy(seed)
+    return Draws(ds, tuple(entropy), *_draw(ds, entropy, range(B), _indices))
+
+
+def _draw(ds: IpdDataset, entropy: list, replicates: range, _indices=None) -> tuple:
+    """Counts (replicates x rows, columns in trial order) and failures of
+    the draws `replicates`: each trial resampled to its own size from the
+    replicate's own stream, and validated through `ds.subset`, where an empty
+    trial or a lost arm fails it."""
+    order = np.concatenate(ds.study_rows)
+    counts = np.zeros((len(replicates), ds.n))
+    failure = []
+    for i, b in enumerate(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy + [b]))
+        if _indices is not None:
+            idx = np.asarray(_indices(b, rng, ds.study_rows))
+        else:
+            idx = np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
+                                  for rows in ds.study_rows])
+        try:
+            ds.subset(idx)
+        except CasemixError as e:
+            failure.append(type(e).__name__)
+            continue
+        failure.append(None)
+        counts[i] = np.bincount(idx, minlength=ds.n)[order]
+    return counts, tuple(failure)
 
 
 def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int = 200,
-                  seed=0, _indices=None) -> CovarianceResult:
+                  seed=0, _indices=None, draws: Optional[Draws] = None) -> CovarianceResult:
     """Stratified bootstrap: each trial resampled to its own size, the grid
     recomputed per replicate with `grid.settings`, covariance taken across
     replicates. A replicate is the parent's rows weighted by how often its
     draw holds them (`_CountReplicates`). A replicate whose draw or refit
     fails is excluded everywhere and counted by reason in `failures`;
     replicates where a cell is undefined are excluded for that cell
-    (pairwise-complete covariance) and counted in `excluded`."""
+    (pairwise-complete covariance) and counted in `excluded`.
+
+    `draws`, from `draw_replicates(grid.ds, B, seed)`, hands in the draws
+    that several analyses of one dataset share; without it each block of
+    replicates is drawn in turn, so no B x n array is built. Either way the
+    replicates are refitted in the fewest equal blocks that `_BLOCK_CELLS`
+    allows."""
     if B < 2:
         raise ValueError("need at least two bootstrap replicates")
     for msr in measures:                # unknown measures fail before any replicate
@@ -408,30 +467,25 @@ def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int =
     labels = ds.studies
     K = len(labels)
     order = _cell_order(labels)
-    replicates = _CountReplicates(grid)
     entropy = _entropy(seed)
+    if draws is not None and (draws.ds is not ds or list(draws.entropy) != entropy
+                              or len(draws.failure) != B or _indices is not None):
+        raise ValueError("draws must be draw_replicates(grid.ds, B, seed)")
+    replicates = _CountReplicates(grid)
 
     probs = np.full((B, K * K, 2), np.nan)  # [replicate, cell, arm]
     failures: Counter = Counter()
-    counts = np.empty((min(B, replicates.block), ds.n))
-    for start in range(0, B, replicates.block):
-        drawn = []
-        for b in range(start, min(B, start + replicates.block)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy + [b]))
-            if _indices is not None:
-                idx = np.asarray(_indices(b, rng, ds.study_rows))
-            else:
-                idx = np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))]
-                                      for rows in ds.study_rows])
-            try:
-                ds.subset(idx)          # an empty trial or a lost arm fails the replicate
-            except CasemixError as e:
-                failures[type(e).__name__] += 1
-                continue
-            counts[len(drawn)] = np.bincount(idx, minlength=ds.n)
-            drawn.append(b)
-        if drawn:
-            probs[drawn] = replicates.probs(counts[:len(drawn)], failures)
+    for start, stop in replicates.blocks(B):
+        if draws is None:
+            counts, failure = _draw(ds, entropy, range(start, stop), _indices)
+        else:
+            counts, failure = draws.counts[start:stop], draws.failure[start:stop]
+        failures.update(f for f in failure if f is not None)
+        valid = np.array([f is None for f in failure])
+        if valid.all():
+            probs[start:stop] = replicates.probs(counts, failures)
+        elif valid.any():
+            probs[start + np.flatnonzero(valid)] = replicates.probs(counts[valid], failures)
 
     sigma, se, excluded = {}, {}, {}
     for msr in measures:
@@ -470,25 +524,36 @@ def _pairwise_cov(D: np.ndarray) -> np.ndarray:
 
 class _CountReplicates(CountCells):
     """The models and cells of a grid, recomputed for a block of bootstrap
-    replicates given as per-row counts on the grid's dataset: each model
-    refitted for every live replicate at once (`glm.fit_counts`) on the
-    design the grid holds, the cells `CountCells`' count-weighted sums. A
-    replicate that fails a step (as the step would raise on the resampled
-    rows) is counted by reason and its cells discarded. A block holds at most
-    `_BLOCK_CELLS` replicate x row x category cells, or one replicate: its
-    size is fixed by the data's shape."""
+    replicates given as per-row counts on the grid's dataset, columns in
+    trial order: each model refitted for every live replicate at once
+    (`glm.fit_counts`) on the design the grid holds, the cells `CountCells'`
+    count-weighted sums. A replicate that fails a step (as the step would
+    raise on the resampled rows) is counted by reason and its cells
+    discarded. `blocks` splits B replicates into the fewest equal blocks of
+    at most `_BLOCK_CELLS` replicate x row x category cells, or of one
+    replicate: their sizes are fixed by the data's shape. Each trial's and
+    each model's counts are views of the block's, while every replicate
+    lives and the model's trials are adjacent."""
 
     def __init__(self, grid: FittedGrid):
         super().__init__(grid)
         C = max([len(fit.categories) - 1 for fit in grid.membership_fits.values()], default=1)
         self.block = max(1, _BLOCK_CELLS // (grid.ds.n * C))
+        ends = np.cumsum([0] + [len(rows) for rows in grid.rows.values()])
+        self._columns = {lab: slice(a, b) for lab, a, b in zip(grid.rows, ends, ends[1:])}
+
+    def blocks(self, B: int) -> list:
+        """(start, stop) of each replicate block: the fewest blocks of at
+        most `block` replicates, their sizes differing by at most one."""
+        n_blocks = -(-B // self.block)
+        return [(B * i // n_blocks, B * (i + 1) // n_blocks) for i in range(n_blocks)]
 
     def probs(self, counts: np.ndarray, failures: Counter) -> np.ndarray:
         """[replicate, cell, arm] probabilities of the replicates with these
-        counts (replicates x rows, as floats); NaN for a replicate that fails,
-        counted by reason in `failures`."""
-        self.failures = failures
-        out = self.cells({lab: counts[:, rows] for lab, rows in self.grid.rows.items()})
+        counts (replicates x rows in trial order, as floats); NaN for a
+        replicate that fails, counted by reason in `failures`."""
+        self.failures, self.block_counts = failures, counts
+        out = self.cells({lab: counts[:, cols] for lab, cols in self._columns.items()})
         out[~self.alive] = np.nan
         return out
 
@@ -513,9 +578,11 @@ class _CountReplicates(CountCells):
         else:
             Y, message = ds.outcome[rows].astype(float)[:, None], LOGISTIC_SEPARATION
         X = np.vstack([self.grid.design(fit.formula, lab, fit.kept) for lab in labels])
+        first, last = self._columns[labels[0]].start, self._columns[labels[-1]].stop
+        W = (self.block_counts[:, first:last] if last - first == len(rows)  # adjacent trials
+             else np.hstack([self.counts[lab] for lab in labels]))
         live = np.flatnonzero(self.alive)
-        fits = fit_counts(X, Y, np.hstack([self.counts[lab] for lab in labels])[live],
-                          start=fit.coef)
+        fits = fit_counts(X, Y, W if len(live) == len(W) else W[live], start=fit.coef)
         coef = np.zeros((len(self.alive),) + fits.coef.shape[1:])
         coef[live] = fits.coef
         for b, error, separated in zip(live, fits.failure, fits.separated):

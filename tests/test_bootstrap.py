@@ -258,15 +258,115 @@ def test_identical_calls_are_bitwise_equal():
         assert a.sigma[msr].tobytes() == b.sigma[msr].tobytes()
 
 
+def _block_probs(monkeypatch, grid, B, seed, block_cells) -> np.ndarray:
+    """[replicate, cell, arm] probabilities of `bootstrap_cov`'s replicates
+    (every draw valid) with `_BLOCK_CELLS` at `block_cells`."""
+    seen = []
+    real = _CountReplicates.probs
+
+    def probs(self, counts, failures):
+        seen.append(real(self, counts, failures))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(variance, "_BLOCK_CELLS", block_cells)
+        m.setattr(_CountReplicates, "probs", probs)
+        bootstrap_cov(grid, ("rd",), B=B, seed=seed)
+    return np.concatenate(seen)
+
+
 def test_replicate_blocks_are_set_by_the_data_shape(monkeypatch):
-    # a small block bound splits the 30 replicates into blocks of 4; the
-    # draws and the results per replicate do not depend on the split
+    # a small block bound splits the 30 replicates into the fewest blocks of
+    # at most 4, of equal sizes give or take one; the draws and the results
+    # per replicate do not depend on the split
     grid = standardized_grid(enum_dataset(), _settings(IPW))
     whole = bootstrap_cov(grid, ("rd",), B=30, seed=2)
     monkeypatch.setattr(variance, "_BLOCK_CELLS", 4 * grid.ds.n)
-    assert _CountReplicates(grid).block == 4
+    replicates = _CountReplicates(grid)
+    assert replicates.block == 4
+    blocks = replicates.blocks(30)
+    sizes = [stop - start for start, stop in blocks]
+    assert len(blocks) == 8 and max(sizes) <= 4 and max(sizes) - min(sizes) <= 1
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == 30
     split = bootstrap_cov(grid, ("rd",), B=30, seed=2)
     assert _scaled_diff(split.sigma["rd"], whole.sigma["rd"]) <= 1e-12
+    one = _block_probs(monkeypatch, grid, 30, 2, grid.ds.n)
+    for cells in (4 * grid.ds.n, variance._BLOCK_CELLS, 100 * grid.ds.n):
+        probs = _block_probs(monkeypatch, grid, 30, 2, cells)
+        assert probs.shape == one.shape == (30, 4, 2)
+        assert np.max(np.abs(probs - one) / np.abs(one)) <= 1e-12
+
+
+@pytest.mark.parametrize("B,block", [(50, 21), (50, 50), (50, 1), (7, 3), (2, 40)])
+def test_blocks_are_the_fewest_under_the_bound_and_equal(monkeypatch, B, block):
+    grid = standardized_grid(enum_dataset(), _settings(OCR))
+    monkeypatch.setattr(variance, "_BLOCK_CELLS", block * grid.ds.n)
+    blocks = _CountReplicates(grid).blocks(B)
+    sizes = [stop - start for start, stop in blocks]
+    assert len(blocks) == -(-B // block) and sum(sizes) == B
+    assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+
+
+def _single_arm_rig(ds):
+    """Draws whose replicate 2 keeps only trial 2's treated rows."""
+    def rig(b, rng, study_rows):
+        if b == 2:
+            return np.concatenate([study_rows[0],
+                                   study_rows[1][ds.treat[study_rows[1]] == 1]])
+        return np.concatenate([_redraw(r, rng) for r in study_rows])
+    return rig
+
+
+@pytest.mark.parametrize("case", ["enum-ocr", "enum-ipw", "enum-ipw-s", "three-pairwise",
+                                  "single-arm"])
+def test_shared_draws_give_the_bootstrap_of_its_own_draws(monkeypatch, case):
+    # bit for bit, over blocks of 4 (and, for a trial pair that is not
+    # adjacent in trial order, counts that are no view)
+    make, s = CASES["enum-ipw" if case == "single-arm" else case]
+    grid = _recorded(standardized_grid, make(), s)[0]
+    rig = _single_arm_rig(grid.ds) if case == "single-arm" else None
+    C = max(len(f.categories) - 1 for f in grid.membership_fits.values()) if (
+        grid.membership_fits) else 1
+    monkeypatch.setattr(variance, "_BLOCK_CELLS", 4 * grid.ds.n * C)
+    own, caught = _recorded(bootstrap_cov, grid, MEASURES, B=12, seed=[4, 2], _indices=rig)
+    draws = variance.draw_replicates(grid.ds, 12, [4, 2], _indices=rig)
+    shared, shared_caught = _recorded(bootstrap_cov, grid, MEASURES, B=12, seed=[4, 2],
+                                      draws=draws)
+    for msr in MEASURES:
+        assert shared.sigma[msr].tobytes() == own.sigma[msr].tobytes(), msr
+        assert np.array_equal(shared.excluded[msr], own.excluded[msr]), msr
+    assert shared.failures == own.failures
+    assert [str(w.message) for w in shared_caught] == [str(w.message) for w in caught]
+    if case == "single-arm":
+        assert own.failures == {"SingleArmStudy": 1}
+        assert draws.failure[2] == "SingleArmStudy" and not draws.counts[2].any()
+
+
+def test_draws_are_counts_in_trial_order():
+    # rows interleaved across trials: the columns follow the trials' rows
+    ds = enum_dataset()
+    ds = ds.subset(np.argsort(np.arange(ds.n) % 7, kind="stable"))
+    assert not np.array_equal(np.concatenate(ds.study_rows), np.arange(ds.n))
+    draws = variance.draw_replicates(ds, 3, seed=5)
+    order = np.concatenate(ds.study_rows)
+    for b in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(_entropy(5) + [b]))
+        idx = np.concatenate([_redraw(r, rng) for r in ds.study_rows])
+        assert np.array_equal(draws.counts[b], np.bincount(idx, minlength=ds.n)[order])
+    assert draws.failure == (None, None, None)
+
+
+def test_draws_of_another_dataset_size_or_seed_are_refused():
+    grid = standardized_grid(enum_dataset(), _settings(IPW))
+    draws = variance.draw_replicates(grid.ds, 6, seed=1)
+    other = standardized_grid(enum_dataset(), _settings(IPW))
+    for g, kw in ((grid, {"B": 7, "seed": 1}), (grid, {"B": 6, "seed": 2}),
+                  (other, {"B": 6, "seed": 1}),
+                  (grid, {"B": 6, "seed": 1, "_indices": _single_arm_rig(grid.ds)})):
+        with pytest.raises(ValueError, match="draw_replicates"):
+            bootstrap_cov(g, ("rd",), draws=draws, **kw)
+    bootstrap_cov(grid, ("rd",), B=6, seed=1, draws=draws)
 
 
 @pytest.mark.parametrize("K", [2, 10])

@@ -197,6 +197,8 @@ def test_analyze_ocr_rejects_an_invalid_truncation(enum_csv, capsys):
     (["analyze", *OCR_ARGS, "--alpha", "nan"], "--alpha must be in (0, 1), not nan"),
     (["analyze", *OCR_ARGS, "--variance", "bootstrap", "--bootstrap-b", "1"],
      "--bootstrap-b must be at least 2, not 1"),
+    (["analyze", *OCR_ARGS, "--variance", "bootstrap", "--seed", "-1"],
+     "--seed must be a non-negative integer, not -1"),
 ])
 def test_settings_are_checked_before_the_data_is_loaded(monkeypatch, capsys, args, msg):
     def load_ipd(*a, **kw):

@@ -458,6 +458,40 @@ def test_logistic_softmax_is_bit_identical_to_the_branching_form(shape):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def _expression_logistic_softmax(eta):
+    """The C = 1 branch as it was written with a temporary per operation."""
+    e = np.exp(-np.abs(eta))
+    lse = np.log1p(e)
+    lse += np.maximum(eta, 0.0)
+    P = np.maximum(e, eta >= 0.0, out=eta)
+    e += 1.0
+    P /= e
+    return P, lse[:, 0]
+
+
+_SPECIAL_ETAS = st.sampled_from([0.0, -0.0, 40.0, -40.0, 745.0, -745.0, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_SPECIAL_ETAS, st.floats(allow_nan=False)), min_size=1,
+                max_size=40),
+       st.booleans())
+def test_in_place_logistic_softmax_is_bit_identical_to_the_expression(values, stacked):
+    eta = np.array(values)[None, None, :] if stacked else np.array(values)[:, None]
+    want = _expression_logistic_softmax(eta.copy())
+    got = glm.nonref_softmax(eta.copy())
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_logistic_softmax_allocates_two_vectors_and_a_sign_mask():
+    # e^-|eta| and the log-partitions, plus the n-byte mask; the probabilities
+    # are written over eta (the expression it replaced peaked at three vectors)
+    n = 100_000
+    eta = np.random.default_rng(3).normal(scale=5.0, size=(n, 1))
+    assert _peak_bytes(lambda: glm.nonref_softmax(eta)) < 2 * n * 8 + 3 * n
+
+
 def test_bernoulli_deviance_matches_logaddexp_on_random_predictors():
     rng = np.random.default_rng(11)
     eta = rng.normal(scale=3.0, size=500)

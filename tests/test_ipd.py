@@ -350,8 +350,10 @@ def test_subset_equals_the_dataset_built_from_the_same_rows(three_trial_ds, sele
     sub = ds.subset(idx)
     built = IpdDataset(ds.schema, ds.study_labels, ds.study_idx[idx], ds.treat[idx],
                        ds.outcome[idx], ds.cov[idx])
-    # an attribute the constructor gains and subset misses fails here
+    # an attribute the constructor gains and subset misses fails here; both
+    # build their masks and rows only when first read
     assert vars(sub).keys() == vars(built).keys()
+    assert not {"_masks", "study_rows"} & vars(sub).keys()
     assert sub.schema == built.schema and sub.study_labels == built.study_labels
     assert sub.studies == built.studies and sub.n == built.n
     for name in ("study_idx", "treat", "outcome", "cov", "_masks"):
@@ -365,7 +367,20 @@ def test_subset_equals_the_dataset_built_from_the_same_rows(three_trial_ds, sele
         assert np.array_equal(sub.mask(label), built.mask(label))
         assert sub.study_number(label) == built.study_number(label)
         assert arm_counts(sub, label) == arm_counts(built, label)
+    assert vars(sub).keys() == vars(built).keys()
     assert idx.flags.writeable
+
+
+@pytest.mark.parametrize("first", ["study_rows", "_masks"])
+def test_masks_and_rows_are_read_only_from_their_first_read(three_trial_ds, first):
+    for ds in (IpdDataset(three_trial_ds.schema, three_trial_ds.study_labels,
+                          three_trial_ds.study_idx, three_trial_ds.treat,
+                          three_trial_ds.outcome, three_trial_ds.cov),
+               three_trial_ds.subset(_resample(three_trial_ds))):
+        getattr(ds, first)
+        assert not ds._masks.flags.writeable
+        assert all(not rows.flags.writeable for rows in ds.study_rows)
+        assert ds.study_rows is ds.study_rows and ds._masks is ds._masks
 
 
 def _rows_error(make):

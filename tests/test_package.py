@@ -3,6 +3,8 @@
 import importlib.util
 import os
 import pathlib
+import re
+import shutil
 import subprocess
 import sys
 
@@ -209,3 +211,38 @@ def test_same_outputs_passes_one_tree_against_itself_and_names_a_changed_byte(tm
         "differs: analyze-ocr-k5-seed0/effects.csv",
         "differs: simulate-boot-seed0.exit"]
     assert tool.failures(str(new)) == ["failed: simulate-boot-seed0 (exit 1)"]
+
+
+def test_same_outputs_says_how_far_the_values_of_a_file_moved(tmp_path):
+    # one smoke-size simulate run, its output tree copied and perturbed
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  ROOT / "tools" / "same_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = {name: args for name, args in tool.commands(str(tmp_path), True).items()
+            if name == "simulate-boot-seed0"}
+    old = pathlib.Path(tool.run_tree(str(ROOT), runs, str(tmp_path), "old"))
+    new = tmp_path / "new"
+    shutil.copytree(old, new)
+    table = new / "simulate-boot-seed0" / "table4.csv"
+    lines = table.read_text().splitlines(keepends=True)     # a comment, a header, rows
+    col = lines[1].split(",").index("btv")
+    for i, rel in ((2, 1e-13), (3, 1e-9)):
+        cells = lines[i].split(",")
+        cells[col] = repr(float(cells[col]) * (1.0 + rel))
+        lines[i] = ",".join(cells)
+    table.write_text("".join(lines))
+    report = new / "simulate-boot-seed0" / "report.json"
+    report.write_text(report.read_text().replace('"reps": 2,', '"reps": 3,', 1))
+    (new / "simulate-boot-seed0.stdout").write_text("x")
+    got = tool.report(str(old), str(new))
+    assert len(got) == 5
+    assert got[0:2] == ["differs: simulate-boot-seed0.stdout",
+                        "differs: simulate-boot-seed0/report.json"]
+    assert re.fullmatch(r"  1 of \d+ numeric values differ, largest relative difference 0.333",
+                        got[2])
+    assert got[3] == "differs: simulate-boot-seed0/table4.csv"
+    assert re.fullmatch(r"  2 of \d+ numeric values differ, largest relative difference 1e-09",
+                        got[4])
+    table.write_text("other,header\n")
+    assert tool.report(str(old), str(new))[-1].endswith("not comparable value by value")

@@ -9,6 +9,7 @@ import pytest
 from casemix import simlab
 from casemix.errors import InvalidFormula
 from casemix.formula import parse
+from casemix.ipd import IpdDataset
 from casemix.simlab import (Analysis, SettingConfig, analysis_preset,
                             generate_setting, preset_config, run_study,
                             true_values_oracle)
@@ -319,12 +320,51 @@ def test_setting_config_rejects_a_bool_or_a_non_integral_value(kw, msg):
     ({"alpha": 0.0}, "alpha must be a number in (0, 1), not 0.0"),
     ({"alpha": True}, "alpha must be a number in (0, 1), not True"),
     ({"analyses": []}, "analyses: need at least one analysis"),
+    ({"measures": ("rr", "hr")}, "unknown measure 'hr'"),
 ])
 def test_run_study_checks_its_arguments_before_the_oracle(monkeypatch, kw, msg):
     monkeypatch.setattr(simlab, "true_values_oracle", _no_oracle)
     args = {"analyses": ["OCR1"], "reps": 2, "seed": 3, "bootstrap_b": 0, **kw}
     with pytest.raises(ValueError, match=re.escape(msg)):
         run_study(preset_config(1), **args)
+
+
+def _counting_subsets(monkeypatch) -> list:
+    calls = []
+    real = IpdDataset.subset
+    monkeypatch.setattr(IpdDataset, "subset",
+                        lambda self, rows: calls.append(1) or real(self, rows))
+    return calls
+
+
+def test_a_replication_draws_its_bootstrap_once_for_every_analysis(monkeypatch, tiny_truth):
+    calls = _counting_subsets(monkeypatch)
+    run_study(preset_config(1, n_total=300), ["OCR1", "IPW1"], reps=2, seed=4,
+              bootstrap_b=6, truth=tiny_truth)
+    assert len(calls) == 2 * 6          # reps x B: each draw validated once
+
+
+def test_the_shared_draws_give_each_analysis_the_bootstrap_of_its_own(monkeypatch,
+                                                                        tiny_truth):
+    # run_study hands each analysis the replication's draws; drawn by the
+    # bootstrap itself they give the same covariance, bit for bit
+    real, checked = simlab.bootstrap_cov, []
+
+    def both(grid, measures, B, seed, draws):
+        shared = real(grid, measures, B=B, seed=seed, draws=draws)
+        own = real(grid, measures, B=B, seed=seed)
+        for msr in measures:
+            assert shared.sigma[msr].tobytes() == own.sigma[msr].tobytes(), msr
+            assert np.array_equal(shared.excluded[msr], own.excluded[msr]), msr
+        assert shared.failures == own.failures
+        checked.append(grid.settings.method)
+        return shared
+
+    monkeypatch.setattr(simlab, "bootstrap_cov", both)
+    report = run_study(preset_config(1, n_total=300), ["OCR1", "IPW1"], reps=2, seed=4,
+                       bootstrap_b=6, truth=tiny_truth)
+    assert sorted(checked) == sorted([OCR, IPW] * 2)
+    assert sum(report.failure_counts().values()) == 0
 
 
 def test_oracle_takes_its_size_from_the_setting():

@@ -17,7 +17,9 @@ write to the same paths, one tree after the other. Each command's stdout,
 stderr and exit code are compared as files too. The script prints each file
 that differs or that one tree lacks, and each command that did not exit 0,
 and then exits 1; it exits 0 when every run succeeded and every file is
-byte-identical.
+byte-identical. Under each differing `.csv` or `.json` file it says how far
+the values moved: how many numeric values differ and their largest relative
+difference, or that the files differ in more than their numbers.
 
 `--smoke` uses the benchmark's smoke sizes. `--work DIR` keeps the inputs
 and both trees' outputs (`DIR/old`, `DIR/new`); by default they go to a
@@ -30,7 +32,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import filecmp
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -136,6 +140,63 @@ def differences(old: str, new: str) -> list:
     return lines
 
 
+# a CSV or JSON file's tokens: what lies between its delimiters and quotes
+_TOKEN_SEPARATORS = re.compile(r'[\s,:\[\]{}"]+')
+
+
+def _number(token: str):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def numeric_change(old_file: str, new_file: str) -> str:
+    """How far two CSV or JSON files' numbers moved, one line: how many
+    numeric values differ and their largest relative difference,
+    |a - b| / max(|a|, |b|) (inf where one value is NaN or infinite and the
+    other is not). Files whose other tokens or token counts differ are
+    reported as such."""
+    with open(old_file, encoding="utf-8") as fa, open(new_file, encoding="utf-8") as fb:
+        a, b = (_TOKEN_SEPARATORS.split(fh.read()) for fh in (fa, fb))
+    if len(a) != len(b):
+        return f"{len(a)} and {len(b)} tokens: not comparable value by value"
+    numeric = changed = other = 0
+    largest = 0.0
+    for ta, tb in zip(a, b):
+        x, y = _number(ta), _number(tb)
+        if x is None or y is None:
+            other += ta != tb
+            continue
+        numeric += 1
+        if ta == tb:
+            continue
+        changed += 1
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            rel = 0.0
+        elif math.isfinite(x) and math.isfinite(y):
+            rel = abs(x - y) / max(abs(x), abs(y))
+        else:
+            rel = math.inf
+        largest = max(largest, rel)
+    line = (f"{changed} of {numeric} numeric values differ, "
+            f"largest relative difference {largest:.3g}")
+    return line + (f"; {other} other tokens differ" if other else "")
+
+
+def report(old: str, new: str) -> list:
+    """`differences`, each differing CSV or JSON file followed by an
+    indented line of `numeric_change`."""
+    lines = []
+    for line in differences(old, new):
+        lines.append(line)
+        path = line[len("differs: "):]
+        if line.startswith("differs: ") and path.endswith((".csv", ".json")):
+            lines.append("  " + numeric_change(os.path.join(old, path),
+                                               os.path.join(new, path)))
+    return lines
+
+
 def failures(top: str) -> list:
     """Lines naming each run of an output tree that did not exit 0."""
     lines = []
@@ -162,7 +223,7 @@ def main(argv=None) -> int:
         old = run_tree(args.old_root, runs, work, "old")
         new = run_tree(args.new_root, runs, work, "new")
         problems = [f"old {line}" for line in failures(old)]
-        problems += [f"new {line}" for line in failures(new)] + differences(old, new)
+        problems += [f"new {line}" for line in failures(new)] + report(old, new)
         for line in problems:
             print(line)
         print(f"{len(runs)} runs per tree, {len(_files(new))} files compared: "
