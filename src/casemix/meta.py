@@ -63,9 +63,6 @@ def _dl_tau2(y: np.ndarray, v: np.ndarray) -> tuple:
 def _reml_tau2(y: np.ndarray, v: np.ndarray) -> float:
     """Fixed-point REML iteration; falls back to the moment value on failure."""
     tau2, _ = _dl_tau2(y, v)
-    k = len(y)
-    if k < 2:
-        return 0.0
     for _ in range(REML_MAX_ITER):
         w = 1.0 / (v + tau2)
         mu = float(w @ y / w.sum())

@@ -29,8 +29,8 @@ from .errors import CasemixError
 from .formula import parse
 from .ipd import IpdDataset
 from .transport import (IPW, IPW_STABILIZED, MEASURES, OCR, GridSettings, _cell_order,
-                        _integer, _real, effect_matrix, effect_transform, natural_effect,
-                        standardized_grid)
+                        _check_count, _integer, _real, effect_matrix, effect_transform,
+                        natural_effect, standardized_grid)
 from .variance import (_entropy, attach_covariance, bootstrap_cov, draw_replicates,
                        sandwich_cov)
 
@@ -78,8 +78,8 @@ class SettingConfig:
                 raise ValueError(f"membership rows must have length {width}")
         elif not _integer(self.preset) or self.preset not in (1, 2, 3, 4, 5):
             raise ValueError(f"unknown preset {self.preset!r}")
-        if not 0 < self.allocation < 1:
-            raise ValueError("allocation must be in (0,1)")
+        if not (_real(self.allocation) and 0 < self.allocation < 1):
+            raise ValueError(f"allocation must be a number in (0, 1), not {self.allocation!r}")
         if not _integer(self.n_total):
             raise ValueError(f"n_total must be an integer, not {self.n_total!r}")
         if self.n_total < 2:
@@ -250,8 +250,7 @@ def true_values_oracle(cfg: SettingConfig, runs: int = 5000, seed=0) -> OracleTr
     Effects are derived from the averaged probabilities. The draw's rows are
     sorted by trial, so each target population is one slice of the rows the
     model is evaluated on."""
-    if runs < 1:
-        raise ValueError("need at least one oracle run")
+    _check_count("runs", runs, 1, "need at least one oracle run")
     labels = cfg.labels
     trials = np.array([int(j) for j in labels])
     sums = {(j, k, x): 0.0 for j in labels for k in labels for x in (0, 1)}
@@ -542,8 +541,9 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
     Failures are recorded per (replication, analysis) and never dropped
     silently; quantities computed before the failure are kept.
     """
-    if not _integer(reps) or reps < 1:
-        raise ValueError(f"reps must be an integer of at least 1, not {reps!r}")
+    _check_count("reps", reps, 1)
+    if truth is None:
+        _check_count("oracle_runs", oracle_runs, 1, "need at least one oracle run")
     if not (_integer(bootstrap_b) and (bootstrap_b == 0 or bootstrap_b >= 2)):
         raise ValueError(f"bootstrap_b must be 0 or an integer of at least 2, "
                          f"not {bootstrap_b!r}")

@@ -12,10 +12,13 @@ The analysis settings (method, models, weight options) are one frozen
 is the only call that takes the data and the settings: it fits each model
 once, on its trials' rows taken trial by trial, computes every cell from
 those fits and returns them all in a `FittedGrid`. The grid keeps the
-settings, every design the cells and the sandwich (`variance.build_system`)
-evaluate, and the per-trial layer that the cells, the sandwich and the
-bootstrap all read: each trial's rows and its arm indicators and arm
-outcomes. No number therefore depends on how the trials' rows interleave.
+settings and two records that say once which fit, designs and columns
+serve each cell: `models`, each fit with its trials, its per-trial design
+blocks and each trial's linear-predictor column, and `cells`, each cell's
+model and the designs and columns it evaluates. The cells, the sandwich
+(`variance.build_system`) and the bootstrap read only these, and the
+per-trial layer: each trial's rows and its arm indicators and arm outcomes.
+No number therefore depends on how the trials' rows interleave.
 The grid also keeps the kernel's read-only [cell, arm] probability array,
 `FittedGrid.probs`, and each IPW cell's weight summary,
 `FittedGrid.diagnostics`: `effect_matrix` computes every cell's effect from
@@ -60,7 +63,6 @@ from .errors import DivisionByZero, InvalidFormula, PositivityWarning, Undefined
 from .formula import ModelFormula
 from .glm import (
     FittedLogistic,
-    FittedMultinomial,
     fit_logistic,
     fit_multinomial,
     keep_columns,
@@ -87,6 +89,14 @@ def _real(value) -> bool:
 def _integer(value) -> bool:
     """An integer, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int, need: str = "") -> None:
+    """Raise ValueError, naming `name` after the reason `need` when given,
+    unless `value` is an integer (not a bool) of at least `least`."""
+    if not (_integer(value) and value >= least):
+        raise ValueError(f"{need + ': ' if need else ''}{name} must be an integer of "
+                         f"at least {least}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -270,18 +280,6 @@ def transport_weight(eta: np.ndarray, j_col: Optional[int], k_col: Optional[int]
     return w, dw
 
 
-def membership_columns(fit: FittedMultinomial, ds: IpdDataset, j, k) -> tuple:
-    """(retained design columns, eta column of j, eta column of k) of a
-    membership fit; a column is None for the reference."""
-    nonref = [c for c in fit.categories if c != fit.reference]
-
-    def col(label):
-        s = ds.study_number(label)
-        return None if s == fit.reference else nonref.index(s)
-
-    return fit.kept, col(j), col(k)
-
-
 def _cell_order(labels) -> list:
     return [(j, k) for j in labels for k in labels]
 
@@ -326,6 +324,42 @@ def to_natural(measure: str, t):
     return math.exp(t) if measure.lower() in LOG_MEASURES else t
 
 
+@dataclass(frozen=True)
+class GridModel:
+    """One fitted model of a grid: `fit`, on the trials `trials` (labels, in
+    fit order), with `designs`, each trial's block of the fit's design at the
+    observed treat (retained columns), and `cols`, each trial's column of the
+    linear predictor: 0 for an outcome model, the trial's category for a
+    membership model, None for its reference."""
+
+    fit: object
+    trials: tuple
+    designs: tuple
+    cols: tuple
+
+    def response(self, ds: IpdDataset, rows: np.ndarray):
+        """The response on a trial's `rows` at the trial's column: the outcomes
+        for an outcome model, 1 (the trial's indicator) for a membership model."""
+        return ds.outcome[rows] if isinstance(self.fit, FittedLogistic) else 1.0
+
+
+@dataclass(frozen=True)
+class GridCell:
+    """Cell (j, k) of a grid: `model`, the position in `FittedGrid.models` of
+    the model that standardizes source k onto target j (None on an IPW grid's
+    diagonal, whose weights are 1), and the designs the cell evaluates: for
+    OCR, the treat=0 and treat=1 designs on trial j's rows; for IPW, the
+    membership block of trial k's rows, with `j_col` and `k_col` the columns
+    of j and k."""
+
+    j: str
+    k: str
+    model: Optional[int]
+    designs: tuple = ()
+    j_col: Optional[int] = None
+    k_col: Optional[int] = None
+
+
 class FittedGrid(dict):
     """The standardized probabilities keyed (target_j, source_k, arm_x), with
     the dataset, the fitted models and designs they came from and the
@@ -338,27 +372,53 @@ class FittedGrid(dict):
     replication studies read these two; `grid[(j, k, x)]` holds the same
     probability and summary for one cell and arm.
 
-    Everything downstream (effect matrices, sandwich, bootstrap) reads the
-    grid, so the points and their covariance come from one set of fits and
-    one set of designs. One routine, `_fit`, fits every model on its trials'
-    rows taken trial by trial, in trial-number order, and builds the design
-    once: each trial's block of it is the trial's observed-treat `design`.
-    `design` builds only the treat=x designs of OCR cells, each once, and the
-    sandwich evaluates the very arrays the cells were computed from.
-    Bootstrap replicates refit its models on these designs, on the same rows
-    in the same order, with this very `settings` object. The per-trial layer
-    is built once: each trial's `rows`, and its `arms` on first use.
+    Which model, design and columns serve each cell is decided once, here,
+    in two lists: `models`, one `GridModel` per fit in the order the cells
+    first use it, and `cells`, one `GridCell` per (j, k) in row-major order.
+    The cell kernel (`CountCells`), the sandwich (`variance.build_system`)
+    and the bootstrap read only these, so the points and their covariance
+    come from one set of fits and one set of designs. `_fit` fits every
+    model on its trials' rows taken trial by trial, in trial-number order,
+    and builds the design once: each trial's block of it is the model's
+    design there, held once per trial, formula and retained columns. An OCR
+    cell's treat=x designs are built once per target trial, formula and
+    retained columns. Bootstrap replicates refit the models on these
+    designs, on the same rows in the same order, with this very `settings`
+    object. The per-trial layer is built once: each trial's `rows`, and its
+    `arms` on first use.
     """
 
     def __init__(self, ds: IpdDataset, settings: GridSettings):
         super().__init__()
         self.ds, self.settings = ds, settings
         self.rows = dict(zip(ds.studies, ds.study_rows))    # trial label -> its rows
-        self.outcome_fits: dict = {}    # (k, formula) -> FittedLogistic
-        self.membership_fits: dict = {}  # trial numbers, ascending -> FittedMultinomial
-        self._designs: dict = {}        # (formula, label, x, kept) -> design
+        self.models: list = []          # GridModel, in the order the cells first use them
+        self.cells: list = []           # GridCell per (j, k), row-major
         self.probs: Optional[np.ndarray] = None     # [cell, arm], set by standardized_grid
         self.diagnostics: dict = {}     # (j, k) -> WeightDiagnostics, IPW only
+        designs: dict = {}              # (formula, label, x, kept) -> design
+        fitted: dict = {}               # (formula, trials) -> position in `models`
+        for j, k in _cell_order(ds.studies):
+            if settings.method == OCR:
+                form, trials = settings.overrides.get((j, k), settings.outcome_formula), (k,)
+            elif j == k:
+                self.cells.append(GridCell(j, k, None))
+                continue
+            else:               # all trials, or j and k alone, in trial-number order
+                form = settings.ps_formula
+                trials = (tuple(sorted((j, k), key=ds.study_number))
+                          if settings.ps_mode == "pairwise" else ds.studies)
+            m = fitted.setdefault((form, trials), len(self.models))
+            if m == len(self.models):   # the model's first cell: fit it
+                self.models.append(self._fit(form, trials, designs))
+            model = self.models[m]
+            if settings.method == OCR:
+                self.cells.append(GridCell(j, k, m, tuple(
+                    self._design(designs, form, j, model.fit.kept, x) for x in (0, 1))))
+            else:
+                i, ik = model.trials.index(j), model.trials.index(k)
+                self.cells.append(GridCell(j, k, m, (model.designs[ik],),
+                                           model.cols[i], model.cols[ik]))
 
     @property
     def out_of_bounds(self) -> np.ndarray:
@@ -366,62 +426,43 @@ class FittedGrid(dict):
         unstabilized IPW gives: flagged, never clamped."""
         return (self.settings.method == IPW) & ~((0.0 <= self.probs) & (self.probs <= 1.0))
 
-    def outcome_formula_for(self, j, k) -> ModelFormula:
-        return self.settings.overrides.get((j, k), self.settings.outcome_formula)
-
-    def membership_fit(self, j, k) -> FittedMultinomial:
-        """The membership fit behind off-diagonal cell (j, k), fitted on first
-        use: the multinomial logit over all trials, or over j and k alone in
-        pairwise mode, its lowest-numbered trial the reference."""
+    def _fit(self, form: ModelFormula, trials: tuple, designs: dict) -> GridModel:
+        """`form` fitted on trials `trials`' rows at the observed treat, taken
+        trial by trial: the outcome model of an OCR grid, otherwise the
+        multinomial membership logit, its first trial the reference. The
+        design is built once: each trial's block of its retained columns (a
+        row view) goes into `designs` as the trial's observed-treat design,
+        unless an earlier fit already holds that design. When one does (a
+        pair fit at K > 2), the new blocks are copied, so the joined design
+        is freed and the grid holds each trial's rows once."""
         ds = self.ds
-        if self.settings.ps_mode == "pairwise":
-            trials = tuple(sorted((ds.study_number(j), ds.study_number(k))))
-        else:
-            trials = tuple(range(ds.K))
-        if trials not in self.membership_fits:
-            self.membership_fits[trials] = self._fit(
-                self.settings.ps_formula, [ds.studies[s] for s in trials], ds.study_idx,
-                partial(fit_multinomial, reference=trials[0]))
-        return self.membership_fits[trials]
-
-    def _outcome_fit(self, k, form: ModelFormula) -> FittedLogistic:
-        """The outcome model `form` fitted on trial k, fitted on first use."""
-        if (k, form) not in self.outcome_fits:
-            self.outcome_fits[(k, form)] = self._fit(form, [k], self.ds.outcome, fit_logistic)
-        return self.outcome_fits[(k, form)]
-
-    def _fit(self, form: ModelFormula, labels: list, response: np.ndarray, fitter):
-        """`fitter` on `form`'s design of trials `labels`' rows at the observed
-        treat, taken trial by trial, against the dataset column `response` on
-        the same rows. The design is built once: each trial's block of its
-        retained columns (a row view) is kept as the trial's observed-treat
-        `design`, unless an earlier fit already keeps that design. When one
-        does (a pair fit at K > 2), the new blocks are copied, so the joined
-        design is freed and the grid holds each trial's rows once."""
-        ds = self.ds
-        masks = [ds.mask(lab) for lab in labels]
+        masks = [ds.mask(lab) for lab in trials]
         X = [form.design_matrix(ds.covariate_columns(m), treat=ds.treat[m]) for m in masks]
         X = X[0] if len(X) == 1 else np.concatenate(X)  # no block outlives the join
+        if self.settings.method == OCR:
+            fitter, response, cols = fit_logistic, ds.outcome, (0,)
+        else:                           # categories in trial order, the first the reference
+            fitter = partial(fit_multinomial, reference=ds.study_number(trials[0]))
+            response, cols = ds.study_idx, (None, *range(len(trials) - 1))
         fit = fitter(X, np.concatenate([response[m] for m in masks]),
                      column_names=form.column_names(), formula=form)
-        ends = np.cumsum([len(self.rows[lab]) for lab in labels])[:-1]
-        keys = [(form, lab, None, tuple(fit.kept)) for lab in labels]
-        held = any(key in self._designs for key in keys)
+        ends = np.cumsum([len(self.rows[lab]) for lab in trials])[:-1]
+        keys = [(form, lab, None, tuple(fit.kept)) for lab in trials]
+        held = any(key in designs for key in keys)
         for key, Z in zip(keys, np.split(keep_columns(X, fit.kept), ends)):
-            if key not in self._designs:
-                self._designs[key] = Z.copy() if held else Z
-        return fit
+            if key not in designs:
+                designs[key] = Z.copy() if held else Z
+        return GridModel(fit, trials, tuple(designs[key] for key in keys), cols)
 
-    def design(self, form: ModelFormula, label, kept, x: Optional[int] = None) -> np.ndarray:
+    def _design(self, designs: dict, form: ModelFormula, label, kept, x: int) -> np.ndarray:
         """Design of `form` on trial `label`'s rows at treat=x, retained columns
-        `kept` only, built once per grid. At the observed treat (x None) it is
-        the trial's block of the design of the fit that kept `kept`."""
+        `kept` only, built once per grid and held in `designs`."""
         key = (form, label, x, tuple(kept))
-        if key not in self._designs:
+        if key not in designs:
             m = self.ds.mask(label)
-            self._designs[key] = keep_columns(form.design_matrix(
+            designs[key] = keep_columns(form.design_matrix(
                 self.ds.covariate_columns(m), treat=np.full(int(m.sum()), float(x))), kept)
-        return self._designs[key]
+        return designs[key]
 
     @cached_property
     def arms(self) -> dict:
@@ -449,8 +490,9 @@ class CountCells:
     model of a trial against itself is degenerate, so the cell is the crude
     rate. Truncation caps each replicate's weights at the percentile of its
     own draw, and each replicate whose draw holds weights above the
-    positivity threshold warns. The steps run in the grid's order, one cell's
-    weights at a time; a replicate that failed a step takes no further one.
+    positivity threshold warns. The kernel reads the grid's `cells` in
+    order, and each cell's model's coefficients at its first cell; a
+    replicate that failed a step takes no further one.
 
     The hooks are the grid's: `standardized_grid` runs the kernel as the one
     replicate whose counts are all 1, at the grid's own fits; a failed step
@@ -471,14 +513,24 @@ class CountCells:
         self.counts = counts
         self.sizes = {lab: W.sum(axis=1) for lab, W in counts.items()}
         self.alive = np.ones(len(next(iter(counts.values()))), bool)
-        out = np.full((len(self.alive), self.grid.ds.K ** 2, 2), np.nan)
-        (self._ocr if self.grid.settings.method == OCR else self._ipw)(out)
+        out = np.full((len(self.alive), len(self.grid.cells), 2), np.nan)
+        coef: dict = {}                 # model position -> replicates x C x p coefficients
+        for c, cell in enumerate(self.grid.cells):
+            if cell.model is not None and cell.model not in coef:
+                coef[cell.model] = self._coef(cell.model)
+            if self.grid.settings.method == OCR:
+                for x, X in enumerate(cell.designs):
+                    mu = expit(coef[cell.model][:, 0] @ X.T)
+                    out[:, c, x] = (np.einsum("an,an->a", self.counts[cell.j], mu)
+                                    / self.sizes[cell.j])
+            else:
+                self._cell(out, c, cell, None if cell.model is None
+                           else self._weights(coef[cell.model], cell))
         return out
 
-    def _coef(self, fit, labels: list) -> np.ndarray:
-        """Coefficients (replicates x C x p) of the model whose grid fit,
-        on trials `labels`, is `fit`."""
-        return np.atleast_2d(fit.coef)[None]
+    def _coef(self, m: int) -> np.ndarray:
+        """Coefficients (replicates x C x p) of the grid's model `m`."""
+        return np.atleast_2d(self.grid.models[m].fit.coef)[None]
 
     def _fail(self, b: int, error: type, message: str) -> None:
         """Replicate b fails a step: the grid raises the step's error."""
@@ -490,44 +542,16 @@ class CountCells:
             w[0], threshold=self.grid.settings.positivity_threshold,
             truncated_at=None if caps is None else float(caps[0]))
 
-    def _ocr(self, out) -> None:
-        grid, labels = self.grid, self.grid.ds.studies
-        beta = {}                       # (k, formula) -> coefficients, fitted in order of first use
-        for j, k in _cell_order(labels):
-            form = grid.outcome_formula_for(j, k)
-            if (k, form) not in beta:
-                beta[(k, form)] = self._coef(grid._outcome_fit(k, form), [k])[:, 0]
-        for c, (j, k) in enumerate(_cell_order(labels)):
-            form = grid.outcome_formula_for(j, k)
-            kept = grid.outcome_fits[(k, form)].kept
-            for x in (0, 1):
-                mu = expit(beta[(k, form)] @ grid.design(form, j, kept, x).T)
-                out[:, c, x] = np.einsum("an,an->a", self.counts[j], mu) / self.sizes[j]
-
-    def _ipw(self, out) -> None:
-        grid, ds = self.grid, self.grid.ds
-        gamma = {}                      # id of a grid membership fit -> its coefficients
-        for c, (j, k) in enumerate(_cell_order(ds.studies)):
-            w = None
-            if j != k:
-                fit = grid.membership_fit(j, k)
-                if id(fit) not in gamma:    # at the fit's first cell
-                    gamma[id(fit)] = self._coef(fit, [ds.studies[s] for s in fit.categories])
-                w = self._weights(gamma[id(fit)], fit, j, k)
-            self._cell(out, c, j, k, w)
-
-    def _weights(self, gamma, fit, j, k) -> np.ndarray:
-        """Transport weights (replicates x trial k's rows) toward trial j at
-        each replicate's membership coefficients, capped."""
+    def _weights(self, gamma, cell: GridCell) -> np.ndarray:
+        """Transport weights (replicates x trial k's rows) of an off-diagonal
+        cell at each replicate's membership coefficients `gamma`, capped."""
         settings = self.grid.settings
-        kept, j_col, k_col = membership_columns(fit, self.grid.ds, j, k)
         A, C, p = gamma.shape
         # rows x (replicate, category): one replicate's eta is the grid's own product
-        eta = membership_eta(self.grid.design(settings.ps_formula, k, kept),
-                             gamma.reshape(A * C, p)).reshape(-1, A, C)
-        w = transport_weight(eta.transpose(1, 0, 2).reshape(-1, C), j_col, k_col,
+        eta = membership_eta(cell.designs[0], gamma.reshape(A * C, p)).reshape(-1, A, C)
+        w = transport_weight(eta.transpose(1, 0, 2).reshape(-1, C), cell.j_col, cell.k_col,
                              settings.expit_weight)[0].reshape(A, -1)
-        counts, caps = self.counts[k], None
+        counts, caps = self.counts[cell.k], None
         if settings.truncation is not None:     # a draw of every row once is the rows
             caps = np.array([np.percentile(wa if (ca == 1.0).all()
                                            else np.repeat(wa, ca.astype(np.intp)),
@@ -539,13 +563,14 @@ class CountCells:
             if n_over:                  # a row over it may be one the draw left out
                 warnings.warn(f"{n_over} transport weight(s) exceed {threshold:g} (max "
                               f"{w[a][counts[a] > 0].max():.3g}): possible positivity violation",
-                              PositivityWarning, stacklevel=4)
-        self._summarize(j, k, w, caps)
+                              PositivityWarning, stacklevel=3)
+        self._summarize(cell.j, cell.k, w, caps)
         return w
 
-    def _cell(self, out, c, j, k, w) -> None:
-        """Both arm probabilities of cell (j, k), from trial k's weights `w`
+    def _cell(self, out, c, cell: GridCell, w) -> None:
+        """Both arm probabilities of IPW cell `c`, from trial k's weights `w`
         (None on the diagonal: all 1)."""
+        j, k = cell.j, cell.k
         arms, arm_y = self.grid.arms[k]
         Wk = self.counts[k]
         Ww = Wk if w is None else Wk * w

@@ -16,8 +16,9 @@ Every component of the stacked system acts on one trial's rows only, so
 psi is zero outside the trial blocks: trial t's rows touch only the columns
 C_t its components write. The meat sums the blocks' Gram matrices one trial
 at a time, in O(max n_t |C_t| + m^2) memory, never the n x m psi. Every
-design comes from the grid (`FittedGrid.design`), and so do each trial's rows
-and arm arrays (`FittedGrid.rows`, `FittedGrid.arms`); IPW weights come from
+model, design and linear-predictor column comes from the grid's records
+(`FittedGrid.models`, `FittedGrid.cells`), and so do each trial's rows and
+arm arrays (`FittedGrid.rows`, `FittedGrid.arms`); IPW weights come from
 `transport.transport_weight`, the one function the grid also uses, once per
 cell for both arms, so the sandwich sees the grid's weights bit for bit.
 
@@ -28,9 +29,9 @@ the grid.
 
 A bootstrap replicate is a multinomial reweighting of the rows (Efron &
 Tibshirani 1993), so the bootstrap never builds a replicate's dataset or
-grid: it turns each draw into per-row counts, refits the grid's models on
-the grid's own designs, on the rows each grid fit read and in their order,
-and computes the cells with `transport.CountCells`,
+grid: it turns each draw into per-row counts, refits each of the grid's
+`models` on its own designs, on the rows its grid fit read and in their
+order, and computes the cells with `transport.CountCells`,
 the kernel the grid runs as its one replicate of unit counts, for a block
 of replicates at a time. The blocks are the fewest of equal size (give or
 take one) under `_BLOCK_CELLS`, and each block's and each trial's counts are
@@ -58,7 +59,7 @@ from .errors import (
 from .glm import (
     LOGISTIC_SEPARATION,
     MULTINOMIAL_SEPARATION,
-    FittedMultinomial,
+    FittedLogistic,
     fit_counts,
     multinomial_information,
     nonref_softmax,
@@ -71,9 +72,9 @@ from .transport import (
     CountCells,
     FittedGrid,
     _cell_order,
+    _check_count,
     _integer,
     effect_transform,
-    membership_columns,
     membership_eta,
     transport_weight,
 )
@@ -291,12 +292,11 @@ class CovarianceResult:
 
 def build_system(grid: FittedGrid) -> EstimatingSystem:
     """Assemble the stacked system of `grid` at its fitted solution: the
-    grid's fits are the model blocks of theta, its probabilities the rest.
-    Each component acts on its own trial's rows only, with the design the
-    grid evaluated there (`FittedGrid.design`) and the grid's per-trial rows
-    and arm arrays."""
-    ds, method, ps_formula = grid.ds, grid.settings.method, grid.settings.ps_formula
-    labels, rows = ds.studies, grid.rows
+    grid's `models` are the model blocks of theta, in their order, its
+    probabilities the rest. Each component acts on its own trial's rows
+    only, with the design the grid's records hold there (`FittedGrid.models`
+    and `FittedGrid.cells`) and the grid's per-trial rows and arm arrays."""
+    ds, method, rows = grid.ds, grid.settings.method, grid.rows
     theta_parts: list = []
     components: list = []
     cursor = 0
@@ -310,40 +310,29 @@ def build_system(grid: FittedGrid) -> EstimatingSystem:
         return sl
 
     prob_rows: dict = {}
+    slices = []                         # per model: its theta slice
+    for model in grid.models:           # one logit score per model and trial
+        slices.append(push(model.fit.coef.ravel()))
+        components += [_LogitScore(t, rows[t], Z, slices[-1], col, model.response(ds, rows[t]))
+                       for t, Z, col in zip(model.trials, model.designs, model.cols)]
 
     if method == OCR:
-        fit_slices: dict = {}
-        for (k, form), fit in grid.outcome_fits.items():
-            fit_slices[(k, form)] = push(fit.coef)
-            components.append(_LogitScore(k, rows[k], grid.design(form, k, fit.kept),
-                                          fit_slices[(k, form)], 0, ds.outcome[rows[k]]))
-        for c, (j, k) in enumerate(_cell_order(labels)):
-            form = grid.outcome_formula_for(j, k)
-            kept = grid.outcome_fits[(k, form)].kept
+        for c, cell in enumerate(grid.cells):
             for x in (0, 1):
-                prob_rows[(j, k, x)] = row = push(grid.probs[c, x]).start
-                components.append(_OcrProb(j, rows[j], grid.design(form, j, kept, x),
-                                           fit_slices[(k, form)], row))
+                prob_rows[(cell.j, cell.k, x)] = row = push(grid.probs[c, x]).start
+                components.append(_OcrProb(cell.j, rows[cell.j], cell.designs[x],
+                                           slices[cell.model], row))
     else:
         stabilized = method == IPW_STABILIZED
-        gamma: dict = {}                # id of a membership fit -> its theta slice
-        for fit in grid.membership_fits.values():
-            gamma[id(fit)] = sl = push(fit.coef.ravel())
-            for lab in (labels[s] for s in fit.categories):
-                col = membership_columns(fit, ds, lab, lab)[1]
-                components.append(_LogitScore(
-                    lab, rows[lab], grid.design(ps_formula, lab, fit.kept), sl, col))
-
-        treated = {k: grid.arms[k][0][:, 1] for k in labels}
-        pi_rows = {} if stabilized else {k: push(np.mean(treated[k])).start for k in labels}
+        treated = {k: grid.arms[k][0][:, 1] for k in ds.studies}
+        pi_rows = {} if stabilized else {k: push(np.mean(treated[k])).start for k in ds.studies}
         components += [_Centering(k, rows[k], [r], treated[k]) for k, r in pi_rows.items()]
 
-        for c, (j, k) in enumerate(_cell_order(labels)):
+        for c, cell in enumerate(grid.cells):
+            j, k = cell.j, cell.k
             weight = None
-            if j != k:
-                fit = grid.membership_fit(j, k)
-                kept, j_col, k_col = membership_columns(fit, ds, j, k)
-                weight = (grid.design(ps_formula, k, kept), gamma[id(fit)], j_col, k_col,
+            if cell.model is not None:
+                weight = (cell.designs[0], slices[cell.model], cell.j_col, cell.k_col,
                           grid.settings.expit_weight, grid.diagnostics[(j, k)].truncated_at)
             cols = [push(p).start for p in grid.probs[c]]     # arm 0, then arm 1
             prob_rows.update({(j, k, 0): cols[0], (j, k, 1): cols[1]})
@@ -415,6 +404,7 @@ class Draws:
 def draw_replicates(ds: IpdDataset, B: int, seed=0, _indices=None) -> Draws:
     """All B draws of `bootstrap_cov(grid, B=B, seed=seed)` on a grid of `ds`,
     for callers that bootstrap several analyses of one dataset."""
+    _check_count("B", B, 2, "need at least two bootstrap replicates")
     entropy = _entropy(seed)
     return Draws(ds, tuple(entropy), *_draw(ds, entropy, range(B), _indices))
 
@@ -459,8 +449,7 @@ def bootstrap_cov(grid: FittedGrid, measures: Sequence[str] = MEASURES, B: int =
     replicates is drawn in turn, so no B x n array is built. Either way the
     replicates are refitted in the fewest equal blocks that `_BLOCK_CELLS`
     allows."""
-    if B < 2:
-        raise ValueError("need at least two bootstrap replicates")
+    _check_count("B", B, 2, "need at least two bootstrap replicates")
     for msr in measures:                # unknown measures fail before any replicate
         effect_transform(msr, 0.5, 0.5)
     ds = grid.ds
@@ -525,22 +514,39 @@ def _pairwise_cov(D: np.ndarray) -> np.ndarray:
 class _CountReplicates(CountCells):
     """The models and cells of a grid, recomputed for a block of bootstrap
     replicates given as per-row counts on the grid's dataset, columns in
-    trial order: each model refitted for every live replicate at once
-    (`glm.fit_counts`) on the design the grid holds, the cells `CountCells'`
-    count-weighted sums. A replicate that fails a step (as the step would
-    raise on the resampled rows) is counted by reason and its cells
-    discarded. `blocks` splits B replicates into the fewest equal blocks of
-    at most `_BLOCK_CELLS` replicate x row x category cells, or of one
-    replicate: their sizes are fixed by the data's shape. Each trial's and
-    each model's counts are views of the block's, while every replicate
-    lives and the model's trials are adjacent."""
+    trial order: each of the grid's `models` refitted for every live
+    replicate at once (`glm.fit_counts`) on the designs the model holds, the
+    cells `CountCells'` count-weighted sums. A replicate that fails a step
+    (as the step would raise on the resampled rows) is counted by reason and
+    its cells discarded. `blocks` splits B replicates into the fewest equal
+    blocks of at most `_BLOCK_CELLS` replicate x row x category cells, or of
+    one replicate: their sizes are fixed by the data's shape. Each trial's
+    counts are views of the block's, and so are each model's while every
+    replicate lives and the model's trials are adjacent. Each model's joined
+    design, response and count columns are gathered once, for every block."""
 
     def __init__(self, grid: FittedGrid):
         super().__init__(grid)
-        C = max([len(fit.categories) - 1 for fit in grid.membership_fits.values()], default=1)
+        C = max(np.atleast_2d(model.fit.coef).shape[0] for model in grid.models)
         self.block = max(1, _BLOCK_CELLS // (grid.ds.n * C))
         ends = np.cumsum([0] + [len(rows) for rows in grid.rows.values()])
         self._columns = {lab: slice(a, b) for lab, a, b in zip(grid.rows, ends, ends[1:])}
+        self._refits = [self._gather(model) for model in grid.models]
+
+    def _gather(self, model) -> tuple:
+        """The joined design (the model's trials' blocks in fit order), the
+        response (rows x C, each trial's response at its column) and the
+        count columns (one slice when the trials are adjacent) of a model."""
+        rows, spans = self.grid.rows, [self._columns[t] for t in model.trials]
+        X = model.designs[0] if len(model.designs) == 1 else np.concatenate(model.designs)
+        Y = np.zeros((len(X), np.atleast_2d(model.fit.coef).shape[0]))
+        ends = np.cumsum([0] + [len(rows[t]) for t in model.trials])
+        for t, a, b, col in zip(model.trials, ends, ends[1:], model.cols):
+            if col is not None:
+                Y[a:b, col] = model.response(self.grid.ds, rows[t])
+        if spans[-1].stop - spans[0].start == len(X):   # adjacent trials: one view
+            spans = [slice(spans[0].start, spans[-1].stop)]
+        return X, Y, spans
 
     def blocks(self, B: int) -> list:
         """(start, stop) of each replicate block: the fewest blocks of at
@@ -564,27 +570,21 @@ class _CountReplicates(CountCells):
     def _summarize(self, j, k, w, caps) -> None:
         """A replicate's weights are not summarized."""
 
-    def _coef(self, fit, labels) -> np.ndarray:
-        """`fit` refitted for the live replicates on its design of trials
-        `labels`, the grid fit's trials in its order, so a replicate reads the
-        grid fit's rows in their order; each replicate's Newton loop starts
-        at `fit`'s coefficients. A replicate whose fit fails leaves the block,
-        one that separates warns. A replicate that has left holds zeros."""
-        ds, rows = self.grid.ds, np.concatenate([self.grid.rows[lab] for lab in labels])
-        if isinstance(fit, FittedMultinomial):
-            nonref = [s for s in fit.categories if s != fit.reference]
-            Y = (ds.study_idx[rows][:, None] == np.array(nonref)).astype(float)
-            message = MULTINOMIAL_SEPARATION
-        else:
-            Y, message = ds.outcome[rows].astype(float)[:, None], LOGISTIC_SEPARATION
-        X = np.vstack([self.grid.design(fit.formula, lab, fit.kept) for lab in labels])
-        first, last = self._columns[labels[0]].start, self._columns[labels[-1]].stop
-        W = (self.block_counts[:, first:last] if last - first == len(rows)  # adjacent trials
-             else np.hstack([self.counts[lab] for lab in labels]))
+    def _coef(self, m: int) -> np.ndarray:
+        """The grid's model `m` refitted for the live replicates on its
+        joined design, the grid fit's rows in their order; each replicate's
+        Newton loop starts at the grid fit's coefficients. A replicate whose
+        fit fails leaves the block, one that separates warns. A replicate
+        that has left holds zeros."""
+        fit, (X, Y, spans) = self.grid.models[m].fit, self._refits[m]
+        W = (self.block_counts[:, spans[0]] if len(spans) == 1
+             else np.hstack([self.block_counts[:, span] for span in spans]))
         live = np.flatnonzero(self.alive)
         fits = fit_counts(X, Y, W if len(live) == len(W) else W[live], start=fit.coef)
         coef = np.zeros((len(self.alive),) + fits.coef.shape[1:])
         coef[live] = fits.coef
+        message = (LOGISTIC_SEPARATION if isinstance(fit, FittedLogistic)
+                   else MULTINOMIAL_SEPARATION)
         for b, error, separated in zip(live, fits.failure, fits.separated):
             if error is not None:
                 self._fail(b, error)

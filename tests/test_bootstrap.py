@@ -4,6 +4,7 @@ expanded rows."""
 
 import json
 import os
+import re
 import warnings
 from collections import Counter
 from functools import partial
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from casemix import cli, glm, variance
-from casemix.errors import AllSameResponse, CasemixError, NoConvergence, SeparationWarning
+from casemix.errors import (AllSameResponse, CasemixError, NoConvergence, RankDeficient,
+                            SeparationWarning)
 from casemix.formula import parse
 from casemix.glm import fit_counts, fit_logistic, fit_multinomial
 from casemix.ipd import save_ipd
@@ -99,9 +101,11 @@ def _literal_cells(grid) -> dict:
         mj = ds.mask(j)
         for k in ds.studies:
             mk = ds.mask(k)
+            model = grid.cells[ds.studies.index(j) * ds.K + ds.studies.index(k)].model
             if s.method == OCR:
                 form = s.overrides.get((j, k), s.outcome_formula)
-                fit = grid.outcome_fits[(k, form)]
+                fit = grid.models[model].fit
+                assert grid.models[model].trials == (k,) and fit.formula is form
                 for x in (0, 1):
                     X = form.design_matrix(ds.covariate_columns(mj),
                                            treat=np.full(int(mj.sum()), float(x)))
@@ -109,7 +113,9 @@ def _literal_cells(grid) -> dict:
                 continue
             w = np.ones(int(mk.sum()))
             if j != k:
-                fit = grid.membership_fit(j, k)
+                fit = grid.models[model].fit
+                assert set(grid.models[model].trials) == (
+                    {j, k} if s.ps_mode == "pairwise" else set(ds.studies))
                 Z = s.ps_formula.design_matrix(ds.covariate_columns(mk))[:, fit.kept]
                 eta = np.column_stack([np.zeros(len(Z)), Z @ fit.coef.T])   # reference first
                 order = [fit.reference] + [c for c in fit.categories if c != fit.reference]
@@ -169,6 +175,57 @@ def test_replicate_that_loses_an_arm_is_counted_by_reason():
     res = _check_against_oracle(grid, B=6, _indices=rig, measures=("rr",))[0]
     assert res.failures == {"SingleArmStudy": 1}
     assert np.all(res.excluded["rr"] == 1)
+
+
+def _logistic_failure(X, y, counts):
+    """The error `fit_logistic` raises on the rows X, y each repeated as
+    often as `counts` says (None when it fits), at the Newton iteration
+    limit that `fit_counts` reads."""
+    rows = np.repeat(np.arange(len(X)), counts.astype(np.intp))
+    try:
+        fit_logistic(X[rows], y[rows], max_iter=glm.NEWTON_MAX_ITER)
+    except CasemixError as e:
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize("max_iter", [glm.NEWTON_MAX_ITER, 1])
+def test_count_fits_fail_as_the_logistic_fit_of_the_expanded_rows(monkeypatch, max_iter):
+    # replicate 0 holds only rows where the one column is 0 (rank 0), 1 only
+    # events, 2 and 3 are well posed: they fit in the iteration limit, but
+    # not in one Newton iteration from zero
+    monkeypatch.setattr(glm, "NEWTON_MAX_ITER", max_iter)
+    x = np.repeat([0.0, 1.0, 2.0], 4)
+    y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    counts = np.array([[2, 1, 1, 1] + [0] * 8, [0] * 5 + [1, 1, 1] + [0] * 4,
+                       [1] * 12, [2, 0, 1, 1, 1, 0, 2, 1, 1, 1, 0, 3]], dtype=float)
+    fits = fit_counts(x[:, None], y[:, None], counts)
+    want = [_logistic_failure(x[:, None], y, c) for c in counts]
+    assert fits.failure == want and not fits.separated.any()
+    assert want == [RankDeficient, AllSameResponse] + (
+        [None, None] if max_iter > 1 else [NoConvergence, NoConvergence])
+
+
+def test_rank_deficient_and_unconverged_replicates_are_counted_by_name(monkeypatch):
+    # the outcome model's one column, L, is 0 on every row replicate 1 draws
+    # from trial 1 (rank 0); replicate 2 is a fresh draw that one Newton
+    # iteration from the grid's fit does not fit; the other replicates hold
+    # each row once, so the grid's fit is already their solution
+    ds = enum_dataset()
+    grid = standardized_grid(ds, GridSettings(OCR, outcome_formula=parse("y ~ 0 + L")))
+    first = ds.study_rows[0]
+
+    def rig(b, rng, study_rows):
+        if b == 1:
+            return np.concatenate([first[ds.cov[first, 0] == 0], study_rows[1]])
+        if b == 2:
+            return np.concatenate([_redraw(r, rng) for r in study_rows])
+        return np.concatenate(study_rows)
+
+    monkeypatch.setattr(glm, "NEWTON_MAX_ITER", 1)
+    res = bootstrap_cov(grid, ("rd",), B=6, _indices=rig)
+    assert res.failures == {"NoConvergence": 1, "RankDeficient": 1}
+    assert np.all(res.excluded["rd"] == 2)
 
 
 def test_replicate_with_no_weight_mass_in_an_arm_is_counted_by_reason(monkeypatch):
@@ -326,8 +383,7 @@ def test_shared_draws_give_the_bootstrap_of_its_own_draws(monkeypatch, case):
     make, s = CASES["enum-ipw" if case == "single-arm" else case]
     grid = _recorded(standardized_grid, make(), s)[0]
     rig = _single_arm_rig(grid.ds) if case == "single-arm" else None
-    C = max(len(f.categories) - 1 for f in grid.membership_fits.values()) if (
-        grid.membership_fits) else 1
+    C = max(np.atleast_2d(model.fit.coef).shape[0] for model in grid.models)
     monkeypatch.setattr(variance, "_BLOCK_CELLS", 4 * grid.ds.n * C)
     own, caught = _recorded(bootstrap_cov, grid, MEASURES, B=12, seed=[4, 2], _indices=rig)
     draws = variance.draw_replicates(grid.ds, 12, [4, 2], _indices=rig)
@@ -367,6 +423,16 @@ def test_draws_of_another_dataset_size_or_seed_are_refused():
         with pytest.raises(ValueError, match="draw_replicates"):
             bootstrap_cov(g, ("rd",), draws=draws, **kw)
     bootstrap_cov(grid, ("rd",), B=6, seed=1, draws=draws)
+
+
+@pytest.mark.parametrize("B", [True, 2.5, 3.0, "3", 1, 0, -1])
+def test_a_replicate_count_that_is_not_an_integer_of_at_least_two_is_refused(B):
+    grid = standardized_grid(enum_dataset(), _settings(IPW))
+    msg = re.escape(f"B must be an integer of at least 2, not {B!r}")
+    with pytest.raises(ValueError, match=msg):
+        bootstrap_cov(grid, ("rd",), B=B)
+    with pytest.raises(ValueError, match=msg):
+        variance.draw_replicates(grid.ds, B)
 
 
 @pytest.mark.parametrize("K", [2, 10])

@@ -197,6 +197,9 @@ def test_load_requires_a_covariate():
 def test_load_rejects_ragged_row():
     with pytest.raises(MissingColumn, match="line 3"):
         load_ipd(b"study,treat,outcome,L\na,1,1,0.5\na,0,0\n")
+    # every row one field too many: the one parse reads them all, at the wrong width
+    with pytest.raises(MissingColumn, match="line 2: expected 4 fields, got 5"):
+        load_ipd(b"study,treat,outcome,L\na,1,1,0.5,9\na,0,0,0.5,9\n")
 
 
 def test_load_rejects_nonbinary_and_nonnumeric():

@@ -300,10 +300,18 @@ def test_analysis_describe_is_the_settings_description():
     ({"preset": 1, "n_total": 1500.0}, "n_total must be an integer, not 1500.0"),
     ({"preset": 1, "n_total": 2.5}, "n_total must be an integer, not 2.5"),
     ({"preset": 1, "n_total": True}, "n_total must be an integer, not True"),
+    ({"preset": 1, "allocation": "0.5"}, "allocation must be a number in (0, 1), not '0.5'"),
 ])
 def test_setting_config_rejects_a_bool_or_a_non_integral_value(kw, msg):
     with pytest.raises(ValueError, match=re.escape(msg)):
         SettingConfig(**kw)
+
+
+@pytest.mark.parametrize("runs", [True, 2.5, 0])
+def test_the_oracle_takes_an_integer_count_of_runs(runs):
+    with pytest.raises(ValueError, match=re.escape(f"runs must be an integer of at least 1, "
+                                                   f"not {runs!r}")):
+        true_values_oracle(preset_config(1), runs=runs)
 
 
 @pytest.mark.parametrize("kw,msg", [
@@ -321,6 +329,8 @@ def test_setting_config_rejects_a_bool_or_a_non_integral_value(kw, msg):
     ({"alpha": True}, "alpha must be a number in (0, 1), not True"),
     ({"analyses": []}, "analyses: need at least one analysis"),
     ({"measures": ("rr", "hr")}, "unknown measure 'hr'"),
+    ({"oracle_runs": 2.5}, "oracle_runs must be an integer of at least 1, not 2.5"),
+    ({"oracle_runs": True}, "oracle_runs must be an integer of at least 1, not True"),
 ])
 def test_run_study_checks_its_arguments_before_the_oracle(monkeypatch, kw, msg):
     monkeypatch.setattr(simlab, "true_values_oracle", _no_oracle)

@@ -14,7 +14,7 @@ from casemix.formula import parse
 from casemix.transport import (
     IPW, IPW_STABILIZED, MEASURES, METHODS, OCR, GridSettings, StandardizedEstimate,
     WeightDiagnostics, common_control_check, effect_matrix, effect_transform,
-    membership_columns, membership_eta, natural_effect, standardized_grid, transport_weight)
+    membership_eta, natural_effect, standardized_grid, transport_weight)
 
 from conftest import (ENUM_GRID, ENUM_OR, ENUM_RD, ENUM_RR, cell, continuous_ds,
                       dataset_from_cells)
@@ -96,9 +96,10 @@ def test_effect_matrix_vector_order(enum_ds):
 
 def test_density_ratio_weights_values(enum_ds):
     grid = standardized_grid(enum_ds, GridSettings(IPW, ps_formula=PS))
-    fit = grid.membership_fit("1", "2")
-    kept, j_col, k_col = membership_columns(fit, enum_ds, "1", "2")
-    w = transport_weight(membership_eta(grid.design(PS, "2", kept), fit.coef), j_col, k_col)[0]
+    c12 = grid.cells[1]                 # (1, 2): the reference trial is the target
+    assert (c12.j, c12.k, c12.j_col, c12.k_col) == ("1", "2", None, 0)
+    w = transport_weight(membership_eta(c12.designs[0], grid.models[c12.model].fit.coef),
+                         c12.j_col, c12.k_col)[0]
     diag = grid[("1", "2", 1)].weights_summary
     assert w.shape == (800,)
     lo = enum_ds.cov[enum_ds.mask("2"), 0] == 0

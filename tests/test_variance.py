@@ -10,8 +10,8 @@ from casemix.formula import ModelFormula, parse
 from casemix.ipd import IpdDataset
 from casemix.simlab import analysis_preset, generate_setting, preset_config
 from casemix.transport import (IPW, IPW_STABILIZED, MEASURES, OCR, GridSettings,
-                               effect_matrix, membership_columns, membership_eta,
-                               standardized_grid, transport_weight)
+                               effect_matrix, membership_eta, standardized_grid,
+                               transport_weight)
 from casemix.variance import (attach_covariance, bootstrap_cov, build_system,
                               sandwich_cov)
 
@@ -293,37 +293,37 @@ def test_bread_drops_weight_derivative_exactly_where_the_grid_caps(ps_mode):
     system = build_system(grid)
     A = system.bread()
     p = len(PS.column_names())
-    offsets, start = {}, 0              # membership blocks lead theta, in fit order
-    for fit in grid.membership_fits.values():
-        offsets[id(fit)] = start
-        start += fit.coef.size
+    # membership blocks lead theta, in the order of the grid's models
+    offsets = np.cumsum([0] + [model.fit.coef.size for model in grid.models])
     at_cap = 0
-    for j in ds.studies:
-        for k in ds.studies:
-            if j == k:
-                continue
-            rows = ds.study_rows[ds.study_number(k)]
-            Z = PS.design_matrix(ds.covariate_columns(rows))
-            fit = grid.membership_fit(j, k)
-            kept, j_col, k_col = membership_columns(fit, ds, j, k)
-            w_raw = transport_weight(membership_eta(grid.design(PS, k, kept), fit.coef),
-                                     j_col, k_col)[0]
-            cap = grid[(j, k, 1)].weights_summary.truncated_at
-            at_cap += int(np.sum(w_raw == cap))
-            dw = np.where(w_raw > cap, 0.0, w_raw)     # d exp(eta_j - eta_k) / d eta_j
-            # eta_j enters with +1 and eta_k with -1; the reference has none
-            blocks = [(offsets[id(fit)] + col * p, sign)
-                      for col, sign in ((j_col, 1.0), (k_col, -1.0)) if col is not None]
-            for x in (0, 1):
-                row = system.prob_rows[(j, k, x)]
-                arm = (ds.treat[rows] == x).astype(float)
-                resid = arm * (ds.outcome[rows] - grid[(j, k, x)].prob)
-                want = np.zeros(system.m)
-                for off, sign in blocks:
-                    want[off:off + p] -= sign * (Z.T @ (resid * dw)) / ds.n
-                want[row] = np.sum(arm * np.minimum(w_raw, cap)) / ds.n
-                scale = np.max(np.abs(want))
-                assert np.max(np.abs(A[row] - want)) <= 1e-12 * scale, (j, k, x)
+    for cell in grid.cells:
+        j, k = cell.j, cell.k
+        if j == k:
+            continue
+        rows = ds.study_rows[ds.study_number(k)]
+        Z = PS.design_matrix(ds.covariate_columns(rows))
+        fit = grid.models[cell.model].fit
+        nonref = [s for s in fit.categories if s != fit.reference]     # the fit's eta columns
+        j_col, k_col = (None if ds.study_number(t) == fit.reference
+                        else nonref.index(ds.study_number(t)) for t in (j, k))
+        assert (cell.j_col, cell.k_col) == (j_col, k_col)
+        w_raw = transport_weight(membership_eta(cell.designs[0], fit.coef), j_col, k_col)[0]
+        cap = grid[(j, k, 1)].weights_summary.truncated_at
+        at_cap += int(np.sum(w_raw == cap))
+        dw = np.where(w_raw > cap, 0.0, w_raw)     # d exp(eta_j - eta_k) / d eta_j
+        # eta_j enters with +1 and eta_k with -1; the reference has none
+        blocks = [(offsets[cell.model] + col * p, sign)
+                  for col, sign in ((j_col, 1.0), (k_col, -1.0)) if col is not None]
+        for x in (0, 1):
+            row = system.prob_rows[(j, k, x)]
+            arm = (ds.treat[rows] == x).astype(float)
+            resid = arm * (ds.outcome[rows] - grid[(j, k, x)].prob)
+            want = np.zeros(system.m)
+            for off, sign in blocks:
+                want[off:off + p] -= sign * (Z.T @ (resid * dw)) / ds.n
+            want[row] = np.sum(arm * np.minimum(w_raw, cap)) / ds.n
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(A[row] - want)) <= 1e-12 * scale, (j, k, x)
     assert at_cap == 6                  # one weight sits exactly at each cell's cap
 
 
@@ -489,9 +489,9 @@ def test_two_trial_pairwise_membership_equals_multinomial(preset, method):
     pair, multi = (standardized_grid(ds, GridSettings(method, ps_formula=ps, ps_mode=mode))
                    for mode in ("pairwise", "multinomial"))
     a, b = ds.studies
-    assert pair.membership_fit(a, b) is pair.membership_fit(b, a)
-    assert list(pair.membership_fits) == list(multi.membership_fits) == [(0, 1)]
-    assert np.array_equal(pair.membership_fit(a, b).coef, multi.membership_fit(a, b).coef)
+    assert [cell.model for cell in pair.cells] == [None, 0, 0, None]
+    assert [m.trials for m in pair.models] == [m.trials for m in multi.models] == [(a, b)]
+    assert np.array_equal(pair.models[0].fit.coef, multi.models[0].fit.coef)
     assert len(pair) == len(multi) == 8
     for key, cell in multi.items():
         assert pair[key].prob == cell.prob, key
@@ -572,8 +572,7 @@ def test_permuting_rows_within_trials_changes_nothing_beyond_rounding(method, kw
 
     grid, matrix, tests = analyse(ds)
     pgrid, pmatrix, ptests = analyse(_rows_shuffled_within_trials(ds, seed))
-    assert all(not fit.separation_flag for fit in
-               [*grid.outcome_fits.values(), *grid.membership_fits.values()])
+    assert all(not model.fit.separation_flag for model in grid.models)
     for key, cell in grid.items():
         assert abs(pgrid[key].prob - cell.prob) <= 1e-12 * abs(cell.prob), key
     scale = np.max(np.diag(matrix.sigma))
@@ -663,7 +662,8 @@ def test_each_design_row_is_built_once(monkeypatch, method, ps_mode):
         assert rows == {PS: ds.n}
     if method != OCR:       # the grid holds each trial's rows once, in any mode
         roots = {}
-        for Z in grid._designs.values():
+        for Z in [*(Z for m in grid.models for Z in m.designs),
+                  *(Z for cell in grid.cells for Z in cell.designs)]:
             while Z.base is not None:
                 Z = Z.base
             roots[id(Z)] = len(Z)

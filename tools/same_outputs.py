@@ -11,6 +11,9 @@ the same files. Each tree then runs, one fresh process per command:
 * one bootstrap `analyze` (unstabilized IPW, OR, B = 20) on the first input;
 * `transport --out` on each analyze input, with its workload's model;
 * `simulate` with each simulate workload's arguments at a few replications;
+* with `--ps-mode pairwise`, one membership model per pair of trials: the
+  `analyze` and `transport` runs of each analyze workload that fits a
+  membership model, and the bootstrap run;
 
 each at seeds 0 and 1. Every output embeds its `--out` path, so the trees
 write to the same paths, one tree after the other. Each command's stdout,
@@ -52,6 +55,7 @@ SIMULATE_REPS = 4
 BOOTSTRAP = ("--method", "ipw", "--ps-formula", "study ~ 1 + L1 + L2", "--measure", "or",
              "--variance", "bootstrap", "--bootstrap-b", "20")
 TRANSPORT_CELL = ("--target", "2", "--source", "1", "--arm", "1")
+PAIRWISE = ("--ps-mode", "pairwise")
 ANALYZE_ONLY = ("--measure", "--variance")     # analyze options that transport lacks
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 WORKERS = 2
@@ -83,17 +87,23 @@ def commands(work: str, smoke_sizes: bool) -> dict:
                 path = os.path.join(work, "inputs", f"{tag}.csv")
                 write_analyze_csv(w, seed, path)
                 inputs.append(path)
-                runs[tag] = ["analyze", path, *w.cli_args, "--seed", str(seed),
-                             "--out", os.path.join(out, tag)]
-                runs[f"transport-{tag}"] = ["transport", path, *_model_args(w.cli_args),
-                                            *TRANSPORT_CELL,
-                                            "--out", os.path.join(out, f"transport-{tag}.json")]
+                # pairwise mode only changes a grid with a membership model
+                modes = ((), PAIRWISE) if "--ps-formula" in w.cli_args else ((),)
+                for mode in modes:
+                    name = f"{w.name}-pairwise-seed{seed}" if mode else tag
+                    runs[name] = ["analyze", path, *w.cli_args, *mode, "--seed", str(seed),
+                                  "--out", os.path.join(out, name)]
+                    runs[f"transport-{name}"] = [
+                        "transport", path, *_model_args(w.cli_args), *mode, *TRANSPORT_CELL,
+                        "--out", os.path.join(out, f"transport-{name}.json")]
             else:
                 reps = w.reps if smoke_sizes else SIMULATE_REPS
                 runs[tag] = ["simulate", *w.cli_args, "--reps", str(reps), "--seed", str(seed),
                              "--out", os.path.join(out, tag)]
-        runs[f"bootstrap-seed{seed}"] = ["analyze", inputs[0], *BOOTSTRAP, "--seed", str(seed),
-                                         "--out", os.path.join(out, f"bootstrap-seed{seed}")]
+        for mode, name in (((), f"bootstrap-seed{seed}"),
+                           (PAIRWISE, f"bootstrap-pairwise-seed{seed}")):
+            runs[name] = ["analyze", inputs[0], *BOOTSTRAP, *mode, "--seed", str(seed),
+                          "--out", os.path.join(out, name)]
     return runs
 
 
