@@ -185,7 +185,7 @@ def _logit_deviance(eta: np.ndarray, observed: np.ndarray) -> tuple:
     return P, 2.0 * float(lse.sum())
 
 
-def _newton(coef, evaluate, score_info, reach, tol, max_iter) -> tuple:
+def _newton(coef, evaluate, score_info, reach) -> tuple:
     """Damped Newton from each of the A coefficient sets `coef` (A x C x p) ->
     (coefficients, deviances, converged, iterations, separated), one entry a
     set, and the state of the sets that left last (for A = 1, the fit's).
@@ -195,11 +195,14 @@ def _newton(coef, evaluate, score_info, reach, tol, max_iter) -> tuple:
     sets)` their largest |linear predictor| over the rows each holds.
 
     Each set halves its own step while its deviance rises, 30 times at most,
-    and leaves by itself: when its step is below `tol`, or, taking no step,
-    when every candidate raised its deviance, converged then only if the last
-    candidate's step is below `tol`. It is separated if it fits its rows
-    perfectly, or stopped unconverged with numerically 0/1 probabilities; a
-    converged fit with steep tails is not."""
+    and leaves by itself: when its step is below `NEWTON_TOL`, or, taking no
+    step, when every candidate raised its deviance, converged then only if
+    the last candidate's step is below `NEWTON_TOL`, and after
+    `NEWTON_MAX_ITER` iterations at most; both limits are read at each call,
+    so a fit and its replicate refits run under the same ones. It is
+    separated if it fits its rows perfectly, or stopped unconverged with
+    numerically 0/1 probabilities; a converged fit with steep tails is not."""
+    tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
     sets = np.arange(len(coef))
     dev, state = evaluate(coef, sets)
     out, coef, out_dev = coef.copy(), coef.copy(), dev.copy()
@@ -285,7 +288,7 @@ class FittedMultinomial:
 
 
 def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: str,
-               tol: float, max_iter: int, column_names, formula):
+               column_names, formula):
     """The Newton fit of the logit of C non-reference categories on the
     design X, shared by `fit_logistic` (C = 1) and `fit_multinomial`.
     `observed` holds the flat indices into an n x C array of each
@@ -312,7 +315,7 @@ def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: 
     B, dev, converged, it, separated, P = _newton(
         np.zeros((1, C, Xk.shape[1])), evaluate,
         lambda P, sets: [a[None] for a in multinomial_information(Xk, P[0], Y)],
-        lambda B, sets: np.max(np.abs(Xk @ B[0].T)), tol, max_iter)
+        lambda B, sets: np.max(np.abs(Xk @ B[0].T)))
     H = multinomial_information(Xk, P[0])
     try:
         cov = np.linalg.inv(H)
@@ -326,13 +329,12 @@ def _fit_logit(X: np.ndarray, observed: np.ndarray, C: int, fitted, separation: 
     if separated:
         warnings.warn(separation, SeparationWarning, stacklevel=3)
     if not converged and not separated:
-        raise NoConvergence(f"no convergence in {max_iter} iterations", last_fit=fit)
+        raise NoConvergence(f"no convergence in {NEWTON_MAX_ITER} iterations", last_fit=fit)
     return fit
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray,
-                 *, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                 column_names: Optional[Sequence[str]] = None,
+                 *, column_names: Optional[Sequence[str]] = None,
                  formula: Optional[ModelFormula] = None) -> FittedLogistic:
     """Logistic regression of the 0/1 response `y` on the design X: the
     one-category case of `fit_multinomial`, y = 0 the reference. A `y` with
@@ -350,12 +352,11 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
         raise AllSameResponse("response is constant; the MLE does not exist")
     return _fit_logit(X, np.flatnonzero(y == 1.0), 1,
                       lambda coef, **fields: FittedLogistic(coef=coef[0], **fields),
-                      LOGISTIC_SEPARATION, tol, max_iter, column_names, formula)
+                      LOGISTIC_SEPARATION, column_names, formula)
 
 
 def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
-                    *, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                    column_names: Optional[Sequence[str]] = None,
+                    *, column_names: Optional[Sequence[str]] = None,
                     formula: Optional[ModelFormula] = None) -> FittedMultinomial:
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -370,7 +371,7 @@ def fit_multinomial(X: np.ndarray, categories: np.ndarray, reference,
     others = np.array([c for c in uniq if c != reference])
     return _fit_logit(X, np.flatnonzero(cats_arr[:, None] == others), len(others),
                       partial(FittedMultinomial, categories=tuple(uniq), reference=reference),
-                      MULTINOMIAL_SEPARATION, tol, max_iter, column_names, formula)
+                      MULTINOMIAL_SEPARATION, column_names, formula)
 
 
 @dataclass
@@ -446,8 +447,7 @@ def fit_counts(X: np.ndarray, Y: np.ndarray, counts: np.ndarray,
         coef, _, converged, _, separated, _ = _newton(   # no copy of X or W in one group
             np.repeat(start[None][:, :, kept], len(reps), axis=0),
             *_count_kernels(keep_columns(X, kept), Yt, W if len(reps) == B else W[reps],
-                            XX if len(kept) == p else None),
-            NEWTON_TOL, NEWTON_MAX_ITER)
+                            XX if len(kept) == p else None))
         out.coef[np.ix_(reps, range(C), kept)] = coef
         out.converged[reps], out.separated[reps] = converged, separated
         for b in reps[~(converged | separated)]:

@@ -16,6 +16,7 @@ alone, so a study of fewer reps reproduces the leading reps of a longer one.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -354,17 +355,43 @@ class _Raw:
         self.probs = np.full((reps, K * K, 2), np.nan)
         self.eff_log = np.full((reps, n_measures, K * K), np.nan)
         self.eff_nat = np.full((reps, n_measures, K * K), np.nan)
-        self.var_snd = np.full((reps, n_measures, K * K), np.nan)
-        self.var_boot = np.full((reps, n_measures, K * K), np.nan)
-        self.pval = np.full((reps, 2, n_measures, n_tests), np.nan)  # 0 snd, 1 boot
+        # the covariance method's axis: 0 sandwich, 1 bootstrap
+        self.var = np.full((reps, 2, n_measures, K * K), np.nan)
+        self.pval = np.full((reps, 2, n_measures, n_tests), np.nan)
         self.feas = np.zeros((reps, 2, n_measures, n_tests), dtype=bool)
         self.ran = np.zeros((reps, 2, n_measures, n_tests), dtype=bool)
         self.oob = np.zeros(reps, dtype=int)
         self.failed = np.zeros(reps, dtype=bool)
 
 
+TABLES = (("tables2.csv", "probability_bias"), ("tables3.csv", "effect_bias"),
+          ("table4.csv", "variance"), ("table5.csv", "rejection"))
+
+
+def _axis(name: str, values) -> list:
+    return [{name: v} for v in values]
+
+
+def _summary(draws: np.ndarray, truth: Optional[float] = None) -> dict:
+    """One cell's finite replication draws: their mean and count, and given
+    the cell's truth, the bias and the relative bias in percent. The mean is
+    NaN without a finite draw, and the relative bias NaN at a zero truth."""
+    finite = draws[np.isfinite(draws)]
+    mean = float(finite.mean()) if finite.size else float("nan")
+    if truth is None:
+        return {"mean": mean, "n_defined": int(finite.size)}
+    return {"truth": truth, "mean": mean, "bias": mean - truth,
+            "rb_pct": 100.0 * (mean - truth) / truth if truth != 0 else float("nan"),
+            "n_defined": int(finite.size)}
+
+
 @dataclass
 class SimulationReport:
+    """A replication study's per-replication draws and the four tables
+    summarized from them. Each table row is one cell of one analysis at one
+    level (an arm, a measure, or a covariance method, measure and test),
+    walked by `_walk`; the bias and variance rows summarize the cell's
+    finite draws with `_summary`."""
     config: dict
     analyses: list                      # Analysis.describe() dicts
     reps: int
@@ -381,83 +408,57 @@ class SimulationReport:
     def cell_order(self) -> list:
         return _cell_order(self.labels)
 
-    def _mean(self, a: np.ndarray) -> float:
-        a = a[np.isfinite(a)]
-        return float(a.mean()) if a.size else float("nan")
+    def _walk(self, *axes):
+        """(raw, indices, head) for each analysis and each combination of
+        the `axes`, the last varying fastest. An axis is a list of column
+        dicts; `indices` holds one position per axis, and `head` the row's
+        leading columns: the analysis's name, then each axis's columns."""
+        for d in self.analyses:
+            for pos in itertools.product(*(range(len(a)) for a in axes)):
+                head = {"analysis": d["name"]}
+                for a, i in zip(axes, pos):
+                    head.update(a[i])
+                yield self.raw[d["name"]], pos, head
 
-    def _bias(self, truth: float, draws: np.ndarray) -> dict:
-        """The bias columns of one cell's replication draws."""
-        mean = self._mean(draws)
-        return {"truth": truth, "mean": mean, "bias": mean - truth,
-                "rb_pct": 100.0 * (mean - truth) / truth,
-                "n_defined": int(np.isfinite(draws).sum())}
+    def _cells(self) -> list:
+        return [{"target_j": j, "source_k": k} for j, k in self.cell_order()]
 
     def probability_bias_rows(self) -> list:
-        rows = []
-        for d in self.analyses:
-            raw = self.raw[d["name"]]
-            for c, (j, k) in enumerate(self.cell_order()):
-                for x in (0, 1):
-                    rows.append({
-                        "analysis": d["name"], "target_j": j, "source_k": k, "arm_x": x,
-                        **self._bias(self.truth.probs[(j, k, x)], raw.probs[:, c, x]),
-                    })
-        return rows
+        order = self.cell_order()
+        return [{**head, **_summary(raw.probs[:, c, x], self.truth.probs[(*order[c], x)])}
+                for raw, (c, x), head in self._walk(self._cells(), _axis("arm_x", (0, 1)))]
 
     def effect_bias_rows(self) -> list:
-        rows = []
-        for d in self.analyses:
-            raw = self.raw[d["name"]]
-            for mi, msr in enumerate(self.measures):
-                tr = self.truth.effect(msr)
-                for c, (j, k) in enumerate(self.cell_order()):
-                    rows.append({
-                        "analysis": d["name"], "measure": msr,
-                        "target_j": j, "source_k": k,
-                        **self._bias(tr[(j, k)], raw.eff_nat[:, mi, c]),
-                    })
-        return rows
+        order = self.cell_order()
+        return [{**head, **_summary(raw.eff_nat[:, mi, c],
+                                    self.truth.effect(self.measures[mi])[order[c]])}
+                for raw, (mi, c), head in self._walk(_axis("measure", self.measures),
+                                                     self._cells())]
 
     def variance_rows(self) -> list:
         rows = []
-        for d in self.analyses:
-            raw = self.raw[d["name"]]
-            for mi, msr in enumerate(self.measures):
-                for c, (j, k) in enumerate(self.cell_order()):
-                    pts = raw.eff_log[:, mi, c]
-                    pts = pts[np.isfinite(pts)]
-                    mcv = float(pts.var(ddof=1)) if pts.size > 1 else float("nan")
-                    rows.append({
-                        "analysis": d["name"], "measure": msr,
-                        "target_j": j, "source_k": k,
-                        "mcv": mcv,
-                        "mev": self._mean(raw.var_snd[:, mi, c]),
-                        "btv": self._mean(raw.var_boot[:, mi, c]),
-                        "n_defined": int(pts.size),
-                    })
+        for raw, (mi, c), head in self._walk(_axis("measure", self.measures), self._cells()):
+            pts = raw.eff_log[:, mi, c]
+            pts = pts[np.isfinite(pts)]
+            rows.append({**head, "mcv": float(pts.var(ddof=1)) if pts.size > 1 else float("nan"),
+                         "mev": _summary(raw.var[:, 0, mi, c])["mean"],
+                         "btv": _summary(raw.var[:, 1, mi, c])["mean"],
+                         "n_defined": int(pts.size)})
         return rows
 
     def rejection_rows(self) -> list:
-        rows = []
         methods = ["sandwich"] + (["bootstrap"] if self.bootstrap_b > 0 else [])
-        for d in self.analyses:
-            raw = self.raw[d["name"]]
-            for vi, vm in enumerate(methods):
-                for mi, msr in enumerate(self.measures):
-                    for ti, test in enumerate(self.test_names):
-                        ran = raw.ran[:, vi, mi, ti]
-                        feas = raw.feas[:, vi, mi, ti]
-                        p = raw.pval[:, vi, mi, ti]
-                        n_feas = int(feas.sum())
-                        n_rej = int((p[feas] < self.alpha).sum()) if n_feas else 0
-                        rows.append({
-                            "analysis": d["name"], "variance": vm, "measure": msr,
-                            "test": test, "n_ran": int(ran.sum()),
-                            "n_feasible": n_feas,
-                            "n_infeasible": int(ran.sum()) - n_feas,
-                            "n_reject": n_rej,
-                            "reject_pct": 100.0 * n_rej / n_feas if n_feas else float("nan"),
-                        })
+        rows = []
+        for raw, (vi, mi, ti), head in self._walk(_axis("variance", methods),
+                                                  _axis("measure", self.measures),
+                                                  _axis("test", self.test_names)):
+            n_ran = int(raw.ran[:, vi, mi, ti].sum())
+            feas = raw.feas[:, vi, mi, ti]
+            n_feas = int(feas.sum())
+            n_rej = int((raw.pval[:, vi, mi, ti][feas] < self.alpha).sum()) if n_feas else 0
+            rows.append({**head, "n_ran": n_ran, "n_feasible": n_feas,
+                         "n_infeasible": n_ran - n_feas, "n_reject": n_rej,
+                         "reject_pct": 100.0 * n_rej / n_feas if n_feas else float("nan")})
         return rows
 
     def rejection_rate(self, analysis: str, test: str, measure: str = "rr",
@@ -492,23 +493,21 @@ class SimulationReport:
         }
 
     def write_tables(self, outdir) -> list:
-        """CSV per aggregate plus the JSON bundle; every file embeds the
-        resolved run configuration."""
+        """CSV per table plus the JSON bundle, every table built once;
+        every file embeds the resolved run configuration."""
         import os
         os.makedirs(outdir, exist_ok=True)
         header = {"config": self.config, "seed": self.seed, "reps": self.reps,
                   "bootstrap_b": self.bootstrap_b}
+        report = self.to_json_dict()
         written = []
-        for fname, rows in (("tables2.csv", self.probability_bias_rows()),
-                            ("tables3.csv", self.effect_bias_rows()),
-                            ("table4.csv", self.variance_rows()),
-                            ("table5.csv", self.rejection_rows())):
+        for fname, table in TABLES:
             path = os.path.join(outdir, fname)
-            write_csv(path, rows, header)
+            write_csv(path, report[table], header)
             written.append(path)
         path = os.path.join(outdir, "report.json")
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+            json.dump(report, fh, indent=1)
         written.append(path)
         return written
 
@@ -585,11 +584,11 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
                         raw.eff_log[r, mi] = m.transformed_vector()
                         raw.eff_nat[r, mi] = m.point_vector()
                     sres = sandwich_cov(grid, measures)
-                    _record_tests(raw, r, 0, measures, matrices, sres, raw.var_snd)
+                    _record_tests(raw, r, 0, measures, matrices, sres)
                     if bootstrap_b > 0:
                         bres = bootstrap_cov(grid, measures, B=bootstrap_b,
                                              seed=entropy + [2, r], draws=draws)
-                        _record_tests(raw, r, 1, measures, matrices, bres, raw.var_boot)
+                        _record_tests(raw, r, 1, measures, matrices, bres)
                 except (CasemixError, np.linalg.LinAlgError) as e:
                     # a failed fit, grid or covariance fails this replication
                     # only; any other error is a programming error and propagates
@@ -603,10 +602,9 @@ def run_study(cfg: SettingConfig, analyses: Sequence[Union[str, Analysis]],
         raw=raws, failures=failures)
 
 
-def _record_tests(raw: _Raw, r: int, vi: int, measures, matrices, covres,
-                  var_slot: np.ndarray) -> None:
+def _record_tests(raw: _Raw, r: int, vi: int, measures, matrices, covres) -> None:
     for mi, msr in enumerate(measures):
-        var_slot[r, mi] = np.diag(covres.sigma[msr])
+        raw.var[r, vi, mi] = np.diag(covres.sigma[msr])
         attach_covariance(matrices[msr], covres)
         for ti, res in enumerate(het.all_tests(matrices[msr])):
             raw.ran[r, vi, mi, ti] = True

@@ -186,13 +186,6 @@ class WeightDiagnostics:
                    n_over_threshold=int(np.sum(w > threshold)),
                    threshold=threshold, truncated_at=truncated_at)
 
-    @classmethod
-    def unit(cls, n: int, threshold: float = POSITIVITY_THRESHOLD) -> "WeightDiagnostics":
-        """`of(np.ones(n), threshold)` in closed form: n unit weights."""
-        s = float(n)
-        return cls(max=1.0, p95=1.0, ess=s * s / s,
-                   n_over_threshold=n if 1.0 > threshold else 0, threshold=threshold)
-
 
 @dataclass
 class StandardizedEstimate:
@@ -598,8 +591,8 @@ def standardized_grid(ds: IpdDataset, settings: GridSettings) -> FittedGrid:
     out.probs.flags.writeable = False
     order = _cell_order(ds.studies)
     if settings.method != OCR:
-        out.diagnostics = {(j, k): kernel.diagnostics.get((j, k)) or WeightDiagnostics.unit(
-            len(out.rows[k]), threshold=settings.positivity_threshold) for j, k in order}
+        out.diagnostics = {(j, k): kernel.diagnostics.get((j, k)) or WeightDiagnostics.of(
+            np.ones(len(out.rows[k])), threshold=settings.positivity_threshold) for j, k in order}
     oob = out.out_of_bounds
     for c, (j, k) in enumerate(order):
         for x in (0, 1):

@@ -439,7 +439,7 @@ def test_criterion_8_property_suites(tmp_path):
     two = run_study(preset_config(1), ["OCR1", "IPW1"], reps=2, **kw)
     three = run_study(preset_config(1), ["OCR1", "IPW1"], reps=3, **kw)
     for name in ("OCR1", "IPW1"):
-        for field in ("probs", "eff_log", "var_snd", "var_boot", "pval"):
+        for field in ("probs", "eff_log", "var", "pval"):
             if not np.array_equal(getattr(two.raw[name], field),
                                   getattr(three.raw[name], field)[:2], equal_nan=True):
                 bad.append(f"{name} {field} of the first two reps changed with reps")

@@ -179,11 +179,10 @@ def test_replicate_that_loses_an_arm_is_counted_by_reason():
 
 def _logistic_failure(X, y, counts):
     """The error `fit_logistic` raises on the rows X, y each repeated as
-    often as `counts` says (None when it fits), at the Newton iteration
-    limit that `fit_counts` reads."""
+    often as `counts` says (None when it fits)."""
     rows = np.repeat(np.arange(len(X)), counts.astype(np.intp))
     try:
-        fit_logistic(X[rows], y[rows], max_iter=glm.NEWTON_MAX_ITER)
+        fit_logistic(X[rows], y[rows])
     except CasemixError as e:
         return type(e)
     return None

@@ -135,12 +135,26 @@ def test_aliased_column_dropped_and_width_kept():
         fit.predict(X)
 
 
-def test_no_convergence_carries_last_fit():
+def test_no_convergence_carries_last_fit(monkeypatch):
+    monkeypatch.setattr(glm, "NEWTON_MAX_ITER", 1)
     X, y = saturated_binary_fixture()
     with pytest.raises(NoConvergence) as exc:
-        fit_logistic(X, y, max_iter=1)
+        fit_logistic(X, y)
     assert exc.value.last_fit is not None
     assert not exc.value.last_fit.converged
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_every_fit_reads_the_newton_limit_at_the_call(monkeypatch, limit):
+    # the single fits stop at a limit set after import, as `fit_counts` does,
+    # and the error names the limit
+    X, y = saturated_binary_fixture()
+    assert fit_logistic(X, y).iterations > limit
+    monkeypatch.setattr(glm, "NEWTON_MAX_ITER", limit)
+    for fit in (lambda: fit_logistic(X, y), lambda: fit_multinomial(X, y, reference=0)):
+        with pytest.raises(NoConvergence, match=f"no convergence in {limit} iterations") as exc:
+            fit()
+        assert exc.value.last_fit.iterations == limit
 
 
 def _shares(fit, X):
@@ -299,9 +313,10 @@ def test_every_halving_failed_stays_at_the_current_coefficients(monkeypatch, mul
     X, y = saturated_binary_fixture()
     for tol in (1e-14, 1.0):
         calls.clear()
+        monkeypatch.setattr(glm, "NEWTON_TOL", tol)
         try:
-            fit = (fit_multinomial(X, y, reference=0, tol=tol) if multinomial
-                   else fit_logistic(X, y, tol=tol))
+            fit = (fit_multinomial(X, y, reference=0) if multinomial
+                   else fit_logistic(X, y))
         except NoConvergence as exc:
             fit = exc.last_fit
         assert len(calls) == 32

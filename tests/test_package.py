@@ -16,7 +16,8 @@ REMOVED = ("ocr_standardized_prob", "ipw_standardized_prob", "density_ratio_weig
 REMOVED_MEMBERS = {casemix.IpdDataset: ("from_records",),
                    casemix.FittedMultinomial: ("predict", "linear_predictors",
                                                "category_index"),
-                   casemix.FittedGrid: ("membership_fit", "outcome_formula_for", "design")}
+                   casemix.FittedGrid: ("membership_fit", "outcome_formula_for", "design"),
+                   casemix.WeightDiagnostics: ("unit",)}
 
 
 def test_every_export_resolves_once():
@@ -194,7 +195,8 @@ def test_same_outputs_passes_one_tree_against_itself_and_names_a_changed_byte(tm
     assert exits == sorted(f"{kind}-seed{s}.exit" for s in (0, 1) for kind in (
         "analyze-ocr-k5", "analyze-ipw-k10", "bootstrap", "simulate-boot",
         "transport-analyze-ocr-k5", "transport-analyze-ipw-k10", "analyze-ipw-k10-pairwise",
-        "bootstrap-pairwise", "transport-analyze-ipw-k10-pairwise"))
+        "bootstrap-pairwise", "transport-analyze-ipw-k10-pairwise", "simulate-preset3",
+        "simulate-preset5"))
     assert all(p.read_text() == "0\n" for p in new.glob("*.exit"))
 
     spec = importlib.util.spec_from_file_location("same_outputs",

@@ -198,7 +198,7 @@ def test_run_study_replication_prefix_determinism(tiny_truth):
     three = run_study(cfg, ["OCR1", "IPW1", bad], reps=3, **kw)
     for name in ("OCR1", "IPW1"):
         a, b = two.raw[name], three.raw[name]
-        for slot in ("probs", "eff_log", "var_snd", "var_boot", "pval"):
+        for slot in ("probs", "eff_log", "var", "pval"):
             assert np.array_equal(getattr(a, slot), getattr(b, slot)[:2],
                                   equal_nan=True), (name, slot)
     assert [r for r, _ in three.failures["BAD"]] == [0, 1, 2]
@@ -253,6 +253,54 @@ def test_write_tables(tiny_run, tmp_path):
     assert blob["reps"] == 3
     assert blob["failure_counts"] == {"OCR1": 0, "IPW1": 0}
     assert len(blob["rejection"]) == 20
+
+
+def test_write_tables_builds_each_table_once_and_writes_the_report_rows(
+        tiny_run, tmp_path, monkeypatch):
+    calls = {}
+    for name, table in (("probability_bias_rows", "probability_bias"),
+                        ("effect_bias_rows", "effect_bias"),
+                        ("variance_rows", "variance"), ("rejection_rows", "rejection")):
+        def counted(self, _real=getattr(simlab.SimulationReport, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(self)
+        monkeypatch.setattr(simlab.SimulationReport, name, counted)
+    written = tiny_run.write_tables(tmp_path / "study")
+    assert calls == {"probability_bias_rows": 1, "effect_bias_rows": 1,
+                     "variance_rows": 1, "rejection_rows": 1}
+    with open(written[-1]) as fh:
+        report = json.load(fh)
+    for path, (fname, table) in zip(written, simlab.TABLES):
+        assert path.endswith(fname)
+        with open(path) as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        want = report[table]
+        assert len(rows) == len(want) > 0
+        for got, row in zip(rows, want):
+            assert list(got) == list(row)
+            for key, value in row.items():
+                text = got[key]
+                if isinstance(value, float):
+                    assert float(text) == value or (np.isnan(value) and text == "nan")
+                else:
+                    assert text == str(value)
+
+
+def test_relative_bias_at_a_zero_truth_is_nan(tmp_path):
+    # no treatment term: both arms share every probability, so each RD truth is 0
+    cfg = SettingConfig(preset="generic", n_total=400, trials=2,
+                        covariates=(("normal", 0.0, 1.0),), membership=((0.0, 0.5),),
+                        outcome={"1": -0.3, "l1": 0.8})
+    ocr = Analysis("OCR", GridSettings(OCR, outcome_formula=parse("y ~ 1 + treat + L1")))
+    rep = run_study(cfg, [ocr], reps=2, seed=0, bootstrap_b=0, oracle_runs=5,
+                    measures=("rd",))
+    rows = rep.effect_bias_rows()
+    assert len(rows) == 4
+    for row in rows:
+        assert row["truth"] == 0.0 and np.isnan(row["rb_pct"])
+        assert np.isfinite(row["mean"]) and row["bias"] == row["mean"]
+    assert len(rep.write_tables(tmp_path / "null")) == 5
 
 
 def test_duplicate_analysis_names_rejected(tiny_truth):

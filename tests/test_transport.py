@@ -476,12 +476,6 @@ def test_common_control_validation(enum_ds):
 
 
 @pytest.mark.parametrize("threshold", [0.5, 200.0])
-@pytest.mark.parametrize("n", [1, 2, 19, 20, 800])
-def test_unit_weight_diagnostics_match_the_general_form(n, threshold):
-    assert WeightDiagnostics.unit(n, threshold) == WeightDiagnostics.of(np.ones(n), threshold)
-
-
-@pytest.mark.parametrize("threshold", [0.5, 200.0])
 def test_diagonal_cells_carry_unit_weight_diagnostics(three_trial_ds, threshold):
     settings = GridSettings(IPW_STABILIZED, ps_formula=PS, positivity_threshold=threshold)
     with warnings.catch_warnings():

@@ -11,6 +11,9 @@ the same files. Each tree then runs, one fresh process per command:
 * one bootstrap `analyze` (unstabilized IPW, OR, B = 20) on the first input;
 * `transport --out` on each analyze input, with its workload's model;
 * `simulate` with each simulate workload's arguments at a few replications;
+* `simulate` of presets 3 and 5 at a small size, whose replications reach
+  the report's rarer paths: failed and out-of-bounds replications, a cell
+  override and stabilized IPW;
 * with `--ps-mode pairwise`, one membership model per pair of trials: the
   `analyze` and `transport` runs of each analyze workload that fits a
   membership model, and the bootstrap run;
@@ -52,6 +55,10 @@ from workloads import ANALYZE, WORKLOADS, smoke, write_analyze_csv  # noqa: E402
 SEEDS = (0, 1)
 ANALYZE_N = 20_000                  # rows of each analyze input
 SIMULATE_REPS = 4
+RARE_SIMULATE = {"simulate-preset3": ("--preset", "3", "--analyses", "OCR1,IPW1,IPW1S"),
+                 "simulate-preset5": ("--preset", "5", "--analyses", "OCR1,IPW1,OCR3")}
+RARE_SIZE = ("--n-total", "300", "--bootstrap-b", "10", "--oracle-runs", "50")
+RARE_REPS, RARE_SMOKE_REPS = 10, 2     # `simulate` exits 2 when over 10% of reps fail
 BOOTSTRAP = ("--method", "ipw", "--ps-formula", "study ~ 1 + L1 + L2", "--measure", "or",
              "--variance", "bootstrap", "--bootstrap-b", "20")
 TRANSPORT_CELL = ("--target", "2", "--source", "1", "--arm", "1")
@@ -100,6 +107,11 @@ def commands(work: str, smoke_sizes: bool) -> dict:
                 reps = w.reps if smoke_sizes else SIMULATE_REPS
                 runs[tag] = ["simulate", *w.cli_args, "--reps", str(reps), "--seed", str(seed),
                              "--out", os.path.join(out, tag)]
+        for kind, args in RARE_SIMULATE.items():
+            tag = f"{kind}-seed{seed}"
+            reps = RARE_SMOKE_REPS if smoke_sizes else RARE_REPS
+            runs[tag] = ["simulate", *args, *RARE_SIZE, "--reps", str(reps),
+                         "--seed", str(seed), "--out", os.path.join(out, tag)]
         for mode, name in (((), f"bootstrap-seed{seed}"),
                            (PAIRWISE, f"bootstrap-pairwise-seed{seed}")):
             runs[name] = ["analyze", inputs[0], *BOOTSTRAP, *mode, "--seed", str(seed),
